@@ -163,6 +163,71 @@ func TestAsyncFasterThanSyncWithIdenticalData(t *testing.T) {
 	}
 }
 
+// TestAsyncEpochsRunHealthPasses pins that overlapped epochs run the
+// epoch health passes like every other epoch: an epoch-driven Corrupt
+// order fires at an async epoch's start, that epoch's scrub detects and
+// repairs the damage before the kernels run (and before the background
+// placement launches), and every object ends bit-identical to a
+// fault-free async run.
+func TestAsyncEpochsRunHealthPasses(t *testing.T) {
+	run := func(faulty bool) (*Runtime, map[uint64]uint32) {
+		rt := asyncRuntime(t, WithScrubber())
+		hot, err := NewArray[uint64](rt, "hot", 32<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := NewArray[uint64](rt, "cold", 256<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillDeterministic(hot, 7)
+		fillDeterministic(cold, 11)
+		ctx := context.Background()
+		for i := 1; i <= 4; i++ {
+			if faulty && i == 3 {
+				// Epoch 2 placed epoch 1's hot set in the background and
+				// its end pass snapshotted it; Nth 1 fires at epoch 3.
+				if hot.Object().FastBytes() == 0 {
+					t.Fatal("the hot array was not promoted by epoch 2")
+				}
+				rt.ArmFaults(faultinject.Fault{
+					Kind: faultinject.Corrupt, Nth: 1,
+					Base: hot.Object().Base(), Size: hot.Object().Size(),
+				})
+			}
+			asyncEpoch(t, rt, ctx, fmt.Sprintf("e%d", i), hot)
+		}
+		if _, err := rt.DrainAsync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.System().CheckConsistency(); err != nil {
+			t.Error(err)
+		}
+		return rt, rt.objectChecksums()
+	}
+
+	_, clean := run(false)
+	rt, faulted := run(true)
+	st := rt.HealthStats()
+	if st.CorruptedChunks == 0 {
+		t.Fatal("the corruption order never fired on an async epoch")
+	}
+	if st.Scrub.Detections == 0 || st.Scrub.Repairs != st.Scrub.Detections {
+		t.Fatalf("scrub did not detect/repair: %+v", st.Scrub)
+	}
+	if st.Quarantined == 0 {
+		t.Errorf("damaged pages not retired: %+v", st)
+	}
+	if len(clean) == 0 || len(faulted) != len(clean) {
+		t.Fatalf("object checksums: %d faulted vs %d clean", len(faulted), len(clean))
+	}
+	for base, want := range clean {
+		if got := faulted[base]; got != want {
+			t.Errorf("object at %#x: crc %#x, fault-free run %#x", base, got, want)
+		}
+	}
+}
+
 // TestAsyncCancellationSkipsAndRollsBack pins the context contract: a
 // cancelled plan reports its regions skipped, leaves placement and data
 // untouched, and does not trip the breaker (cancellation is the

@@ -114,62 +114,147 @@ func (r *Runtime) RunEpoch(name string, body func()) (EpochReport, error) {
 // RunEpochCtx is RunEpoch with a context: cancellation mid-plan makes
 // the migration engine roll back the in-flight region and skip the rest
 // of the schedule (the regions report OutcomeSkipped), leaving placement
-// consistent.
+// consistent. While a compiled plan is armed the epoch replays its
+// recorded schedule instead of profiling and analyzing (see replay.go).
 func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (EpochReport, error) {
 	if r.resid == nil {
 		return EpochReport{}, fmt.Errorf("atmem: RunEpoch requires Options.Governor.Enabled")
 	}
 	if r.armedPlan != nil {
-		// A compiled plan is armed: replay its recorded schedule instead
-		// of profiling and analyzing (see replay.go).
-		return r.runEpochReplay(ctx, name, body)
+		return r.runEpoch(ctx, name, sourceReplay, body)
 	}
+	return r.runEpoch(ctx, name, sourceOnline, body)
+}
+
+// epochSource is where an epoch's placement comes from. Each source
+// plugs into runEpoch's bracket at two points: before the body and
+// after it.
+type epochSource int
+
+const (
+	sourceOnline     epochSource = iota // profile the body, place its samples
+	sourceOverlapped                    // place the previous interval's samples concurrently
+	sourceReplay                        // apply an armed plan's recorded schedule
+)
+
+// runEpoch is the one epoch bracket every placement source runs
+// through: count the epoch and open its span, run the start health
+// pass, run the body between the source's before and after steps, run
+// the end health pass, and close the epoch with its scorecard.
+func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, body func()) (EpochReport, error) {
 	r.epoch++
-	r.rec.Begin(0, "epoch", name, telemetry.Args{"epoch": r.epoch})
-	rep := EpochReport{Epoch: r.epoch}
+	rep := EpochReport{Epoch: r.epoch, Replayed: src == sourceReplay}
+	begin, end := telemetry.Args{"epoch": r.epoch}, telemetry.Args{"epoch": r.epoch}
+	switch src {
+	case sourceOverlapped:
+		begin["async"] = true
+	case sourceReplay:
+		begin["replay"], end["replay"] = true, true
+	}
+	r.rec.Begin(0, "epoch", name, begin)
 	phaseStart := len(r.phases)
 	// The epoch's scorecard charges exactly the scrub time this epoch's
-	// health passes add (the epoch-start pass below and the epoch-end
-	// evacuations), so diff the cumulative charge across the epoch.
+	// health passes add, so diff the cumulative charge across the epoch.
 	scrubStart := r.scrubChargedNS
 
 	// Epoch-start health pass: fire the fault schedule's epoch-driven
 	// orders and scrub the fast-tier residency, so injected corruption is
-	// detected and repaired before any kernel consumes it (see health.go).
-	// On a broker tenant the pass may migrate (emergency demotions), so
-	// it takes the cross-tenant placement lock.
+	// detected and repaired before any kernel consumes it and before an
+	// overlapped placement launches (see health.go). On a broker tenant
+	// the pass may migrate (emergency demotions), so it takes the
+	// cross-tenant placement lock.
 	r.lockPlacement()
-	herr := r.beginEpochHealth(0)
+	err := r.beginEpochHealth(0)
 	r.unlockPlacement()
-	if herr != nil {
-		r.rec.End(0, "epoch", name, telemetry.Args{"epoch": r.epoch, "error": herr.Error()})
-		return rep, herr
+	if err != nil {
+		end["error"] = err.Error()
+		r.rec.End(0, "epoch", name, end)
+		return rep, err
 	}
 
-	// Each epoch ranks on its own interval's heat: stale samples from
-	// previous intervals would anchor the old hot set and mask drift.
-	r.reg.ResetSamples()
-	r.ProfilingStart()
+	var done chan struct{} // closed when an overlapped placement finishes
+	var placed MigrationReport
+	var placeErr error
+	switch src {
+	case sourceOnline:
+		// Each epoch ranks on its own interval's heat: stale samples from
+		// previous intervals would anchor the old hot set and mask drift.
+		r.reg.ResetSamples()
+		r.ProfilingStart()
+	case sourceOverlapped:
+		// Launch the background placement on the pending interval's
+		// samples. Their heat stays in the registry until the join,
+		// because the worker's analyzer is reading it, and their period
+		// rides along as a value, because the profiler is about to be
+		// reconfigured for this window.
+		if r.pendingSamples > 0 {
+			rep.Overlapped = true
+			rep.PlacedFromEpoch = r.epoch - 1
+			period := r.pendingPeriod
+			done = make(chan struct{})
+			r.asyncActive.Store(true)
+			r.rec.Begin(r.placeTID, "placement", "overlap", telemetry.Args{
+				"from_epoch": rep.PlacedFromEpoch,
+				"samples":    r.pendingSamples,
+			})
+			go func() {
+				placed, placeErr = r.optimizeGoverned(ctx, period, r.placeTID)
+				close(done)
+			}()
+		}
+		r.pendingSamples, r.pendingPeriod = 0, 0
+		r.ProfilingStart()
+	case sourceReplay:
+		r.planEpoch++
+	}
 	body()
-	rep.Samples = r.ProfilingStop()
 	rep.Phases = append(rep.Phases, r.phases[phaseStart:]...)
+	switch src {
+	case sourceOnline:
+		// While a recorder is armed, every epoch must land in the plan —
+		// including ones that never reach the commit point (zero samples,
+		// open breaker, empty budget) — so the replayed epoch numbering
+		// stays aligned with the bodies the caller runs.
+		recBase := -1
+		if r.planRec != nil {
+			recBase = r.planRec.Epochs()
+		}
+		if rep.Samples = r.ProfilingStop(); rep.Samples > 0 {
+			rep.Optimized = true
+			rep.Migration, err = r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
+		}
+		if r.planRec != nil && r.planRec.Epochs() == recBase {
+			r.recordCommitted(nil, nil)
+		}
+	case sourceOverlapped:
+		if done != nil {
+			<-done
+			r.asyncActive.Store(false)
+			rep.Optimized, rep.Migration, err = true, placed, placeErr
+			r.reconcileOverlap(&rep)
+			r.rec.End(r.placeTID, "placement", "overlap", telemetry.Args{
+				"migration_s": rep.Migration.Seconds,
+				"overlap_s":   rep.OverlapSeconds,
+				"stolen_s":    rep.StolenSeconds,
+				"bytes_moved": rep.Migration.BytesMoved,
+			})
+		}
+		// Attribute this interval onto the reset registry and stash it
+		// for the next epoch's placement; a zero-sample interval carries
+		// no signal, so the next epoch overlaps nothing.
+		r.reg.ResetSamples()
+		if rep.Samples = r.ProfilingStop(); rep.Samples > 0 {
+			r.pendingSamples, r.pendingPeriod = rep.Samples, r.prof.Config().Period
+		}
+	case sourceReplay:
+		// Epochs past the end of the recording run on the final placement
+		// and migrate nothing: the recorded run had converged by then.
+		if r.planEpoch <= r.armedPlan.Epochs {
+			rep.Optimized = true
+			rep.Migration, err = r.applyPlanEpoch(ctx, r.planEpoch)
+		}
+	}
 
-	// While a recorder is armed, every epoch must land in the plan —
-	// including ones that never reach the commit point (zero samples,
-	// open breaker, empty budget) — so the replayed epoch numbering stays
-	// aligned with the bodies the caller runs.
-	recBase := -1
-	if r.planRec != nil {
-		recBase = r.planRec.Epochs()
-	}
-	var err error
-	if rep.Samples > 0 {
-		rep.Optimized = true
-		rep.Migration, err = r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
-	}
-	if r.planRec != nil && r.planRec.Epochs() == recBase {
-		r.recordCommitted(nil, nil)
-	}
 	// Epoch-end health pass: evacuate condemned granules and re-snapshot
 	// the settled fast-tier residency for the next epoch's scrub.
 	if err == nil {
@@ -178,11 +263,14 @@ func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (Ep
 		r.unlockPlacement()
 	}
 	r.finishEpochScorecard(&rep, scrubStart)
-	r.rec.End(0, "epoch", name, telemetry.Args{
-		"epoch":     r.epoch,
-		"samples":   rep.Samples,
-		"optimized": rep.Optimized,
-	})
+	end["optimized"] = rep.Optimized
+	if src != sourceReplay {
+		end["samples"] = rep.Samples
+	}
+	if src == sourceOverlapped {
+		end["overlapped"] = rep.Overlapped
+	}
+	r.rec.End(0, "epoch", name, end)
 	return rep, err
 }
 
@@ -203,7 +291,6 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	// migration in flight at a time. No-op on a solo runtime.
 	r.lockPlacement()
 	defer r.unlockPlacement()
-	optStart := r.simNS.Load()
 	r.rec.Begin(tid, "optimize", "optimize", nil)
 	var analyzeNS uint64
 	defer func() {
@@ -369,38 +456,13 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	}
 
 	pre := r.objectChecksums()
-	var sink migrate.EventSink
-	if r.rec.Enabled() {
-		sink = func(ev migrate.Event) { r.emitMigrationEvent(tid, optStart, ev) }
-	}
-	res, err := migrate.RunSchedule(ctx, r.engine, r.sys, sched, sink)
-	st := res.Merged
-	r.migStats = &st
-	if !r.asyncActive.Load() {
-		// Stop-the-world placement: the application waits out the whole
-		// migration. The overlapped pipeline instead reconciles the
-		// clock at the epoch join, charging only the non-hidden share.
-		r.simNS.Add(uint64(st.Seconds * 1e9))
-	}
+	res, err := r.commitSchedule(ctx, tid, sched)
+	r.migStats = &res.Merged
 	if err != nil {
 		// Unrecoverable (failed rollback): degrade the breaker and
 		// surface the error.
 		r.breaker.Observe(true)
 		return finish(), fmt.Errorf("atmem: migration: %w", err)
-	}
-
-	// Invalidate stale TLB/cache entries for exactly the committed
-	// slices, in either direction (via the shootdown log when accessors
-	// may be running concurrently).
-	r.invalidateMoved(st.Moved)
-	// Residency follows commits, never plans: only ranges whose remap
-	// committed change state, so a rolled-back region keeps both its
-	// placement and its residency.
-	for _, rg := range res.Demotions.Moved {
-		r.markMovedRegion(rg, false)
-	}
-	for _, rg := range res.Promotions.Moved {
-		r.markMovedRegion(rg, true)
 	}
 	gi.promotedBytes = res.Promotions.BytesMoved
 	gi.demotedBytes = res.Demotions.BytesMoved
@@ -415,7 +477,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	// A cancelled plan skips regions deliberately; that is the caller's
 	// choice, not a failing migration path, so it must not trip the
 	// breaker.
-	r.breaker.Observe(st.RegionsSkipped > 0 && ctx.Err() == nil)
+	r.breaker.Observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
 	if err := r.verifyMigrationInvariants(pre); err != nil {
 		return finish(), fmt.Errorf("atmem: post-migration invariant violated: %w", err)
 	}

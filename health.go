@@ -2,8 +2,11 @@ package atmem
 
 // This file is the runtime half of the tier-health subsystem (the
 // mechanisms live in internal/health, the quarantine ledger in
-// internal/memsim). Each governed epoch brackets its body with two
-// health passes:
+// internal/memsim). Every governed epoch — synchronous, overlapped or
+// replayed — runs through the one epoch bracket (runEpoch in
+// governor.go), which surrounds the body with two health passes; on an
+// overlapped epoch the start pass runs before the background placement
+// launches and the end pass after the join:
 //
 //   - epoch start, before any kernel runs: fire the fault schedule's
 //     data-plane orders (corruption byte-flips, latency degradation),
@@ -349,23 +352,10 @@ func (r *Runtime) evacuateAndRetire(tid int, base, size uint64, reason string) e
 		return nil
 	}
 	sched := migrate.Schedule{Demotions: []migrate.Region{{Base: alo, Size: ahi - alo}}}
-	optStart := r.simNS.Load()
-	var sink migrate.EventSink
-	if r.rec.Enabled() {
-		sink = func(ev migrate.Event) { r.emitMigrationEvent(tid, optStart, ev) }
-	}
 	// Healing is not tied to a caller's epoch context: a cancelled epoch
 	// must still leave damaged chunks evacuated.
-	res, err := migrate.RunSchedule(context.Background(), r.engine, r.sys, sched, sink)
-	r.simNS.Add(uint64(res.Merged.Seconds * 1e9))
-	if err != nil {
+	if _, err := r.commitSchedule(context.Background(), tid, sched); err != nil {
 		return fmt.Errorf("atmem: emergency demotion [%#x,+%#x): %w", alo, ahi-alo, err)
-	}
-	r.invalidateMoved(res.Merged.Moved)
-	if r.resid != nil {
-		for _, rg := range res.Demotions.Moved {
-			r.markMovedRegion(rg, false)
-		}
 	}
 	if err := r.sys.RetirePages(alo, ahi-alo); err != nil {
 		// The demotion was skipped (e.g. a fault storm): the pages are

@@ -94,7 +94,8 @@ func (r *Runtime) PlanVerdict() core.LookupVerdict { return r.planVerdict }
 // ArmPlan requires Options.PlanCache and Options.Governor.Enabled, the
 // synchronous RunEpoch loop (the async pipeline commits an epoch's
 // placement during the next epoch, which would shift the recorded
-// schedule by one), and must run before the first epoch.
+// schedule by one), and a solo runtime (a replayed promotion would
+// bypass a broker tenant's share), and must run before the first epoch.
 func (r *Runtime) ArmPlan(sig core.Signature) (core.LookupVerdict, error) {
 	if r.planCache == nil {
 		return core.LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.PlanCache")
@@ -104,6 +105,9 @@ func (r *Runtime) ArmPlan(sig core.Signature) (core.LookupVerdict, error) {
 	}
 	if r.opts.Async.Enabled {
 		return core.LookupMiss, fmt.Errorf("atmem: plan record/replay requires the synchronous RunEpoch loop (Options.Async must be off)")
+	}
+	if r.tenant != nil {
+		return core.LookupMiss, fmt.Errorf("atmem: plan record/replay is not supported on a broker tenant (replayed promotions would bypass the tenant's share)")
 	}
 	if r.planRec != nil || r.armedPlan != nil {
 		return core.LookupMiss, fmt.Errorf("atmem: a plan is already armed; call FinishPlan first")
@@ -158,52 +162,13 @@ func (r *Runtime) FinishPlan() (*core.CompiledPlan, error) {
 	return nil, fmt.Errorf("atmem: FinishPlan without ArmPlan")
 }
 
-// runEpochReplay is RunEpochCtx's body while a plan is armed: run the
-// epoch's phases with profiling off, then apply the plan's recorded
-// migration schedule for this epoch. Epochs past the end of the
-// recording run their phases on the final placement and migrate
-// nothing — the recorded run had converged by then.
-func (r *Runtime) runEpochReplay(ctx context.Context, name string, body func()) (EpochReport, error) {
-	r.epoch++
-	r.planEpoch++
-	r.rec.Begin(0, "epoch", name, telemetry.Args{"epoch": r.epoch, "replay": true})
-	rep := EpochReport{Epoch: r.epoch, Replayed: true}
-	phaseStart := len(r.phases)
-	scrubStart := r.scrubChargedNS
-	// Replay runs the same epoch-start health pass as the online loop: a
-	// fault storm during replay must degrade per-region exactly like the
-	// recorded run would have.
-	if herr := r.beginEpochHealth(0); herr != nil {
-		r.rec.End(0, "epoch", name, telemetry.Args{"epoch": r.epoch, "replay": true, "error": herr.Error()})
-		return rep, herr
-	}
-	body()
-	rep.Phases = append(rep.Phases, r.phases[phaseStart:]...)
-
-	var err error
-	if r.planEpoch <= r.armedPlan.Epochs {
-		rep.Optimized = true
-		rep.Migration, err = r.applyPlanEpoch(ctx, r.planEpoch)
-	}
-	if err == nil {
-		err = r.endEpochHealth(0)
-	}
-	r.finishEpochScorecard(&rep, scrubStart)
-	r.rec.End(0, "epoch", name, telemetry.Args{
-		"epoch":     r.epoch,
-		"replay":    true,
-		"optimized": rep.Optimized,
-	})
-	return rep, err
-}
-
-// applyPlanEpoch executes one plan epoch's recorded schedule: demotions
-// first (they fund the promotions, the invariant the compiler encoded as
-// dependency edges), through the same transactional engine as the online
-// loop, with residency kept truthful so the final fast-resident
-// footprint of a replay matches the recorded run bit for bit.
+// applyPlanEpoch is the replay source's step after the body: execute
+// one plan epoch's recorded schedule through the same commit path as the
+// online loop, demotions first (they fund the promotions, the invariant
+// the compiler encoded as dependency edges), with residency kept
+// truthful so the final fast-resident footprint of a replay matches the
+// recorded run bit for bit.
 func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationReport, error) {
-	optStart := r.simNS.Load()
 	r.rec.Begin(0, "replay", "apply-plan", telemetry.Args{"plan_epoch": epoch})
 
 	demos, promos := r.armedPlan.EpochSteps(epoch)
@@ -224,40 +189,24 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 	r.gov = gi
 	r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
 
-	var sink migrate.EventSink
-	if r.rec.Enabled() {
-		sink = func(ev migrate.Event) { r.emitMigrationEvent(0, optStart, ev) }
-	}
-	res, err := migrate.RunSchedule(ctx, r.engine, r.sys, sched, sink)
-	st := res.Merged
-	r.migStats = &st
-	r.simNS.Add(uint64(st.Seconds * 1e9))
-	finish := func() MigrationReport {
-		gi.state = r.breaker.State()
-		gi.residentBytes = r.resid.ResidentBytes()
-		r.recordOptimizeMetrics(0, 0)
-		r.rec.End(0, "replay", "apply-plan", telemetry.Args{
-			"promoted_bytes": gi.promotedBytes,
-			"demoted_bytes":  gi.demotedBytes,
-			"seconds":        st.Seconds,
-		})
-		return r.migrationReport()
-	}
+	res, err := r.commitSchedule(ctx, 0, sched)
+	r.migStats = &res.Merged
 	if err != nil {
-		return finish(), fmt.Errorf("atmem: replay migration: %w", err)
+		err = fmt.Errorf("atmem: replay migration: %w", err)
+	} else {
+		gi.promotedBytes = res.Promotions.BytesMoved
+		gi.demotedBytes = res.Demotions.BytesMoved
+		gi.regionsDemoted = len(res.Demotions.Moved)
 	}
-
-	r.invalidateMoved(st.Moved)
-	for _, rg := range res.Demotions.Moved {
-		r.markMovedRegion(rg, false)
-	}
-	for _, rg := range res.Promotions.Moved {
-		r.markMovedRegion(rg, true)
-	}
-	gi.promotedBytes = res.Promotions.BytesMoved
-	gi.demotedBytes = res.Demotions.BytesMoved
-	gi.regionsDemoted = len(res.Demotions.Moved)
-	return finish(), nil
+	gi.state = r.breaker.State()
+	gi.residentBytes = r.resid.ResidentBytes()
+	r.recordOptimizeMetrics(0, 0)
+	r.rec.End(0, "replay", "apply-plan", telemetry.Args{
+		"promoted_bytes": gi.promotedBytes,
+		"demoted_bytes":  gi.demotedBytes,
+		"seconds":        res.Merged.Seconds,
+	})
+	return r.migrationReport(), err
 }
 
 // PlanCache is the cross-run store of compiled placement plans. Share

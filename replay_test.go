@@ -342,34 +342,32 @@ func TestReplayFaultStormMatchesOnline(t *testing.T) {
 }
 
 // TestArmPlanRequirements pins the preconditions: a plan cache, the
-// governor, the synchronous loop, and one arm per session.
+// governor, the synchronous loop, a solo runtime, and one arm per
+// session.
 func TestArmPlanRequirements(t *testing.T) {
 	sig := core.Signature{Graph: "g", Kernels: "k"}
-
-	noCache, err := New(NVMDRAM(), WithGovernor(GovernorOptions{}))
+	bk := NewBroker(govTestbed(8<<20), BrokerConfig{})
+	tn, err := bk.Admit(TenantSpec{Name: "t", Class: ClassBurstable, FloorBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := noCache.ArmPlan(sig); err == nil {
-		t.Error("ArmPlan without a plan cache must fail")
-	}
-
-	ungoverned, err := New(NVMDRAM(), WithPlanCache(core.NewPlanCache()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ungoverned.ArmPlan(sig); err == nil {
-		t.Error("ArmPlan without the governor must fail")
-	}
-
-	async, err := New(NVMDRAM(),
-		WithPlanCache(core.NewPlanCache()),
-		WithAsyncPlacement(AsyncOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := async.ArmPlan(sig); err == nil {
-		t.Error("ArmPlan under async placement must fail")
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"without a plan cache", []Option{WithGovernor(GovernorOptions{})}},
+		{"without the governor", []Option{WithPlanCache(core.NewPlanCache())}},
+		{"under async placement", []Option{WithPlanCache(core.NewPlanCache()), WithAsyncPlacement(AsyncOptions{})}},
+		// Replayed promotions would bypass the tenant's share cap.
+		{"on a broker tenant", []Option{WithPlanCache(core.NewPlanCache()), WithTenant(tn)}},
+	} {
+		rt, err := New(NVMDRAM(), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.ArmPlan(sig); err == nil {
+			t.Errorf("ArmPlan %s must fail", tc.name)
+		}
 	}
 
 	pc := core.NewPlanCache()

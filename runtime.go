@@ -517,7 +517,6 @@ func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 	if !r.profiled {
 		return MigrationReport{}, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
 	}
-	optStart := r.simNS.Load()
 	r.rec.Begin(0, "optimize", "optimize", nil)
 	var analyzeNS uint64
 	defer func() {
@@ -552,33 +551,58 @@ func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 	}
 	r.plan = plan
 
-	regions := make([]migrate.Region, 0, len(plan.Objects)*2)
+	sched := migrate.Schedule{Promotions: make([]migrate.Region, 0, len(plan.Objects)*2)}
 	for i := range plan.Objects {
 		for _, rg := range plan.Objects[i].Ranges {
-			regions = append(regions, migrate.Region{Base: rg.Base, Size: rg.Size})
+			sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
 		}
 	}
 	pre := r.objectChecksums()
-	if r.rec.Enabled() {
-		r.engine.SetEventSink(func(ev migrate.Event) {
-			r.emitMigrationEvent(0, optStart, ev)
-		})
-		defer r.engine.SetEventSink(nil)
-	}
-	st, err := r.engine.Migrate(ctx, r.sys, regions, memsim.TierFast)
-	r.migStats = &st
-	r.simNS.Add(uint64(st.Seconds * 1e9))
+	res, err := r.commitSchedule(ctx, 0, sched)
+	r.migStats = &res.Merged
 	if err != nil {
 		// Only unrecoverable failures (a failed rollback) reach here;
 		// recoverable faults degraded into per-region outcomes.
 		return r.migrationReport(), fmt.Errorf("atmem: migration: %w", err)
 	}
-
-	r.invalidateMoved(st.Moved)
 	if err := r.verifyMigrationInvariants(pre); err != nil {
 		return r.migrationReport(), fmt.Errorf("atmem: post-migration invariant violated: %w", err)
 	}
 	return r.migrationReport(), nil
+}
+
+// commitSchedule is the one migration-commit path. It runs sched
+// (demotions first) through the transactional engine, charges the
+// modelled time to the simulated clock — unless a background placement
+// overlaps running kernels, in which case the epoch join reconciles the
+// clock — and commits what moved: the stale TLB and cache entries of
+// exactly the committed slices are invalidated, and on a governed
+// runtime residency follows the commits, never the plan, so a
+// rolled-back region keeps both its placement and its residency. An
+// error is an unrecoverable failed rollback; nothing is committed then.
+func (r *Runtime) commitSchedule(ctx context.Context, tid int, sched migrate.Schedule) (migrate.ScheduleResult, error) {
+	startNS := r.simNS.Load()
+	var sink migrate.EventSink
+	if r.rec.Enabled() {
+		sink = func(ev migrate.Event) { r.emitMigrationEvent(tid, startNS, ev) }
+	}
+	res, err := migrate.RunSchedule(ctx, r.engine, r.sys, sched, sink)
+	if !r.asyncActive.Load() {
+		r.simNS.Add(uint64(res.Merged.Seconds * 1e9))
+	}
+	if err != nil {
+		return res, err
+	}
+	r.invalidateMoved(res.Merged.Moved)
+	if r.resid != nil {
+		for _, rg := range res.Demotions.Moved {
+			r.markMovedRegion(rg, false)
+		}
+		for _, rg := range res.Promotions.Moved {
+			r.markMovedRegion(rg, true)
+		}
+	}
+	return res, nil
 }
 
 // invalidateMoved drops the stale TLB and cache entries of exactly the
