@@ -1,4 +1,6 @@
-// Package cache implements a set-associative last-level-cache model.
+// Package cache implements the set-associative models of the simulated
+// access path: Cache, the stamp-based last-level cache, and LRU4, the
+// stamp-free 4-way sets of the per-thread L1 filter and TLBs.
 //
 // The simulated LLC serves two purposes in the ATMem reproduction. First,
 // it decides which accesses reach memory and therefore pay tier latency and
@@ -8,9 +10,9 @@
 // stream is what the PEBS-style profiler samples: the hardware event the
 // paper programs is "missed reads from the last-level cache" (Eq. 1).
 //
-// Each simulated hardware thread owns a private slice of the LLC (a
-// partitioned model of a shared cache), which keeps the simulator lock-free
-// and deterministic under parallel execution.
+// Each simulated thread models its view of the shared LLC with a private
+// replica of the full capacity (memsim.NewAccessor), which keeps the
+// simulator lock-free and deterministic under parallel execution.
 package cache
 
 // Cache is a set-associative cache with LRU replacement inside each set.
@@ -121,51 +123,6 @@ func (c *Cache) AccessHint(line uint64, streaming bool) bool {
 	return false
 }
 
-// AccessSeq is the fused probe of the accessor fast path: it performs a
-// normal (MRU-insert) Access of line and, only when that access missed,
-// additionally reports whether the predecessor line (line-1) is resident
-// — the stream-detection question — in the same call. The predecessor
-// probe runs after the miss installs line, exactly as the unfused
-// Access + Contains(line-1) pair would, so cache state and counters are
-// bit-identical to the two-call sequence. For line 0 the predecessor is
-// reported absent. On a hit, prevResident is false and meaningless.
-func (c *Cache) AccessSeq(line uint64) (hit, prevResident bool) {
-	tag := line + 1
-	set := int(line&c.setMask) * c.ways
-	c.clock++
-	victim := set
-	oldest := ^uint64(0)
-	for i := set; i < set+c.ways; i++ {
-		if c.tags[i] == tag {
-			c.stamps[i] = c.clock
-			c.hits++
-			return true, false
-		}
-		if c.stamps[i] < oldest {
-			oldest = c.stamps[i]
-			victim = i
-		}
-	}
-	if c.tags[victim] != 0 && c.OnEvict != nil {
-		c.OnEvict(c.tags[victim]-1, c.dirty[victim])
-	}
-	c.tags[victim] = tag
-	c.dirty[victim] = false
-	c.stamps[victim] = c.clock
-	c.misses++
-	if line == 0 {
-		return false, false
-	}
-	prevTag := line // (line-1)+1
-	prevSet := int((line-1)&c.setMask) * c.ways
-	for i := prevSet; i < prevSet+c.ways; i++ {
-		if c.tags[i] == prevTag {
-			return false, true
-		}
-	}
-	return false, false
-}
-
 // AccessDirty is AccessHint fused with MarkDirty for the store path: the
 // line is looked up (or installed) exactly as AccessHint would, and its
 // entry is flagged dirty in the same walk — on a hit the hit entry, on a
@@ -208,11 +165,6 @@ func (c *Cache) AccessDirty(line uint64, streaming bool) bool {
 	c.misses++
 	return false
 }
-
-// AddHits credits n hits that a caller short-circuited without walking
-// the cache (the accessor's same-line fast path, which is only taken
-// when the line is known-resident), keeping Hits() truthful.
-func (c *Cache) AddHits(n uint64) { c.hits += n }
 
 // MarkDirty flags the line as modified if present, so its eventual
 // eviction is reported as a writeback. Returns whether the line was

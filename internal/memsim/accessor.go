@@ -61,9 +61,9 @@ type Accessor struct {
 	// get the full protocol.
 	sealed bool
 
-	// l1 is a small set-associative first-level filter; hits cost
-	// almost nothing and never reach the LLC model.
-	l1 *cache.Cache
+	// l1 is a small 4-way first-level filter; hits cost almost
+	// nothing and never reach the LLC model.
+	l1 *cache.LRU4
 
 	lineShift uint
 	hook      MissHook
@@ -139,7 +139,7 @@ func (s *System) NewAccessor() *Accessor {
 		llc:            cache.New(p.LLCBytes, p.LineBytes, p.LLCWays),
 		tlb4k:          NewTLB(p.TLB4KEntries, smallShift),
 		tlb2m:          NewTLB(p.TLB2MEntries, hugeShift),
-		l1:             cache.New(p.L1Bytes, p.LineBytes, 4),
+		l1:             cache.NewLRU4(p.L1Bytes / p.LineBytes),
 		lineShift:      uint(bits.TrailingZeros64(uint64(p.LineBytes))),
 		l1HitCycles:    p.L1HitCycles,
 		llcHitCycles:   p.LLCHitNS * p.ClockGHz,
@@ -351,7 +351,6 @@ func (a *Accessor) accessRange(addr uint64, elemSize uint32, count int, write bo
 		if extra := cl - f; extra > 0 {
 			a.L1Hits += extra
 			a.Cycles += float64(extra) * a.l1HitCycles
-			a.l1.AddHits(extra)
 		}
 		if line == last {
 			break
@@ -378,7 +377,6 @@ func (a *Accessor) accessLine(line uint64, write bool) {
 	if a.lastValid && line == a.lastLine {
 		a.L1Hits++
 		a.Cycles += a.l1HitCycles
-		a.l1.AddHits(1)
 		if write && !a.lastDirty {
 			a.llc.MarkDirty(line)
 			a.lastDirty = true
@@ -389,11 +387,8 @@ func (a *Accessor) accessLine(line uint64, write bool) {
 
 	// L1 filter: a hit is the common case for sequential and
 	// register-blocked access and costs almost nothing. Stores dirty
-	// the LLC copy of the line (caches are modelled inclusive). The
-	// fused probe also answers the stream-detection question ("is the
-	// predecessor line resident?") in the same call on a miss.
-	l1Hit, sequential := a.l1.AccessSeq(line)
-	if l1Hit {
+	// the LLC copy of the line (caches are modelled inclusive).
+	if a.l1.Access(line) {
 		a.L1Hits++
 		a.Cycles += a.l1HitCycles
 		if write {
@@ -401,12 +396,15 @@ func (a *Accessor) accessLine(line uint64, write bool) {
 		}
 		return
 	}
-	// sequential: an active forward stream fetched line-1 only a
-	// handful of accesses ago, so its L1 residency is robust to
+	// Stream detection: is the predecessor line L1-resident? The probe
+	// runs after the miss installed line, so a 1-set L1 may already
+	// have dropped line-1. An active forward stream fetched line-1 only
+	// a handful of accesses ago, so its L1 residency is robust to
 	// arbitrarily interleaved parallel-array streams, while a random
 	// miss rarely lands one line past recently-touched data. The LLC
 	// uses it for stream-resistant insertion and the cost model applies
 	// prefetch coverage below.
+	sequential := line != 0 && a.l1.Contains(line-1)
 	// Stores go through the fused dirty probe: one set walk both looks
 	// the line up (or installs it) and flags the entry dirty, replacing
 	// the AccessHint + MarkDirty pair with identical state and counters.

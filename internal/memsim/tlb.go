@@ -1,17 +1,17 @@
 package memsim
 
-// TLB models one translation lookaside buffer as a set-associative array
-// of page-number tags with LRU replacement per set. Each simulated thread
-// owns two TLBs, one for 4 KiB and one for 2 MiB mappings, mirroring real
-// split dTLBs. The reach difference between the two is what turns the
-// mbind engine's huge-page splintering into the post-migration TLB-miss
-// gap of the paper's Table 4.
+import "atmem/internal/cache"
+
+// TLB models one translation lookaside buffer as a 4-way set-associative
+// array of page-number tags with LRU replacement per set: a cache.LRU4
+// keyed by virtual page number, exact because translations are only
+// ever installed at MRU and otherwise only shot down or flushed. Each
+// simulated thread owns two TLBs, one for 4 KiB and one for 2 MiB
+// mappings, mirroring real split dTLBs. The reach difference between the
+// two is what turns the mbind engine's huge-page splintering into the
+// post-migration TLB-miss gap of the paper's Table 4.
 type TLB struct {
-	setMask uint64
-	ways    int
-	tags    []uint64
-	stamps  []uint64
-	clock   uint64
+	sets    *cache.LRU4
 	shift   uint // page shift: 12 for 4 KiB, 21 for 2 MiB
 	misses  uint64
 	lookups uint64
@@ -20,45 +20,16 @@ type TLB struct {
 // NewTLB builds a TLB with the given number of entries (rounded down to a
 // power of two, minimum one set) covering pages of size 1<<pageShift.
 func NewTLB(entries int, pageShift uint) *TLB {
-	const ways = 4
-	sets := entries / ways
-	if sets < 1 {
-		sets = 1
-	}
-	for sets&(sets-1) != 0 {
-		sets &= sets - 1
-	}
-	return &TLB{
-		setMask: uint64(sets - 1),
-		ways:    ways,
-		tags:    make([]uint64, sets*ways),
-		stamps:  make([]uint64, sets*ways),
-		shift:   pageShift,
-	}
+	return &TLB{sets: cache.NewLRU4(entries), shift: pageShift}
 }
 
 // Lookup translates addr, returning true on a TLB hit. On a miss the
 // translation is installed (the page walk is charged by the caller).
 func (t *TLB) Lookup(addr uint64) bool {
 	t.lookups++
-	vpn := addr >> t.shift
-	tag := vpn + 1
-	set := int(vpn&t.setMask) * t.ways
-	t.clock++
-	victim := set
-	oldest := ^uint64(0)
-	for i := set; i < set+t.ways; i++ {
-		if t.tags[i] == tag {
-			t.stamps[i] = t.clock
-			return true
-		}
-		if t.stamps[i] < oldest {
-			oldest = t.stamps[i]
-			victim = i
-		}
+	if t.sets.Access(addr >> t.shift) {
+		return true
 	}
-	t.tags[victim] = tag
-	t.stamps[victim] = t.clock
 	t.misses++
 	return false
 }
@@ -69,27 +40,11 @@ func (t *TLB) InvalidateRange(base, size uint64) {
 	if size == 0 {
 		return
 	}
-	lo := base >> t.shift
-	hi := (base + size - 1) >> t.shift
-	for i, tag := range t.tags {
-		if tag == 0 {
-			continue
-		}
-		vpn := tag - 1
-		if vpn >= lo && vpn <= hi {
-			t.tags[i] = 0
-			t.stamps[i] = 0
-		}
-	}
+	t.sets.InvalidateRange(base>>t.shift, (base+size-1)>>t.shift+1)
 }
 
 // Flush empties the TLB without resetting counters.
-func (t *TLB) Flush() {
-	for i := range t.tags {
-		t.tags[i] = 0
-		t.stamps[i] = 0
-	}
-}
+func (t *TLB) Flush() { t.sets.Flush() }
 
 // Misses returns the miss count since construction.
 func (t *TLB) Misses() uint64 { return t.misses }
