@@ -9,9 +9,9 @@ import (
 
 // runKernel sets up a kernel on the given testbed/policy, runs one
 // iteration, and validates the result.
-func runKernel(t *testing.T, name, dataset string, tb atmem.Testbed, policy atmem.Policy) (Kernel, IterationResult) {
+func runKernel(t *testing.T, name, dataset string, tb atmem.Testbed, policy atmem.PlacementPolicy) (Kernel, IterationResult) {
 	t.Helper()
-	rt, err := atmem.NewRuntime(tb, atmem.Options{Policy: policy})
+	rt, err := atmem.New(tb, atmem.WithPlacementPolicy(policy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestAllKernelsValidateOnPokec(t *testing.T) {
 	for _, name := range append(Names(), "spmv") {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			_, res := runKernel(t, name, "pokec", atmem.NVMDRAM(), atmem.PolicyBaseline)
+			_, res := runKernel(t, name, "pokec", atmem.NVMDRAM(), atmem.PaperPolicy())
 			if res.Seconds <= 0 {
 				t.Error("no simulated time")
 			}
@@ -73,7 +73,7 @@ func TestKernelsValidateOnKNLTestbed(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			runKernel(t, name, "pokec", atmem.MCDRAMDRAM(), atmem.PolicyPreferFast)
+			runKernel(t, name, "pokec", atmem.MCDRAMDRAM(), atmem.PreferFastPolicy())
 		})
 	}
 }
@@ -84,7 +84,7 @@ func TestKernelsValidateAfterOptimize(t *testing.T) {
 	for _, name := range append(Names(), "spmv") {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{Policy: atmem.PolicyATMem})
+			rt, err := atmem.New(atmem.NVMDRAM())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,8 +125,8 @@ func TestATMemImprovesSkewedWorkloads(t *testing.T) {
 	for _, name := range []string{"pr", "bc"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			base := measure(t, name, atmem.PolicyBaseline)
-			at := measure(t, name, atmem.PolicyATMem)
+			base := measure(t, name, false)
+			at := measure(t, name, true)
 			if at >= base {
 				t.Errorf("ATMem (%.6fs) not faster than baseline (%.6fs)", at, base)
 			}
@@ -134,11 +134,11 @@ func TestATMemImprovesSkewedWorkloads(t *testing.T) {
 	}
 }
 
-// measure runs profile+optimize (for ATMem) and returns the measured
-// post-warm iteration time on twitter.
-func measure(t *testing.T, name string, policy atmem.Policy) float64 {
+// measure returns the post-warm iteration time on twitter, profiling
+// and optimizing after the first iteration when asked (the ATMem arm).
+func measure(t *testing.T, name string, optimize bool) float64 {
 	t.Helper()
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{Policy: policy})
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func measure(t *testing.T, name string, policy atmem.Policy) float64 {
 	if err := k.Setup(rt, "twitter"); err != nil {
 		t.Fatal(err)
 	}
-	if policy == atmem.PolicyATMem {
+	if optimize {
 		rt.ProfilingStart()
 	}
 	k.RunIteration(rt)
-	if policy == atmem.PolicyATMem {
+	if optimize {
 		rt.ProfilingStop()
 		if _, err := rt.Optimize(); err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestBFSLevelsMatchReferenceFromArbitraryRoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, root := range []int{1, 77, g.NumVertices() - 1} {
-		rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+		rt, err := atmem.New(atmem.NVMDRAM())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestBFSLevelsMatchReferenceFromArbitraryRoots(t *testing.T) {
 }
 
 func TestSSSPDistancesAreShortestPaths(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSSSPDistancesAreShortestPaths(t *testing.T) {
 }
 
 func TestCCLabelsAreComponentMinima(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCCLabelsAreComponentMinima(t *testing.T) {
 }
 
 func TestPageRankMassConservation(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPageRankMassConservation(t *testing.T) {
 }
 
 func TestBCScoresNonNegative(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestBCScoresNonNegative(t *testing.T) {
 }
 
 func TestSpMVRepeatedIterations(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestBalancedBoundsCoverAllVertices(t *testing.T) {
 }
 
 func TestIterationResultAccounting(t *testing.T) {
-	_, res := runKernel(t, "bfs", "pokec", atmem.NVMDRAM(), atmem.PolicyBaseline)
+	_, res := runKernel(t, "bfs", "pokec", atmem.NVMDRAM(), atmem.PaperPolicy())
 	if res.LLCMisses() == 0 {
 		t.Error("no LLC misses recorded")
 	}
@@ -350,7 +350,7 @@ func TestIterationResultAccounting(t *testing.T) {
 }
 
 func TestDOBFSMatchesBFS(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestDOBFSMatchesBFS(t *testing.T) {
 }
 
 func TestDOBFSViaFactoryAndOptimize(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{Policy: atmem.PolicyATMem})
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}

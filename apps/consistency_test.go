@@ -10,7 +10,7 @@ import (
 // TestBFSVariantsAgree: plain push BFS and the direction-optimizing
 // hybrid must compute identical levels from the same root.
 func TestBFSVariantsAgree(t *testing.T) {
-	rt1, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt1, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestBFSVariantsAgree(t *testing.T) {
 	}
 	plain.RunIteration(rt1)
 
-	rt2, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt2, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSSSPAgreesWithBFSOnUnitWeights(t *testing.T) {
 		return g, nil
 	})
 
-	rt1, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt1, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSSSPAgreesWithBFSOnUnitWeights(t *testing.T) {
 	}
 	s.RunIteration(rt1)
 
-	rt2, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt2, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSSSPAgreesWithBFSOnUnitWeights(t *testing.T) {
 // vertices share a CC label iff an (undirected) path connects them;
 // cross-check labels against a BFS from the component minimum.
 func TestCCAgreesWithBFSReachability(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCCAgreesWithBFSReachability(t *testing.T) {
 // TestPageRankOrderIsDegreeCorrelated: hub vertices must end with higher
 // rank than the median vertex — a sanity property of any correct PR.
 func TestPageRankOrderIsDegreeCorrelated(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 func asyncRuntime(t *testing.T, extra ...Option) *Runtime {
 	t.Helper()
 	opts := append([]Option{
-		WithPolicy(PolicyATMem),
 		WithSamplePeriod(64),
 		WithAsyncPlacement(AsyncOptions{}),
 	}, extra...)
@@ -104,12 +103,10 @@ func TestAsyncFasterThanSyncWithIdenticalData(t *testing.T) {
 		var err error
 		if async {
 			rt, err = New(NVMDRAM(),
-				WithPolicy(PolicyATMem),
 				WithSamplePeriod(64),
 				WithAsyncPlacement(AsyncOptions{}))
 		} else {
 			rt, err = New(NVMDRAM(),
-				WithPolicy(PolicyATMem),
 				WithSamplePeriod(64),
 				WithGovernor(GovernorOptions{}))
 		}
@@ -386,14 +383,10 @@ func TestAsyncStressFaultStorm(t *testing.T) {
 	}
 }
 
-// TestAsyncRequiresOption pins the API contract and the deprecated-shim
-// compatibility: RunEpochAsync refuses without Async enabled, and the
-// old NewRuntime surface still builds governed runtimes.
+// TestAsyncRequiresOption pins the API contract: RunEpochAsync refuses
+// on a governed runtime without Async enabled, and runs once it is.
 func TestAsyncRequiresOption(t *testing.T) {
-	rt, err := NewRuntime(NVMDRAM(), Options{
-		Policy:   PolicyATMem,
-		Governor: GovernorOptions{Enabled: true},
-	})
+	rt, err := New(NVMDRAM(), WithGovernor(GovernorOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,17 +396,12 @@ func TestAsyncRequiresOption(t *testing.T) {
 	if _, err := rt.DrainAsync(context.Background()); err == nil {
 		t.Error("DrainAsync succeeded without Options.Async.Enabled")
 	}
-	// Async via the old variadic-struct surface still works: Options is
-	// one shared schema underneath both constructors.
-	rt2, err := NewRuntime(NVMDRAM(), Options{
-		Policy: PolicyATMem,
-		Async:  AsyncOptions{Enabled: true},
-	})
+	rt2, err := New(NVMDRAM(), WithAsyncPlacement(AsyncOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt2.RunEpochAsync(context.Background(), "y", func() {}); err != nil {
-		t.Errorf("RunEpochAsync on shim-built runtime: %v", err)
+		t.Errorf("RunEpochAsync with async placement: %v", err)
 	}
 }
 
@@ -424,10 +412,10 @@ func benchEpochs(b *testing.B, async bool) {
 		var rt *Runtime
 		var err error
 		if async {
-			rt, err = New(NVMDRAM(), WithPolicy(PolicyATMem),
+			rt, err = New(NVMDRAM(),
 				WithSamplePeriod(64), WithAsyncPlacement(AsyncOptions{}))
 		} else {
-			rt, err = New(NVMDRAM(), WithPolicy(PolicyATMem),
+			rt, err = New(NVMDRAM(),
 				WithSamplePeriod(64), WithGovernor(GovernorOptions{}))
 		}
 		if err != nil {

@@ -101,7 +101,7 @@ func TestBandwidthAwareIgnoredOnSharedChannels(t *testing.T) {
 	// On the Optane testbed (shared channels) the option must be a
 	// no-op: splitting traffic would only serialize it.
 	runRatio := func(bw bool) float64 {
-		rt, err := NewRuntime(NVMDRAM(), Options{Policy: PolicyATMem, BandwidthAware: bw})
+		rt, err := New(NVMDRAM(), WithBandwidthAware(bw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestBandwidthAwareIgnoredOnSharedChannels(t *testing.T) {
 
 func TestBandwidthAwareTrimsOnKNL(t *testing.T) {
 	runSelected := func(bw bool) uint64 {
-		rt, err := NewRuntime(MCDRAMDRAM(), Options{Policy: PolicyATMem, BandwidthAware: bw})
+		rt, err := New(MCDRAMDRAM(), WithBandwidthAware(bw))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,10 +16,7 @@ import (
 // and reports (measured iteration seconds, data ratio, migrated regions).
 func ablationRun(b *testing.B, cfg core.Config) (float64, float64, int) {
 	b.Helper()
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{
-		Policy:   atmem.PolicyATMem,
-		Analyzer: cfg,
-	})
+	rt, err := atmem.New(atmem.NVMDRAM(), atmem.WithAnalyzer(cfg))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,10 +100,7 @@ func BenchmarkAblationSamplingPeriod(b *testing.B) {
 		b.Run(map[uint64]string{16: "fine16", 256: "mid256", 4096: "coarse4096"}[period],
 			func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{
-						Policy:       atmem.PolicyATMem,
-						SamplePeriod: period,
-					})
+					rt, err := atmem.New(atmem.NVMDRAM(), atmem.WithSamplePeriod(period))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -147,7 +141,7 @@ func max(a, b int) int {
 func BenchmarkBFSVariants(b *testing.B) {
 	for _, name := range []string{"bfs", "dobfs"} {
 		b.Run(name, func(b *testing.B) {
-			rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+			rt, err := atmem.New(atmem.NVMDRAM())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -303,9 +303,7 @@ func BenchmarkMigrationEngines(b *testing.B) {
 
 func benchEngine(b *testing.B, mech atmem.MigrationMechanism) {
 	for i := 0; i < b.N; i++ {
-		rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{
-			Policy: atmem.PolicyATMem, Mechanism: mech,
-		})
+		rt, err := atmem.New(atmem.NVMDRAM(), atmem.WithEngine(mech))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -339,7 +337,7 @@ func BenchmarkRMATGeneration(b *testing.B) {
 // BenchmarkKernelIteration measures one simulated PageRank iteration on
 // pokec (the full per-access simulation path under parallel execution).
 func BenchmarkKernelIteration(b *testing.B) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		b.Fatal(err)
 	}

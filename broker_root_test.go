@@ -2,6 +2,7 @@ package atmem
 
 import (
 	"context"
+	"net"
 	"sync"
 	"testing"
 
@@ -15,7 +16,6 @@ import (
 func brokerTenantRuntime(t *testing.T, tn *Tenant, extra ...Option) (*Runtime, *Array[uint64], *Array[uint64]) {
 	t.Helper()
 	opts := append([]Option{
-		WithPolicy(PolicyATMem),
 		WithSamplePeriod(64),
 		WithTenant(tn),
 	}, extra...)
@@ -110,6 +110,50 @@ func TestBrokerTwoTenantsConcurrentEpochs(t *testing.T) {
 	assertDataIntact(t, "tenant b cold", coldB, 11)
 	if err := sys.CheckConsistency(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTenantFailedConstructionLeavesSystemUntouched is the regression
+// for a tenant runtime whose construction fails after its options name
+// a fault schedule: the schedule must not be left hooked into the
+// broker's shared system, where it would fire on every co-tenant.
+func TestTenantFailedConstructionLeavesSystemUntouched(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	sched, err := faultinject.ParseSchedule("alloc:p=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		bad  Option
+	}{
+		{"health-policy", WithHealthPolicy(health.Policy{GranuleBytes: 3})},
+		{"governor-config", WithGovernor(GovernorOptions{HighWatermark: 2})},
+		{"debug-bind", WithDebugAddr(busy.Addr().String())},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bk := NewBroker(govTestbed(16<<20), BrokerConfig{})
+			ta, err := bk.Admit(TenantSpec{Name: "a", Class: ClassBurstable, FloorBytes: 2 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := bk.Admit(TenantSpec{Name: "b", Class: ClassBurstable, FloorBytes: 2 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rtA, _, _ := brokerTenantRuntime(t, ta)
+			if _, err := New(NVMDRAM(), WithTenant(tb), WithFaultSchedule(sched), tc.bad); err == nil {
+				t.Fatal("invalid tenant runtime constructed")
+			}
+			if _, err := rtA.Malloc("after", 64<<10); err != nil {
+				t.Fatalf("co-tenant Malloc after failed construction: %v", err)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,7 @@
 //
 // A minimal session:
 //
-//	rt, _ := atmem.NewRuntime(atmem.NVMDRAM())
+//	rt, _ := atmem.New(atmem.NVMDRAM())
 //	ranks, _ := atmem.NewArray[float64](rt, "ranks", n)
 //	rt.ProfilingStart()
 //	rt.RunPhase("iter0", func(c *atmem.Ctx) { ... ranks.Load(c, i) ... })
@@ -54,43 +54,8 @@ func NVMDRAM() Testbed { return Testbed{params: memsim.NVMDRAMParams()} }
 func MCDRAMDRAM() Testbed { return Testbed{params: memsim.MCDRAMDRAMParams()} }
 
 // CustomTestbed wraps caller-provided simulator parameters (validated at
-// NewRuntime).
+// New).
 func CustomTestbed(p memsim.SystemParams) Testbed { return Testbed{params: p} }
-
-// Policy is the data placement policy of a runtime.
-type Policy int
-
-const (
-	// PolicyBaseline allocates everything on the large-capacity memory
-	// — the paper's baseline on both testbeds (all-NVM; all-DDR4).
-	PolicyBaseline Policy = iota
-	// PolicyAllFast allocates everything on the high-performance
-	// memory — the paper's NVM-DRAM ideal reference (all-DRAM). It
-	// fails when capacity runs out.
-	PolicyAllFast
-	// PolicyPreferFast allocates on the high-performance memory until
-	// it fills, then spills to the large memory — `numactl -p`, the
-	// paper's MCDRAM-DRAM ideal reference (MCDRAM-p).
-	PolicyPreferFast
-	// PolicyATMem allocates on the large memory and relies on
-	// profiling + Optimize to migrate critical chunks to the fast
-	// memory.
-	PolicyATMem
-)
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyBaseline:
-		return "baseline"
-	case PolicyAllFast:
-		return "all-fast"
-	case PolicyPreferFast:
-		return "prefer-fast"
-	case PolicyATMem:
-		return "atmem"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
 
 // MigrationMechanism selects the engine Optimize uses to move data.
 type MigrationMechanism int
@@ -115,18 +80,10 @@ func (m MigrationMechanism) String() string {
 
 // Options configures a Runtime beyond the testbed.
 type Options struct {
-	// Policy is the placement policy as a legacy enum; default
-	// PolicyATMem. Ignored when Placement is set.
-	//
-	// Deprecated: use Placement (or WithPlacementPolicy) with a
-	// PlacementPolicy value. The enum survives as a shim: each value
-	// resolves to its named built-in via BuiltinPolicy.
-	Policy Policy
-	// Placement is the placement policy as a first-class object (see
-	// PlacementPolicy): PaperPolicy, OraclePolicy, LearnedPolicy,
-	// StaticPolicy, or a caller-defined implementation. When nil, the
-	// deprecated Policy enum decides. Policies are validated at
-	// construction.
+	// Placement is the placement policy (see PlacementPolicy):
+	// PaperPolicy (the default), AllFastPolicy, PreferFastPolicy,
+	// OraclePolicy, LearnedPolicy, StaticPolicy, or a caller-defined
+	// implementation. Policies are validated at construction.
 	Placement PlacementPolicy
 	// Threads overrides the testbed's simulated thread count (0 keeps
 	// the preset).
@@ -175,9 +132,10 @@ type Options struct {
 	// already fast-resident (promotions of newly-hot ranges, demotions
 	// of cold-for-N-epochs ranges scheduled first so reclaimed capacity
 	// funds the promotions), and Runtime.RunEpoch drives the repeated
-	// profile→run→optimize loop. The governor pairs with PolicyATMem:
-	// residency tracking assumes objects start on the large memory and
-	// reach the fast tier only through migration.
+	// profile→run→optimize loop. The governor pairs with a policy that
+	// allocates on the large memory (AllocSlow, as PaperPolicy does):
+	// residency tracking assumes objects reach the fast tier only
+	// through migration.
 	Governor GovernorOptions
 	// BandwidthAware enables the aggregate-bandwidth placement
 	// enhancement the paper sketches as future work (§9): on systems
@@ -247,11 +205,6 @@ type Options struct {
 	// runtime hooks the shared system (last writer wins) — aim faults
 	// with range scopes so only the intended tenant's ranges fire.
 	Tenant *Tenant
-
-	// placementNil marks an explicit WithPlacementPolicy(nil): unlike
-	// the zero Options (which falls back to the Policy enum), a caller
-	// who passed nil on purpose gets ErrNilPolicy at construction.
-	placementNil bool
 }
 
 // HealthOptions configures the tier-health subsystem (see

@@ -10,7 +10,7 @@ import (
 // objects through the runtime, profile the first iteration, migrate the
 // critical chunks, and keep computing on the optimized placement.
 func Example() {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{Policy: atmem.PolicyATMem})
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		panic(err)
 	}
@@ -60,7 +60,7 @@ func Example() {
 // ExampleRuntime_PlacementSummary shows how to inspect where each
 // registered object's bytes live after optimization.
 func ExampleRuntime_PlacementSummary() {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{Policy: atmem.PolicyAllFast})
+	rt, err := atmem.New(atmem.NVMDRAM(), atmem.WithPlacementPolicy(atmem.AllFastPolicy()))
 	if err != nil {
 		panic(err)
 	}

@@ -50,29 +50,18 @@ func run(policy atmem.PlacementPolicy, optimize bool) (first, second float64, re
 	return first, second, rep, nil
 }
 
-// builtin resolves a legacy Policy enum value to its named
-// PlacementPolicy (the comparison arms only differ in allocation-time
-// placement, which the built-ins still cover).
-func builtin(p atmem.Policy) atmem.PlacementPolicy {
-	pol, err := atmem.BuiltinPolicy(p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return pol
-}
-
 func main() {
 	fmt.Println("== PageRank / pokec on the simulated NVM-DRAM testbed ==")
 
 	fmt.Println("baseline (all data on Optane NVM):")
-	_, base, _, err := run(builtin(atmem.PolicyBaseline), false)
+	_, base, _, err := run(atmem.PaperPolicy(), false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  iteration time %.6fs\n", base)
 
 	fmt.Println("ideal (all data on DRAM):")
-	_, ideal, _, err := run(builtin(atmem.PolicyAllFast), false)
+	_, ideal, _, err := run(atmem.AllFastPolicy(), false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 )
 
 type result struct {
-	policy    string
 	bfs, cc   float64
 	dataRatio float64
 }
@@ -58,7 +57,7 @@ func runPipeline(policy atmem.PlacementPolicy, optimize bool) (result, error) {
 	// Warm, then measure.
 	bfs.RunIteration(rt)
 	cc.RunIteration(rt)
-	r := result{policy: policy.Name(), dataRatio: rt.FastDataRatio()}
+	r := result{dataRatio: rt.FastDataRatio()}
 	r.bfs = bfs.RunIteration(rt).Seconds
 	r.cc = cc.RunIteration(rt).Seconds
 	if err := bfs.Validate(); err != nil {
@@ -74,13 +73,14 @@ func main() {
 	fmt.Println("== social-network analytics (BFS + CC) on twitter, NVM-DRAM testbed ==")
 	fmt.Printf("%-12s %-12s %-12s %-10s\n", "policy", "bfs(s)", "cc(s)", "fast-data")
 	arms := []struct {
+		name     string
 		policy   atmem.PlacementPolicy
 		optimize bool
 	}{
-		{builtin(atmem.PolicyBaseline), false},
-		{builtin(atmem.PolicyAllFast), false},
-		{builtin(atmem.PolicyPreferFast), false},
-		{atmem.PaperPolicy(), true},
+		{"baseline", atmem.PaperPolicy(), false},
+		{"all-fast", atmem.AllFastPolicy(), false},
+		{"prefer-fast", atmem.PreferFastPolicy(), false},
+		{"paper", atmem.PaperPolicy(), true},
 	}
 	var baseline result
 	for i, arm := range arms {
@@ -91,20 +91,10 @@ func main() {
 		if i == 0 {
 			baseline = r
 		}
-		fmt.Printf("%-12s %-12.6f %-12.6f %.1f%%\n", r.policy, r.bfs, r.cc, 100*r.dataRatio)
+		fmt.Printf("%-12s %-12.6f %-12.6f %.1f%%\n", arm.name, r.bfs, r.cc, 100*r.dataRatio)
 		if arm.optimize {
 			fmt.Printf("\nATMem speedup over all-NVM baseline: BFS %.2fx, CC %.2fx with %.1f%% data on DRAM\n",
 				baseline.bfs/r.bfs, baseline.cc/r.cc, 100*r.dataRatio)
 		}
 	}
-}
-
-// builtin resolves a legacy Policy enum value to its named
-// PlacementPolicy.
-func builtin(p atmem.Policy) atmem.PlacementPolicy {
-	pol, err := atmem.BuiltinPolicy(p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return pol
 }

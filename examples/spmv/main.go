@@ -45,24 +45,14 @@ func run(policy atmem.PlacementPolicy, optimize bool, iters int) (perIter float6
 	return total / float64(iters), rep, nil
 }
 
-// builtin resolves a legacy Policy enum value to its named
-// PlacementPolicy.
-func builtin(p atmem.Policy) atmem.PlacementPolicy {
-	pol, err := atmem.BuiltinPolicy(p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return pol
-}
-
 func main() {
 	const iters = 4
 	fmt.Println("== SpMV power iterations on the rmat27 matrix, NVM-DRAM testbed ==")
-	base, _, err := run(builtin(atmem.PolicyBaseline), false, iters)
+	base, _, err := run(atmem.PaperPolicy(), false, iters)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ideal, _, err := run(builtin(atmem.PolicyAllFast), false, iters)
+	ideal, _, err := run(atmem.AllFastPolicy(), false, iters)
 	if err != nil {
 		log.Fatal(err)
 	}

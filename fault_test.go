@@ -24,7 +24,11 @@ type faultCycleResult struct {
 // the fault-free baseline.
 func runFaultCycle(t *testing.T, sched *faultinject.Schedule) faultCycleResult {
 	t.Helper()
-	rt, err := NewRuntime(NVMDRAM(), Options{Policy: PolicyATMem, FaultSchedule: sched})
+	var opts []Option
+	if sched != nil {
+		opts = append(opts, WithFaultSchedule(*sched))
+	}
+	rt, err := New(NVMDRAM(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +180,9 @@ func TestFaultEmptyScheduleMatchesBaseline(t *testing.T) {
 // an allocation that faults must fail with a typed, joined error and
 // leave the runtime fully usable.
 func TestFaultAllocExhaustionIsGraceful(t *testing.T) {
-	rt, err := NewRuntime(NVMDRAM(), Options{
-		Policy: PolicyATMem,
-		FaultSchedule: &faultinject.Schedule{Faults: []faultinject.Fault{
-			{Op: faultinject.OpAlloc, Nth: 2, Err: memsim.ErrNoCapacity},
-		}},
-	})
+	rt, err := New(NVMDRAM(), WithFaultSchedule(faultinject.Schedule{Faults: []faultinject.Fault{
+		{Op: faultinject.OpAlloc, Nth: 2, Err: memsim.ErrNoCapacity},
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}

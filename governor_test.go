@@ -69,11 +69,7 @@ func assertDataIntact(t *testing.T, label string, a *Array[uint64], salt uint64)
 // empty delta and move zero bytes, because everything it selects is
 // already fast-resident.
 func TestGovernedSecondEpochEmptyDelta(t *testing.T) {
-	rt, err := NewRuntime(NVMDRAM(), Options{
-		Policy:       PolicyATMem,
-		SamplePeriod: 64,
-		Governor:     GovernorOptions{Enabled: true},
-	})
+	rt, err := New(NVMDRAM(), WithSamplePeriod(64), WithGovernor(GovernorOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +114,7 @@ func TestGovernedSecondEpochEmptyDelta(t *testing.T) {
 // hysteresis state, so an allocation reusing the address range starts
 // cold and is promoted on its own merit.
 func TestGovernedFreeDropsResidency(t *testing.T) {
-	rt, err := NewRuntime(NVMDRAM(), Options{
-		Policy:       PolicyATMem,
-		SamplePeriod: 64,
-		Governor:     GovernorOptions{Enabled: true},
-	})
+	rt, err := New(NVMDRAM(), WithSamplePeriod(64), WithGovernor(GovernorOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,17 +165,14 @@ func TestGovernedPressureDemotionFundsShift(t *testing.T) {
 		capEff  = fastCap - reserve
 		n       = (4 << 20) / 8 // 4 MiB of uint64 per array
 	)
-	rt, err := NewRuntime(govTestbed(fastCap), Options{
-		Policy:          PolicyATMem,
-		SamplePeriod:    64,
-		CapacityReserve: reserve,
-		Governor: GovernorOptions{
-			Enabled:           true,
+	rt, err := New(govTestbed(fastCap),
+		WithSamplePeriod(64),
+		WithCapacityReserve(reserve),
+		WithGovernor(GovernorOptions{
 			HighWatermark:     0.90,
 			LowWatermark:      0.75,
 			DemoteAfterEpochs: 3,
-		},
-	})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +258,7 @@ func TestGovernedPressureDemotionFundsShift(t *testing.T) {
 // no-op epoch — no ErrNoCapacity, no breaker damage — rather than
 // falling through to the analyzer (which reads budget 0 as unlimited).
 func TestGovernedBudgetFullyReservedDegrades(t *testing.T) {
-	rt, err := NewRuntime(NVMDRAM(), Options{
-		Policy:       PolicyATMem,
-		SamplePeriod: 64,
-		Governor:     GovernorOptions{Enabled: true},
-	})
+	rt, err := New(NVMDRAM(), WithSamplePeriod(64), WithGovernor(GovernorOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,19 +294,16 @@ func TestGovernedBudgetFullyReservedDegrades(t *testing.T) {
 // breaker closes, and the loop converges — with phases running and data
 // bit-identical throughout.
 func TestGovernedBreakerFaultCycle(t *testing.T) {
-	rt, err := NewRuntime(NVMDRAM(), Options{
-		Policy:       PolicyATMem,
-		SamplePeriod: 64,
-		FaultSchedule: &faultinject.Schedule{Faults: []faultinject.Fault{
+	rt, err := New(NVMDRAM(),
+		WithSamplePeriod(64),
+		WithFaultSchedule(faultinject.Schedule{Faults: []faultinject.Fault{
 			{Op: faultinject.OpReserve, Prob: 1, MaxFires: 25, Err: memsim.ErrNoCapacity},
-		}},
-		Governor: GovernorOptions{
-			Enabled:          true,
+		}}),
+		WithGovernor(GovernorOptions{
 			BreakerThreshold: 2,
 			BreakerCooldown:  2,
 			MaxCooldown:      4,
-		},
-	})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,12 +372,10 @@ func TestGovernedBreakerFaultCycle(t *testing.T) {
 // to put the governor's bookkeeping under the race detector next to the
 // simulator's concurrent accessors.
 func TestGovernedEpochLoopConcurrentPhases(t *testing.T) {
-	rt, err := NewRuntime(govTestbed(8<<20), Options{
-		Policy:          PolicyATMem,
-		SamplePeriod:    64,
-		CapacityReserve: 2 << 20,
-		Governor:        GovernorOptions{Enabled: true, DemoteAfterEpochs: 2},
-	})
+	rt, err := New(govTestbed(8<<20),
+		WithSamplePeriod(64),
+		WithCapacityReserve(2<<20),
+		WithGovernor(GovernorOptions{DemoteAfterEpochs: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +410,7 @@ func TestGovernedEpochLoopConcurrentPhases(t *testing.T) {
 
 // TestRunEpochRequiresGovernor and the zero-sample epoch contract.
 func TestRunEpochEdgeCases(t *testing.T) {
-	plain, err := NewRuntime(NVMDRAM(), Options{Policy: PolicyATMem})
+	plain, err := New(NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,10 +418,7 @@ func TestRunEpochEdgeCases(t *testing.T) {
 		t.Error("RunEpoch on an ungoverned runtime did not error")
 	}
 
-	rt, err := NewRuntime(NVMDRAM(), Options{
-		Policy:   PolicyATMem,
-		Governor: GovernorOptions{Enabled: true},
-	})
+	rt, err := New(NVMDRAM(), WithGovernor(GovernorOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 func healthFixture(t *testing.T, opts ...Option) (*Runtime, *Array[uint64], *Array[uint64]) {
 	t.Helper()
 	all := append([]Option{
-		WithPolicy(PolicyATMem),
 		WithSamplePeriod(64),
 		WithGovernor(GovernorOptions{}),
 		WithScrubber(),

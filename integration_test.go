@@ -14,7 +14,7 @@ import (
 // streams are fixed per thread regardless of interleaving).
 func TestDeterministicSimulation(t *testing.T) {
 	run := func() float64 {
-		rt, err := atmem.NewRuntime(atmem.NVMDRAM())
+		rt, err := atmem.New(atmem.NVMDRAM())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestDeterministicSimulation(t *testing.T) {
 // must fail for them while the preferred policy spills gracefully.
 func TestKNLCapacityPressure(t *testing.T) {
 	for _, ds := range []string{"twitter", "rmat27", "friendster"} {
-		rt, err := atmem.NewRuntime(atmem.MCDRAMDRAM(), atmem.Options{Policy: atmem.PolicyAllFast})
+		rt, err := atmem.New(atmem.MCDRAMDRAM(), atmem.WithPlacementPolicy(atmem.AllFastPolicy()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestKNLCapacityPressure(t *testing.T) {
 	}
 	// pokec and rmat24 fit entirely, as in the paper's Figure 10.
 	for _, ds := range []string{"pokec", "rmat24"} {
-		rt, err := atmem.NewRuntime(atmem.MCDRAMDRAM(), atmem.Options{Policy: atmem.PolicyAllFast})
+		rt, err := atmem.New(atmem.MCDRAMDRAM(), atmem.WithPlacementPolicy(atmem.AllFastPolicy()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestKNLCapacityPressure(t *testing.T) {
 		}
 	}
 	// PreferFast always succeeds by spilling to DDR4.
-	rt, err := atmem.NewRuntime(atmem.MCDRAMDRAM(), atmem.Options{Policy: atmem.PolicyPreferFast})
+	rt, err := atmem.New(atmem.MCDRAMDRAM(), atmem.WithPlacementPolicy(atmem.PreferFastPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +86,7 @@ func TestEpsilonSweepEndToEnd(t *testing.T) {
 	ratioAt := func(eps float64) float64 {
 		cfg := core.DefaultConfig()
 		cfg.Epsilon = eps
-		rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{
-			Policy: atmem.PolicyATMem, Analyzer: cfg,
-		})
+		rt, err := atmem.New(atmem.NVMDRAM(), atmem.WithAnalyzer(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +131,7 @@ func TestFullPipelineOnBothTestbeds(t *testing.T) {
 	for _, tb := range []atmem.Testbed{atmem.NVMDRAM(), atmem.MCDRAMDRAM()} {
 		for _, name := range []string{"bfs", "pr", "cc"} {
 			t.Run(tb.Name()+"/"+name, func(t *testing.T) {
-				rt, err := atmem.NewRuntime(tb, atmem.Options{Policy: atmem.PolicyATMem})
+				rt, err := atmem.New(tb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,7 +166,7 @@ func TestFullPipelineOnBothTestbeds(t *testing.T) {
 // TestMigrationReportConsistency: the migration report's byte accounting
 // agrees with the actual placement.
 func TestMigrationReportConsistency(t *testing.T) {
-	rt, err := atmem.NewRuntime(atmem.NVMDRAM(), atmem.Options{Policy: atmem.PolicyATMem})
+	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,8 @@ type PolicyProfile struct {
 // call.
 type PlacementPolicy interface {
 	// Name is the short human-readable policy name ("paper", "oracle",
-	// "learned", "static", or the enum names of the deprecated shims).
+	// "learned", "static", or "all-fast" / "prefer-fast" for the
+	// paper's ideal references).
 	Name() string
 	// Fingerprint identifies the exact decision procedure for
 	// plan-cache signatures.
@@ -58,9 +59,10 @@ type PlacementPolicy interface {
 // unchanged, so its plans are byte-identical to the pre-interface
 // runtime's.
 type AnalyzerPolicy struct {
-	// Label overrides the reported name ("paper" when empty) — the
-	// deprecated Policy enum values resolve to differently-named
-	// instances of this same analyzer.
+	// Label overrides the reported name ("paper" when empty): the
+	// paper's ideal references ("all-fast", "prefer-fast") are
+	// differently-named instances of this same analyzer that differ
+	// only in allocation-time placement.
 	Label string
 }
 
@@ -74,7 +76,7 @@ func (a AnalyzerPolicy) Name() string {
 
 // Fingerprint implements PlacementPolicy. All analyzer-backed names
 // share one fingerprint: the decision procedure is identical, so a
-// cached plan recorded under the enum shim replays under PaperPolicy.
+// cached plan recorded under one of them replays under any other.
 func (a AnalyzerPolicy) Fingerprint() string { return "analyzer/v1" }
 
 // Rank implements PlacementPolicy by running the full analyzer

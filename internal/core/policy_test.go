@@ -30,17 +30,17 @@ func TestAnalyzerPolicyPlansByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAnalyzerPolicyNames pins the enum shim naming: every label runs
+// TestAnalyzerPolicyNames pins the analyzer's naming: every label runs
 // the same analyzer under one shared fingerprint, so cached plans
-// recorded under the deprecated enum replay under PaperPolicy.
+// recorded under one label replay under any other.
 func TestAnalyzerPolicyNames(t *testing.T) {
 	if got := (AnalyzerPolicy{}).Name(); got != "paper" {
 		t.Errorf("default name = %q, want paper", got)
 	}
-	if got := (AnalyzerPolicy{Label: "atmem"}).Name(); got != "atmem" {
+	if got := (AnalyzerPolicy{Label: "all-fast"}).Name(); got != "all-fast" {
 		t.Errorf("labeled name = %q", got)
 	}
-	if (AnalyzerPolicy{}).Fingerprint() != (AnalyzerPolicy{Label: "atmem"}).Fingerprint() {
+	if (AnalyzerPolicy{}).Fingerprint() != (AnalyzerPolicy{Label: "all-fast"}).Fingerprint() {
 		t.Error("analyzer fingerprint must not depend on the label")
 	}
 }

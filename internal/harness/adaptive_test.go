@@ -226,7 +226,7 @@ func TestAdaptivePressureSmoke(t *testing.T) {
 // governor fields.
 func TestGovernedHarnessRun(t *testing.T) {
 	res, err := Run(RunConfig{Testbed: NVM, App: "pr", Dataset: "pokec",
-		Policy: atmem.PolicyATMem, Governed: true})
+		Policy: ATMem, Governed: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,11 +60,11 @@ func pct(v float64) string   { return fmt.Sprintf("%.1f%%", 100*v) }
 
 // idealPolicy is the per-testbed "ideal" reference of §7.1: all-DRAM on
 // the NVM-DRAM testbed, MCDRAM-preferred on the capacity-limited KNL.
-func idealPolicy(tb TestbedID) atmem.Policy {
+func idealPolicy(tb TestbedID) Policy {
 	if tb == NVM {
-		return atmem.PolicyAllFast
+		return AllFast
 	}
-	return atmem.PolicyPreferFast
+	return PreferFast
 }
 
 // fig1a reports the normalized execution time of all-slow placement over
@@ -88,7 +88,7 @@ func figure1(s *Suite, id string, tb TestbedID, metric string) ([]*Report, error
 	for _, ds := range evalDatasets {
 		row := []string{ds}
 		for _, app := range fig1Apps {
-			slow, err := s.Run(RunConfig{Testbed: tb, App: app, Dataset: ds, Policy: atmem.PolicyBaseline})
+			slow, err := s.Run(RunConfig{Testbed: tb, App: app, Dataset: ds, Policy: Baseline})
 			if err != nil {
 				return nil, err
 			}
@@ -115,11 +115,11 @@ func overallRows(s *Suite, tb TestbedID) (*Report, error) {
 	}
 	for _, app := range evalApps {
 		for _, ds := range evalDatasets {
-			base, err := s.Run(RunConfig{Testbed: tb, App: app, Dataset: ds, Policy: atmem.PolicyBaseline})
+			base, err := s.Run(RunConfig{Testbed: tb, App: app, Dataset: ds, Policy: Baseline})
 			if err != nil {
 				return nil, err
 			}
-			at, err := s.Run(RunConfig{Testbed: tb, App: app, Dataset: ds, Policy: atmem.PolicyATMem})
+			at, err := s.Run(RunConfig{Testbed: tb, App: app, Dataset: ds, Policy: ATMem})
 			if err != nil {
 				return nil, err
 			}
@@ -174,11 +174,11 @@ func tab3(s *Suite) ([]*Report, error) {
 		mins[i] = math.Inf(1)
 		maxs[i] = math.Inf(-1)
 		for _, ds := range evalDatasets {
-			at, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: atmem.PolicyATMem})
+			at, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: ATMem})
 			if err != nil {
 				return nil, err
 			}
-			ideal, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: atmem.PolicyAllFast})
+			ideal, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: AllFast})
 			if err != nil {
 				return nil, err
 			}
@@ -209,7 +209,7 @@ func dataRatioReport(s *Suite, id string, tb TestbedID) ([]*Report, error) {
 	for _, ds := range evalDatasets {
 		row := []string{ds}
 		for _, app := range evalApps {
-			at, err := s.Run(RunConfig{Testbed: tb, App: app, Dataset: ds, Policy: atmem.PolicyATMem})
+			at, err := s.Run(RunConfig{Testbed: tb, App: app, Dataset: ds, Policy: ATMem})
 			if err != nil {
 				return nil, err
 			}
@@ -248,7 +248,7 @@ func epsilonSweep(s *Suite, id string, tb TestbedID) ([]*Report, error) {
 		for _, eps := range sweepEpsilons {
 			r, err := s.Run(RunConfig{
 				Testbed: tb, App: "bfs", Dataset: ds,
-				Policy: atmem.PolicyATMem, Epsilon: eps, SkipValidate: true,
+				Policy: ATMem, Epsilon: eps, SkipValidate: true,
 			})
 			if err != nil {
 				return nil, err
@@ -260,7 +260,7 @@ func epsilonSweep(s *Suite, id string, tb TestbedID) ([]*Report, error) {
 			rep.AddRow(fmt.Sprintf("%.3f", p.eps), pct(p.ratio), secs(p.t))
 		}
 		// The automatic configuration's operating point.
-		auto, err := s.Run(RunConfig{Testbed: tb, App: "bfs", Dataset: ds, Policy: atmem.PolicyATMem})
+		auto, err := s.Run(RunConfig{Testbed: tb, App: "bfs", Dataset: ds, Policy: ATMem})
 		if err != nil {
 			return nil, err
 		}
@@ -289,12 +289,12 @@ func tab4(s *Suite) ([]*Report, error) {
 		row := []string{ds}
 		for _, tb := range []TestbedID{NVM, KNL} {
 			at, err := s.Run(RunConfig{Testbed: tb, App: "pr", Dataset: ds,
-				Policy: atmem.PolicyATMem, Mechanism: atmem.MigrateATMem})
+				Policy: ATMem, Mechanism: atmem.MigrateATMem})
 			if err != nil {
 				return nil, err
 			}
 			mb, err := s.Run(RunConfig{Testbed: tb, App: "pr", Dataset: ds,
-				Policy: atmem.PolicyATMem, Mechanism: atmem.MigrateMbind})
+				Policy: ATMem, Mechanism: atmem.MigrateMbind})
 			if err != nil {
 				return nil, err
 			}
@@ -339,11 +339,11 @@ func overhead(s *Suite) ([]*Report, error) {
 	}
 	for _, app := range evalApps {
 		for _, ds := range []string{"pokec", "friendster"} {
-			base, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: atmem.PolicyBaseline})
+			base, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: Baseline})
 			if err != nil {
 				return nil, err
 			}
-			at, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: atmem.PolicyATMem})
+			at, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: ATMem})
 			if err != nil {
 				return nil, err
 			}

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"atmem"
 	"atmem/graph"
 	"atmem/internal/faultinject"
 )
@@ -50,12 +49,12 @@ func accuracy(s *Suite) ([]*Report, error) {
 	}
 	for _, app := range evalApps {
 		for _, ds := range []string{"twitter", "rmat27"} {
-			sampled, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: atmem.PolicyATMem})
+			sampled, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds, Policy: ATMem})
 			if err != nil {
 				return nil, err
 			}
 			oracle, err := s.Run(RunConfig{Testbed: NVM, App: app, Dataset: ds,
-				Policy: atmem.PolicyATMem, SamplePeriod: 1})
+				Policy: ATMem, SamplePeriod: 1})
 			if err != nil {
 				return nil, err
 			}
@@ -104,11 +103,11 @@ func locality(s *Suite) ([]*Report, error) {
 	}
 	for _, v := range variants {
 		ds := base + v.suffix
-		baseRun, err := s.Run(RunConfig{Testbed: NVM, App: "pr", Dataset: ds, Policy: atmem.PolicyBaseline})
+		baseRun, err := s.Run(RunConfig{Testbed: NVM, App: "pr", Dataset: ds, Policy: Baseline})
 		if err != nil {
 			return nil, err
 		}
-		at, err := s.Run(RunConfig{Testbed: NVM, App: "pr", Dataset: ds, Policy: atmem.PolicyATMem})
+		at, err := s.Run(RunConfig{Testbed: NVM, App: "pr", Dataset: ds, Policy: ATMem})
 		if err != nil {
 			return nil, err
 		}
@@ -137,12 +136,12 @@ func aggbw(s *Suite) ([]*Report, error) {
 	}
 	for _, app := range []string{"pr", "sssp"} {
 		for _, ds := range []string{"rmat27", "friendster"} {
-			fastOnly, err := s.Run(RunConfig{Testbed: KNL, App: app, Dataset: ds, Policy: atmem.PolicyATMem})
+			fastOnly, err := s.Run(RunConfig{Testbed: KNL, App: app, Dataset: ds, Policy: ATMem})
 			if err != nil {
 				return nil, err
 			}
 			agg, err := s.Run(RunConfig{Testbed: KNL, App: app, Dataset: ds,
-				Policy: atmem.PolicyATMem, BandwidthAware: true})
+				Policy: ATMem, BandwidthAware: true})
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +192,7 @@ func robustness(s *Suite) ([]*Report, error) {
 	}
 	for _, sc := range scenarios {
 		res, err := s.Run(RunConfig{
-			Testbed: NVM, App: "pr", Dataset: "twitter", Policy: atmem.PolicyATMem,
+			Testbed: NVM, App: "pr", Dataset: "twitter", Policy: ATMem,
 			FaultSchedule: sc.sched, FaultLabel: sc.label, Governed: sc.governed,
 		})
 		if err != nil {

@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"atmem"
@@ -42,15 +43,54 @@ func TestbedFor(id TestbedID) (atmem.Testbed, error) {
 	return atmem.Testbed{}, fmt.Errorf("harness: unknown testbed %q", id)
 }
 
+// Policy names how a run places its data: one of the paper's fixed
+// references or ATMem itself.
+type Policy string
+
+const (
+	// Baseline keeps everything on the large memory: the paper's
+	// all-NVM / all-DDR4 baseline (PaperPolicy, never optimized).
+	Baseline Policy = "baseline"
+	// AllFast allocates everything on the fast memory: the NVM-DRAM
+	// ideal reference (all-DRAM).
+	AllFast Policy = "all-fast"
+	// PreferFast fills the fast memory first and spills (`numactl -p`):
+	// the MCDRAM-DRAM ideal reference (MCDRAM-p).
+	PreferFast Policy = "prefer-fast"
+	// ATMem profiles the first iteration and Optimizes before the
+	// measured one.
+	ATMem Policy = "atmem"
+)
+
+// runPolicies lists the policies in their historical order. The index
+// is the policy's field in RunConfig.key, which keeps memoization keys
+// and trace-artifact names stable.
+var runPolicies = []Policy{Baseline, AllFast, PreferFast, ATMem}
+
+// placement maps a run policy to the placement policy its runtime
+// installs. Baseline and ATMem both run the paper's analyzer; they
+// differ only in whether the harness calls Optimize.
+func (p Policy) placement() (atmem.PlacementPolicy, error) {
+	switch p {
+	case Baseline, ATMem:
+		return atmem.PaperPolicy(), nil
+	case AllFast:
+		return atmem.AllFastPolicy(), nil
+	case PreferFast:
+		return atmem.PreferFastPolicy(), nil
+	}
+	return nil, fmt.Errorf("harness: unknown policy %q", p)
+}
+
 // RunConfig identifies one benchmark run.
 type RunConfig struct {
 	Testbed   TestbedID
 	App       string
 	Dataset   string
-	Policy    atmem.Policy
+	Policy    Policy
 	Mechanism atmem.MigrationMechanism
 	// Epsilon overrides the analyzer's ε (Eq. 5); 0 keeps the default.
-	// Only meaningful with PolicyATMem.
+	// Only meaningful with ATMem.
 	Epsilon float64
 	// SamplePeriod fixes the profiler period (0 = automatic, §5.1).
 	// Period 1 captures every demand miss — the full-profiling oracle
@@ -72,12 +112,12 @@ type RunConfig struct {
 	// atmem.Options.Governor) and drives the profiled iteration plus
 	// Optimize through Runtime.RunEpoch, so the MigrationReport carries
 	// the governor's delta/demotion/breaker fields. Only meaningful
-	// with PolicyATMem.
+	// with ATMem.
 	Governed bool
 	// Async drives the run through overlapped background placement
 	// (Runtime.RunEpochAsync + DrainAsync): the profiled interval's plan
 	// migrates on a service goroutine while the next iteration runs.
-	// Implies the governor. Only meaningful with PolicyATMem.
+	// Implies the governor. Only meaningful with ATMem.
 	Async bool
 	// Context, when non-nil, is passed to the placement calls so a
 	// caller can cancel in-flight migration. It is deliberately not part
@@ -94,7 +134,7 @@ type RunConfig struct {
 
 func (c RunConfig) key() string {
 	return fmt.Sprintf("%s|%s|%s|%d|%d|%g|%d|%t|%t|%s|%t|%s|%t|%t",
-		c.Testbed, c.App, c.Dataset, c.Policy, c.Mechanism, c.Epsilon,
+		c.Testbed, c.App, c.Dataset, slices.Index(runPolicies, c.Policy), c.Mechanism, c.Epsilon,
 		c.SamplePeriod, c.BandwidthAware, c.SkipValidate, c.FaultLabel,
 		c.Telemetry, c.TraceDir, c.Governed, c.Async)
 }
@@ -110,13 +150,13 @@ func (c RunConfig) ctx() context.Context {
 // RunResult is the outcome of one benchmark run.
 type RunResult struct {
 	Config RunConfig
-	// FirstIterSeconds is the first (cold, profiled under PolicyATMem)
+	// FirstIterSeconds is the first (cold, profiled under ATMem)
 	// iteration time.
 	FirstIterSeconds float64
 	// IterSeconds is the measured (second, warm) iteration time — the
 	// quantity the paper reports (§6).
 	IterSeconds float64
-	// Migration reports the Optimize call (zero unless PolicyATMem).
+	// Migration reports the Optimize call (zero unless ATMem).
 	Migration atmem.MigrationReport
 	// PostTLBMisses counts TLB misses during the measured iteration.
 	PostTLBMisses uint64
@@ -144,16 +184,14 @@ type RunResult struct {
 }
 
 // Run executes one configuration from scratch: fresh runtime, setup, a
-// first (profiled, under PolicyATMem) iteration, Optimize when
+// first (profiled, under ATMem) iteration, Optimize when
 // applicable, then the measured iteration.
 func Run(cfg RunConfig) (RunResult, error) {
 	tb, err := TestbedFor(cfg.Testbed)
 	if err != nil {
 		return RunResult{}, err
 	}
-	// The matrix axis stays the compact Policy enum; runs install it
-	// through the policy-object API the enum now shims to.
-	pol, err := atmem.BuiltinPolicy(cfg.Policy)
+	pol, err := cfg.Policy.placement()
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -166,10 +204,10 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if cfg.FaultSchedule != nil {
 		opts = append(opts, atmem.WithFaultSchedule(*cfg.FaultSchedule))
 	}
-	if cfg.Governed && cfg.Policy == atmem.PolicyATMem {
+	if cfg.Governed && cfg.Policy == ATMem {
 		opts = append(opts, atmem.WithGovernor(atmem.GovernorOptions{}))
 	}
-	if cfg.Async && cfg.Policy == atmem.PolicyATMem {
+	if cfg.Async && cfg.Policy == ATMem {
 		opts = append(opts, atmem.WithAsyncPlacement(atmem.AsyncOptions{}))
 	}
 	if cfg.Telemetry || cfg.TraceDir != "" {
@@ -195,7 +233,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	res := RunResult{Config: cfg}
 	warmed := false
 	switch {
-	case cfg.Policy == atmem.PolicyATMem && cfg.Async:
+	case cfg.Policy == ATMem && cfg.Async:
 		ctx := cfg.ctx()
 		// Epoch 1 profiles the cold iteration; nothing is pending yet,
 		// so it overlaps no migration.
@@ -221,7 +259,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		res.OverlapSeconds = rt.OverlapSeconds()
 		res.StolenSeconds = rt.StolenSeconds()
 		warmed = true
-	case cfg.Policy == atmem.PolicyATMem && cfg.Governed:
+	case cfg.Policy == ATMem && cfg.Governed:
 		er, err := rt.RunEpochCtx(cfg.ctx(), "profile", func() {
 			res.FirstIterSeconds = kern.RunIteration(rt).Seconds
 		})
@@ -230,7 +268,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		}
 		res.Samples = er.Samples
 		res.Migration = er.Migration
-	case cfg.Policy == atmem.PolicyATMem:
+	case cfg.Policy == ATMem:
 		rt.ProfilingStart()
 		first := kern.RunIteration(rt)
 		res.FirstIterSeconds = first.Seconds
@@ -338,7 +376,7 @@ type Suite struct {
 	// does not name its own trace directory: each run records telemetry
 	// and writes its trace artifacts there.
 	TraceDir string
-	// Async, when set, drives every PolicyATMem run the suite executes
+	// Async, when set, drives every ATMem run the suite executes
 	// through overlapped background placement (RunConfig.Async).
 	Async bool
 	// Faults, when non-nil, arms this fault-injection schedule on every
@@ -370,7 +408,7 @@ func (s *Suite) Run(cfg RunConfig) (RunResult, error) {
 		cfg.TraceDir = s.TraceDir
 		cfg.Telemetry = true
 	}
-	if s.Async && cfg.Policy == atmem.PolicyATMem {
+	if s.Async && cfg.Policy == ATMem {
 		cfg.Async = true
 	}
 	if s.Faults != nil && cfg.FaultSchedule == nil {

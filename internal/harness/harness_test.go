@@ -20,7 +20,7 @@ func TestTestbedFor(t *testing.T) {
 }
 
 func TestRunBaselinePokec(t *testing.T) {
-	res, err := Run(RunConfig{Testbed: NVM, App: "bfs", Dataset: "pokec", Policy: atmem.PolicyBaseline})
+	res, err := Run(RunConfig{Testbed: NVM, App: "bfs", Dataset: "pokec", Policy: Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRunBaselinePokec(t *testing.T) {
 }
 
 func TestRunATMemPokec(t *testing.T) {
-	res, err := Run(RunConfig{Testbed: NVM, App: "pr", Dataset: "pokec", Policy: atmem.PolicyATMem})
+	res, err := Run(RunConfig{Testbed: NVM, App: "pr", Dataset: "pokec", Policy: ATMem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRunATMemPokec(t *testing.T) {
 
 func TestSuiteMemoizes(t *testing.T) {
 	s := NewSuite()
-	cfg := RunConfig{Testbed: NVM, App: "bfs", Dataset: "pokec", Policy: atmem.PolicyBaseline}
+	cfg := RunConfig{Testbed: NVM, App: "bfs", Dataset: "pokec", Policy: Baseline}
 	a, err := s.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestRunConfigKeyDistinguishesFields(t *testing.T) {
 		{Testbed: KNL, App: "bfs", Dataset: "pokec"},
 		{Testbed: NVM, App: "pr", Dataset: "pokec"},
 		{Testbed: NVM, App: "bfs", Dataset: "twitter"},
-		{Testbed: NVM, App: "bfs", Dataset: "pokec", Policy: atmem.PolicyATMem},
+		{Testbed: NVM, App: "bfs", Dataset: "pokec", Policy: ATMem},
 		{Testbed: NVM, App: "bfs", Dataset: "pokec", Mechanism: atmem.MigrateMbind},
 		{Testbed: NVM, App: "bfs", Dataset: "pokec", Epsilon: 0.5},
 		{Testbed: NVM, App: "bfs", Dataset: "pokec", SkipValidate: true},

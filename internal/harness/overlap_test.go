@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"atmem"
 	"atmem/internal/governor"
 )
 
@@ -95,7 +94,7 @@ func TestOverlapSurvivesFaultStorm(t *testing.T) {
 func TestSuiteAsyncFlagThreadsThroughRuns(t *testing.T) {
 	s := NewSuite()
 	s.Async = true
-	at, err := s.Run(RunConfig{Testbed: NVM, App: "pr", Dataset: "pokec", Policy: atmem.PolicyATMem})
+	at, err := s.Run(RunConfig{Testbed: NVM, App: "pr", Dataset: "pokec", Policy: ATMem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestSuiteAsyncFlagThreadsThroughRuns(t *testing.T) {
 	if !at.Validated {
 		t.Error("suite async run failed validation")
 	}
-	base, err := s.Run(RunConfig{Testbed: NVM, App: "pr", Dataset: "pokec", Policy: atmem.PolicyBaseline})
+	base, err := s.Run(RunConfig{Testbed: NVM, App: "pr", Dataset: "pokec", Policy: Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,11 +305,11 @@ func fastShareOf(phases []atmem.PhaseResult) float64 {
 	return float64(fast) / float64(total)
 }
 
-// runShootoutPolicy runs one kernel under one policy at the constrained
-// budget: warm up, profile a warm iteration (see collectKernelData for
-// why warm), Optimize, warm up again, measure.
-func runShootoutPolicy(tb atmem.Testbed, scn ShootoutScenario, app string, pol atmem.PlacementPolicy, capture bool) (ShootoutCell, *atmem.HeatTrace, error) {
-	cell := ShootoutCell{App: app, Policy: pol.Name()}
+// optimizeShootoutCell sets one kernel up under one policy at the
+// constrained budget, warms it up, profiles a warm iteration (see
+// collectKernelData for why warm), and Optimizes.
+func optimizeShootoutCell(tb atmem.Testbed, scn ShootoutScenario, app string, pol atmem.PlacementPolicy) (*atmem.Runtime, apps.Kernel, atmem.MigrationReport, error) {
+	var rep atmem.MigrationReport
 	ac := core.DefaultConfig()
 	ac.Epsilon = scn.Epsilon
 	rt, err := atmem.New(tb,
@@ -317,14 +317,14 @@ func runShootoutPolicy(tb atmem.Testbed, scn ShootoutScenario, app string, pol a
 		atmem.WithSamplePeriod(scn.SamplePeriod),
 		atmem.WithAnalyzer(ac))
 	if err != nil {
-		return cell, nil, err
+		return nil, nil, rep, err
 	}
 	kern, err := apps.New(app)
 	if err != nil {
-		return cell, nil, err
+		return nil, nil, rep, err
 	}
 	if err := kern.Setup(rt, scn.Dataset); err != nil {
-		return cell, nil, fmt.Errorf("harness: shootout %s/%s setup: %w", app, pol.Name(), err)
+		return nil, nil, rep, fmt.Errorf("harness: shootout %s/%s setup: %w", app, pol.Name(), err)
 	}
 	// Constrain the budget to BudgetFraction of the footprint via the
 	// capacity reserve, so the policies compete for a binding budget
@@ -337,9 +337,20 @@ func runShootoutPolicy(tb atmem.Testbed, scn ShootoutScenario, app string, pol a
 	rt.ProfilingStart()
 	kern.RunIteration(rt)
 	rt.ProfilingStop()
-	rep, err := rt.Optimize()
+	rep, err = rt.Optimize()
 	if err != nil {
-		return cell, nil, fmt.Errorf("harness: shootout %s/%s optimize: %w", app, pol.Name(), err)
+		return nil, nil, rep, fmt.Errorf("harness: shootout %s/%s optimize: %w", app, pol.Name(), err)
+	}
+	return rt, kern, rep, nil
+}
+
+// runShootoutPolicy runs one kernel under one policy at the constrained
+// budget: optimizeShootoutCell, then warm up again and measure.
+func runShootoutPolicy(tb atmem.Testbed, scn ShootoutScenario, app string, pol atmem.PlacementPolicy, capture bool) (ShootoutCell, *atmem.HeatTrace, error) {
+	cell := ShootoutCell{App: app, Policy: pol.Name()}
+	rt, kern, rep, err := optimizeShootoutCell(tb, scn, app, pol)
+	if err != nil {
+		return cell, nil, err
 	}
 	kern.RunIteration(rt)
 	var meas apps.IterationResult

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"atmem"
 	"atmem/internal/faultinject"
 	"atmem/internal/telemetry"
 )
@@ -23,7 +22,7 @@ func TestTelemetrySmoke(t *testing.T) {
 		dir = t.TempDir()
 	}
 	res, err := Run(RunConfig{
-		Testbed: NVM, App: "pr", Dataset: "pokec", Policy: atmem.PolicyATMem,
+		Testbed: NVM, App: "pr", Dataset: "pokec", Policy: ATMem,
 		FaultSchedule: &faultinject.Schedule{Faults: []faultinject.Fault{
 			{Op: faultinject.OpReserve, Nth: 1},
 		}},
@@ -119,7 +118,7 @@ func TestTelemetrySmoke(t *testing.T) {
 func TestSuiteTraceDir(t *testing.T) {
 	s := NewSuite()
 	s.TraceDir = t.TempDir()
-	res, err := s.Run(RunConfig{Testbed: NVM, App: "bfs", Dataset: "pokec", Policy: atmem.PolicyBaseline})
+	res, err := s.Run(RunConfig{Testbed: NVM, App: "bfs", Dataset: "pokec", Policy: Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}

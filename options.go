@@ -1,10 +1,8 @@
 package atmem
 
-// This file is the functional-options construction API. New is the
-// preferred constructor; the variadic-struct NewRuntime survives as a
-// deprecated shim so existing call sites keep compiling. Each Option
-// mutates the same Options struct the shim takes, so the two surfaces
-// cannot drift.
+// This file is the functional-options construction API: New is the
+// runtime's constructor, and each Option mutates one field group of the
+// Options struct it builds.
 
 import (
 	"atmem/internal/core"
@@ -26,9 +24,10 @@ type Option func(*Options)
 //		atmem.WithAsyncPlacement(atmem.AsyncOptions{Enabled: true}),
 //	)
 //
-// Options apply in order; later options override earlier ones.
+// Options apply in order; later options override earlier ones. The
+// placement policy defaults to PaperPolicy.
 func New(tb Testbed, opts ...Option) (*Runtime, error) {
-	var o Options
+	o := Options{Placement: PaperPolicy()}
 	for _, fn := range opts {
 		if fn != nil {
 			fn(&o)
@@ -37,26 +36,13 @@ func New(tb Testbed, opts ...Option) (*Runtime, error) {
 	return newRuntime(tb, o)
 }
 
-// WithPolicy sets the placement policy from the legacy enum (default
-// PolicyATMem).
-//
-// Deprecated: use WithPlacementPolicy with a PlacementPolicy value; the
-// enum values resolve to the same built-ins via BuiltinPolicy.
-func WithPolicy(p Policy) Option {
-	return func(o *Options) { o.Policy = p }
-}
-
-// WithPlacementPolicy installs the placement policy as a first-class
-// object (see PlacementPolicy): one of the built-ins — PaperPolicy,
-// OraclePolicy, LearnedPolicy, StaticPolicy — or a caller-defined
-// implementation. It overrides any Policy enum setting; the policy is
-// validated at construction, and an explicit nil fails New with
-// ErrNilPolicy.
+// WithPlacementPolicy installs the placement policy (see
+// PlacementPolicy): one of the built-ins — PaperPolicy, AllFastPolicy,
+// PreferFastPolicy, OraclePolicy, LearnedPolicy, StaticPolicy — or a
+// caller-defined implementation. The policy is validated at
+// construction, and an explicit nil fails New with ErrNilPolicy.
 func WithPlacementPolicy(p PlacementPolicy) Option {
-	return func(o *Options) {
-		o.Placement = p
-		o.placementNil = p == nil
-	}
+	return func(o *Options) { o.Placement = p }
 }
 
 // WithThreads overrides the testbed's simulated thread count.
@@ -198,10 +184,4 @@ func WithScorecardSink(fn func(Scorecard)) Option {
 // signals to the broker's arbiter. Implies the governor.
 func WithTenant(t *Tenant) Option {
 	return func(o *Options) { o.Tenant = t }
-}
-
-// WithOptions merges a whole Options struct, for callers migrating from
-// the deprecated NewRuntime signature one step at a time.
-func WithOptions(full Options) Option {
-	return func(o *Options) { *o = full }
 }

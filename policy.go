@@ -2,12 +2,11 @@ package atmem
 
 // This file is the public placement-policy surface: the PlacementPolicy
 // interface (aliased from internal/core so policies and the analyzer
-// share plan types), the built-in policies the deprecated Policy enum
-// resolves to, and the constructors for the paper/oracle/learned/static
-// quartet the policy shootout compares. Construction-time validation
-// lives here too: New/NewRuntime reject unknown enum values and nil or
-// malformed policies with typed errors instead of failing at the first
-// Malloc.
+// share plan types), the paper's ideal references, and the
+// constructors for the paper/oracle/learned/static quartet the policy
+// shootout compares. Construction-time validation lives here too: New
+// rejects nil or malformed policies with typed errors instead of
+// failing at the first Malloc.
 
 import (
 	"errors"
@@ -20,8 +19,7 @@ import (
 // PlacementPolicy decides which byte ranges deserve the fast tier; see
 // core.PlacementPolicy for the contract (Rank fills a plan against a
 // byte budget; Fingerprint keys compiled-plan signatures). Install one
-// with WithPlacementPolicy; the Policy enum survives as a deprecated
-// shim resolving to built-ins via BuiltinPolicy.
+// with WithPlacementPolicy.
 //
 // A policy may additionally implement TierAllocator to steer where
 // Malloc places new allocations, and Validate() error to be checked at
@@ -55,31 +53,43 @@ type TierAllocator interface {
 	AllocMode() AllocMode
 }
 
-// ErrUnknownPolicy reports a Policy enum value outside the defined
-// constants, surfaced by New/NewRuntime at construction.
-var ErrUnknownPolicy = errors.New("atmem: unknown placement policy")
-
 // ErrNilPolicy reports an explicit WithPlacementPolicy(nil), surfaced
 // by New at construction.
 var ErrNilPolicy = errors.New("atmem: nil placement policy")
 
-// builtinPolicy adapts the paper's analyzer to PlacementPolicy under a
-// given name and allocation mode. Every enum value resolves to one:
-// they have always shared the same Optimize-time analyzer and differed
-// only in allocation-time placement.
-type builtinPolicy struct {
+// analyzerPolicy is the paper's analyzer under a given name and
+// allocation mode. PaperPolicy and the two ideal references share the
+// Optimize-time analyzer (and so its fingerprint) and differ only in
+// allocation-time placement.
+type analyzerPolicy struct {
 	core.AnalyzerPolicy
 	mode AllocMode
 }
 
 // AllocMode implements TierAllocator.
-func (b builtinPolicy) AllocMode() AllocMode { return b.mode }
+func (b analyzerPolicy) AllocMode() AllocMode { return b.mode }
 
 // PaperPolicy returns the paper's rank→threshold→promote analyzer
-// (§4.2–§4.3) as a PlacementPolicy — the default, and byte-identical in
-// its plans to the pre-interface runtime.
+// (§4.2–§4.3) as a PlacementPolicy — the default. Objects start on the
+// large memory and earn the fast tier through profiling and Optimize;
+// without an Optimize call it is the paper's all-slow baseline (all-NVM,
+// all-DDR4).
 func PaperPolicy() PlacementPolicy {
-	return builtinPolicy{core.AnalyzerPolicy{Label: "paper"}, AllocSlow}
+	return analyzerPolicy{core.AnalyzerPolicy{Label: "paper"}, AllocSlow}
+}
+
+// AllFastPolicy returns the paper's NVM-DRAM ideal reference (all-DRAM):
+// every allocation lands on the high-performance memory, and Malloc
+// fails when it runs out.
+func AllFastPolicy() PlacementPolicy {
+	return analyzerPolicy{core.AnalyzerPolicy{Label: "all-fast"}, AllocFast}
+}
+
+// PreferFastPolicy returns the paper's MCDRAM-DRAM ideal reference
+// (MCDRAM-p, `numactl -p`): allocations fill the high-performance
+// memory first and spill to the large memory.
+func PreferFastPolicy() PlacementPolicy {
+	return analyzerPolicy{core.AnalyzerPolicy{Label: "prefer-fast"}, AllocPrefer}
 }
 
 // StaticPolicy returns the naive floor: whole objects in registration
@@ -102,7 +112,7 @@ func OraclePolicy(trace *HeatTrace) PlacementPolicy {
 
 // LearnedPolicy loads pairwise-ranker weights trained by atmem-train
 // from a JSON file and returns the learned placement policy. Load or
-// schema errors surface at New/NewRuntime construction, not here.
+// schema errors surface at New, not here.
 func LearnedPolicy(path string) PlacementPolicy {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -136,47 +146,20 @@ func (b *brokenPolicy) Rank(core.PolicyProfile, uint64, core.StageObserver) (*co
 	return nil, b.err
 }
 
-// BuiltinPolicy resolves a deprecated Policy enum value to its named
-// built-in implementation. All four run the paper's analyzer at
-// Optimize time (exactly as the enum runtime always did) and differ in
-// allocation-time placement; unknown values return ErrUnknownPolicy.
-func BuiltinPolicy(p Policy) (PlacementPolicy, error) {
-	switch p {
-	case PolicyBaseline:
-		return builtinPolicy{core.AnalyzerPolicy{Label: "baseline"}, AllocSlow}, nil
-	case PolicyAllFast:
-		return builtinPolicy{core.AnalyzerPolicy{Label: "all-fast"}, AllocFast}, nil
-	case PolicyPreferFast:
-		return builtinPolicy{core.AnalyzerPolicy{Label: "prefer-fast"}, AllocPrefer}, nil
-	case PolicyATMem:
-		return builtinPolicy{core.AnalyzerPolicy{Label: "atmem"}, AllocSlow}, nil
-	}
-	return nil, fmt.Errorf("%w: %v", ErrUnknownPolicy, p)
-}
-
-// resolvePolicy turns the configured options into the runtime's
-// effective placement policy, validating at construction: an explicit
-// nil, an unknown enum value, or a policy whose Validate fails (e.g.
-// unreadable learned weights, an oracle without a trace) all error
-// here, never at the first Malloc or Optimize.
-func resolvePolicy(o Options) (PlacementPolicy, error) {
-	pol := o.Placement
+// validatePolicy checks the configured placement policy at
+// construction: an explicit nil or a policy whose Validate fails (e.g.
+// unreadable learned weights, an oracle without a trace) errors here,
+// never at the first Malloc or Optimize.
+func validatePolicy(pol PlacementPolicy) error {
 	if pol == nil {
-		if o.placementNil {
-			return nil, ErrNilPolicy
-		}
-		var err error
-		pol, err = BuiltinPolicy(o.Policy)
-		if err != nil {
-			return nil, err
-		}
+		return ErrNilPolicy
 	}
 	if v, ok := pol.(interface{ Validate() error }); ok {
 		if err := v.Validate(); err != nil {
-			return nil, fmt.Errorf("atmem: placement policy %q: %w", pol.Name(), err)
+			return fmt.Errorf("atmem: placement policy %q: %w", pol.Name(), err)
 		}
 	}
-	return pol, nil
+	return nil
 }
 
 // SnapshotHeat captures the per-chunk heat of the samples attributed so
@@ -272,8 +255,7 @@ func (r *Runtime) TrafficTrace(body func()) *HeatTrace {
 	return t
 }
 
-// PlacementPolicy returns the runtime's effective placement policy (the
-// resolved built-in when only the deprecated Policy enum was set).
+// PlacementPolicy returns the runtime's placement policy.
 func (r *Runtime) PlacementPolicy() PlacementPolicy { return r.policy }
 
 // allocMode resolves the policy's allocation-time placement.

@@ -31,9 +31,8 @@ func trainedTestWeights(t *testing.T) core.Weights {
 }
 
 // TestPolicyConstructionValidation is the construction gate, table
-// driven per the API contract: invalid configurations fail at
-// New/NewRuntime with typed errors, never at the first Malloc or
-// Optimize.
+// driven per the API contract: invalid configurations fail at New with
+// typed errors, never at the first Malloc or Optimize.
 func TestPolicyConstructionValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -42,11 +41,11 @@ func TestPolicyConstructionValidation(t *testing.T) {
 		ok      bool
 	}{
 		{"default", nil, nil, true},
-		{"enum-atmem", []Option{WithPolicy(PolicyATMem)}, nil, true},
-		{"enum-unknown", []Option{WithPolicy(Policy(99))}, ErrUnknownPolicy, false},
-		{"enum-negative", []Option{WithPolicy(Policy(-1))}, ErrUnknownPolicy, false},
 		{"explicit-nil", []Option{WithPlacementPolicy(nil)}, ErrNilPolicy, false},
+		{"nil-after-paper", []Option{WithPlacementPolicy(PaperPolicy()), WithPlacementPolicy(nil)}, ErrNilPolicy, false},
 		{"paper", []Option{WithPlacementPolicy(PaperPolicy())}, nil, true},
+		{"all-fast", []Option{WithPlacementPolicy(AllFastPolicy())}, nil, true},
+		{"prefer-fast", []Option{WithPlacementPolicy(PreferFastPolicy())}, nil, true},
 		{"static", []Option{WithPlacementPolicy(StaticPolicy())}, nil, true},
 		{"oracle-no-trace", []Option{WithPlacementPolicy(OraclePolicy(nil))}, nil, false},
 		{"learned-missing-file", []Option{WithPlacementPolicy(LearnedPolicy("/nonexistent/weights.json"))}, nil, false},
@@ -70,11 +69,6 @@ func TestPolicyConstructionValidation(t *testing.T) {
 				t.Fatalf("error = %v, want errors.Is(%v)", err, tc.wantErr)
 			}
 		})
-	}
-
-	// The deprecated variadic-struct constructor shares the same gate.
-	if _, err := NewRuntime(NVMDRAM(), Options{Policy: Policy(99)}); !errors.Is(err, ErrUnknownPolicy) {
-		t.Errorf("NewRuntime(Policy(99)) error = %v, want ErrUnknownPolicy", err)
 	}
 }
 
@@ -108,49 +102,41 @@ func TestLearnedPolicyLoadsFromFile(t *testing.T) {
 	}
 }
 
-// TestEnumInterfaceEquivalence pins the deprecated shim against the
-// interface path for every enum value: same resolved name, same
-// fingerprint, and the same allocation-time placement.
+// TestEnumInterfaceEquivalence pins the four placements the retired
+// Policy enum named (baseline, all-fast, prefer-fast, atmem) against the
+// PlacementPolicy values that replace them: each keeps the analyzer
+// fingerprint recorded plans are keyed by, the enum's name where it had
+// one of its own, and the enum's allocation-time placement.
 func TestEnumInterfaceEquivalence(t *testing.T) {
 	cases := []struct {
-		enum Policy
+		enum string
+		pol  PlacementPolicy
 		name string
 		fast bool
 	}{
-		{PolicyBaseline, "baseline", false},
-		{PolicyAllFast, "all-fast", true},
-		{PolicyPreferFast, "prefer-fast", true},
-		{PolicyATMem, "atmem", false},
+		{"baseline", PaperPolicy(), "paper", false},
+		{"all-fast", AllFastPolicy(), "all-fast", true},
+		{"prefer-fast", PreferFastPolicy(), "prefer-fast", true},
+		{"atmem", PaperPolicy(), "paper", false},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pol, err := BuiltinPolicy(tc.enum)
+		t.Run(tc.enum, func(t *testing.T) {
+			if tc.pol.Name() != tc.name {
+				t.Errorf("Name() = %q, want %q", tc.pol.Name(), tc.name)
+			}
+			if fp := tc.pol.Fingerprint(); fp != "analyzer/v1" {
+				t.Errorf("Fingerprint() = %q, want analyzer/v1", fp)
+			}
+			rt, err := New(NVMDRAM(), WithPlacementPolicy(tc.pol))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pol.Name() != tc.name {
-				t.Errorf("BuiltinPolicy(%v).Name() = %q, want %q", tc.enum, pol.Name(), tc.name)
-			}
-			viaEnum, err := New(NVMDRAM(), WithPolicy(tc.enum))
+			obj, err := rt.Malloc("x", 1<<20)
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaIface, err := New(NVMDRAM(), WithPlacementPolicy(pol))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if viaEnum.PlacementPolicy().Fingerprint() != viaIface.PlacementPolicy().Fingerprint() {
-				t.Errorf("fingerprints diverge: enum %q vs interface %q",
-					viaEnum.PlacementPolicy().Fingerprint(), viaIface.PlacementPolicy().Fingerprint())
-			}
-			for _, rt := range []*Runtime{viaEnum, viaIface} {
-				obj, err := rt.Malloc("x", 1<<20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if onFast := obj.FastBytes() == obj.Size(); onFast != tc.fast {
-					t.Errorf("fastBytes=%d of %d, want fast=%v", obj.FastBytes(), obj.Size(), tc.fast)
-				}
+			if onFast := obj.FastBytes() == obj.Size(); onFast != tc.fast {
+				t.Errorf("fastBytes=%d of %d, want fast=%v", obj.FastBytes(), obj.Size(), tc.fast)
 			}
 		})
 	}
@@ -181,14 +167,15 @@ func profileAndOptimize(t *testing.T, rt *Runtime) map[string][2]uint64 {
 	return out
 }
 
-// TestPaperPolicyPlacementUnchanged is the regression pin for the API
-// redesign: the paper analyzer driven through WithPlacementPolicy must
-// land byte-for-byte the same placement as the deprecated enum runtime
-// on an identical deterministic workload. (The plan-level byte
-// identity is pinned in core's TestAnalyzerPolicyPlansByteIdentical;
-// this covers the full runtime path.)
+// TestPaperPolicyPlacementUnchanged is the regression pin for the
+// default policy: the paper analyzer installed through
+// WithPlacementPolicy must land byte-for-byte the same placement as a
+// runtime built without one on an identical deterministic workload.
+// (The plan-level byte identity is pinned in core's
+// TestAnalyzerPolicyPlansByteIdentical; this covers the full runtime
+// path.)
 func TestPaperPolicyPlacementUnchanged(t *testing.T) {
-	viaEnum, err := New(NVMDRAM(), WithPolicy(PolicyATMem), WithSamplePeriod(64))
+	viaDefault, err := New(NVMDRAM(), WithSamplePeriod(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +183,13 @@ func TestPaperPolicyPlacementUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := profileAndOptimize(t, viaEnum)
+	if got := viaDefault.PlacementPolicy().Name(); got != "paper" {
+		t.Errorf("default policy = %q, want paper", got)
+	}
+	a := profileAndOptimize(t, viaDefault)
 	b := profileAndOptimize(t, viaIface)
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("placements diverged:\n enum:      %v\n interface: %v", a, b)
+		t.Errorf("placements diverged:\n default:   %v\n interface: %v", a, b)
 	}
 	if a["hot"][0] == 0 {
 		t.Error("nothing promoted — the workload did not exercise placement")
@@ -223,15 +213,14 @@ func TestPlanStaleOnPolicyFingerprintChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Control: an identically-configured runtime hits. The fixture sets
-	// the deprecated enum; the equivalent interface policy shares the
-	// analyzer fingerprint, so it must hit too — cached plans survive
-	// the enum->interface migration.
-	for name, opt := range map[string]Option{
-		"enum":  WithPolicy(PolicyATMem),
-		"paper": WithPlacementPolicy(PaperPolicy()),
+	// Control: an identically-configured runtime hits, and so do the
+	// paper's ideal references — they share the analyzer fingerprint.
+	for name, pol := range map[string]PlacementPolicy{
+		"paper":       PaperPolicy(),
+		"all-fast":    AllFastPolicy(),
+		"prefer-fast": PreferFastPolicy(),
 	} {
-		rt, _ := replayFixture(t, pc, opt)
+		rt, _ := replayFixture(t, pc, WithPlacementPolicy(pol))
 		v, err := rt.ArmPlan(rt.BuildSignature("synthetic", 0x1234, []string{"scan"}))
 		if err != nil {
 			t.Fatal(err)

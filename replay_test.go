@@ -16,7 +16,6 @@ import (
 func replayFixture(t *testing.T, pc *core.PlanCache, opts ...Option) (*Runtime, *Array[uint64]) {
 	t.Helper()
 	all := append([]Option{
-		WithPolicy(PolicyATMem),
 		WithSamplePeriod(64),
 		WithGovernor(GovernorOptions{}),
 		WithPlanCache(pc),

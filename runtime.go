@@ -119,24 +119,10 @@ type Runtime struct {
 	stolenTotalS   float64 // cumulative stolen-bandwidth seconds
 }
 
-// NewRuntime builds a runtime on the given testbed.
-//
-// Deprecated: use New with functional options (WithThreads, WithEngine,
-// WithTelemetry, ...). This variadic-struct signature survives as a shim
-// so existing call sites keep compiling; both constructors build the
-// identical runtime.
-func NewRuntime(tb Testbed, opts ...Options) (*Runtime, error) {
-	var o Options
-	if len(opts) > 1 {
-		return nil, fmt.Errorf("atmem: NewRuntime accepts at most one Options")
-	}
-	if len(opts) == 1 {
-		o = opts[0]
-	}
-	return newRuntime(tb, o)
-}
-
-// newRuntime is the shared constructor behind New and NewRuntime.
+// newRuntime builds the runtime New configured. Everything that can
+// fail is checked before the runtime touches its memory system, and the
+// fault injector is hooked in last: a failed construction must leave a
+// broker's shared system exactly as it found it.
 func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 	o = o.withDefaults()
 	p := tb.params
@@ -155,15 +141,25 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 	if err := o.Analyzer.Validate(); err != nil {
 		return nil, err
 	}
-	pol, err := resolvePolicy(o)
-	if err != nil {
+	if err := validatePolicy(o.Placement); err != nil {
 		return nil, err
+	}
+	if o.Health.Enabled {
+		if err := o.Health.Policy.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	gcfg := o.Governor.governorConfig()
+	if o.Governor.Enabled {
+		if err := gcfg.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	tb.params = p
 	r := &Runtime{
 		testbed: tb,
 		opts:    o,
-		policy:  pol,
+		policy:  o.Placement,
 		tenant:  o.Tenant,
 		reg:     core.NewRegistry(o.Analyzer),
 		objects: make(map[uint64]*Object),
@@ -173,24 +169,13 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 	} else {
 		r.sys = memsim.NewSystem(p)
 	}
-	if o.FaultSchedule != nil {
-		r.faults = faultinject.New(*o.FaultSchedule)
-		r.sys.SetFaultHook(r.faults)
-	}
 	if o.Health.Enabled {
-		if err := o.Health.Policy.Validate(); err != nil {
-			return nil, err
-		}
 		r.board = health.NewScoreboard(o.Health.Policy)
 		if o.Health.Scrub {
 			r.scrub = health.NewScrubber()
 		}
 	}
 	if o.Governor.Enabled {
-		gcfg := o.Governor.governorConfig()
-		if err := gcfg.Validate(); err != nil {
-			return nil, err
-		}
 		r.govCfg = gcfg
 		r.resid = core.NewResidency()
 		r.breaker = governor.NewBreaker(gcfg)
@@ -229,6 +214,10 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 			return nil, err
 		}
 		r.debug = d
+	}
+	if o.FaultSchedule != nil {
+		r.faults = faultinject.New(*o.FaultSchedule)
+		r.sys.SetFaultHook(r.faults)
 	}
 	return r, nil
 }

@@ -6,9 +6,9 @@ import (
 	"atmem/internal/memsim"
 )
 
-func newTestRuntime(t *testing.T, opts ...Options) *Runtime {
+func newTestRuntime(t *testing.T, opts ...Option) *Runtime {
 	t.Helper()
-	rt, err := NewRuntime(NVMDRAM(), opts...)
+	rt, err := New(NVMDRAM(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,29 +43,28 @@ func TestMallocFree(t *testing.T) {
 
 func TestPolicyPlacement(t *testing.T) {
 	cases := []struct {
-		policy Policy
+		policy PlacementPolicy
 		fast   bool
 	}{
-		{PolicyBaseline, false},
-		{PolicyATMem, false},
-		{PolicyAllFast, true},
-		{PolicyPreferFast, true},
+		{PaperPolicy(), false},
+		{AllFastPolicy(), true},
+		{PreferFastPolicy(), true},
 	}
 	for _, c := range cases {
-		rt := newTestRuntime(t, Options{Policy: c.policy})
+		rt := newTestRuntime(t, WithPlacementPolicy(c.policy))
 		obj, err := rt.Malloc("x", 1<<20)
 		if err != nil {
-			t.Fatalf("%v: %v", c.policy, err)
+			t.Fatalf("%s: %v", c.policy.Name(), err)
 		}
 		onFast := obj.FastBytes() == obj.Size()
 		if onFast != c.fast {
-			t.Errorf("%v: fastBytes=%d of %d", c.policy, obj.FastBytes(), obj.Size())
+			t.Errorf("%s: fastBytes=%d of %d", c.policy.Name(), obj.FastBytes(), obj.Size())
 		}
 	}
 }
 
 func TestPreferFastSpills(t *testing.T) {
-	rt := newTestRuntime(t, Options{Policy: PolicyPreferFast})
+	rt := newTestRuntime(t, WithPlacementPolicy(PreferFastPolicy()))
 	cap := rt.Testbed().Params().Tiers[memsim.TierFast].CapacityBytes
 	big, err := rt.Malloc("big", cap+(4<<20))
 	if err != nil {
@@ -147,7 +146,7 @@ func TestRunPhaseAggregatesThreads(t *testing.T) {
 }
 
 func TestProfilingLifecycle(t *testing.T) {
-	rt := newTestRuntime(t, Options{Policy: PolicyATMem})
+	rt := newTestRuntime(t)
 	arr, err := NewArray[uint64](rt, "hot", 64<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +173,7 @@ func TestProfilingLifecycle(t *testing.T) {
 }
 
 func TestOptimizeWithoutProfilingFails(t *testing.T) {
-	rt := newTestRuntime(t, Options{Policy: PolicyATMem})
+	rt := newTestRuntime(t)
 	if _, err := rt.Malloc("x", 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestOptimizeWithoutProfilingFails(t *testing.T) {
 }
 
 func TestOptimizeMovesHotData(t *testing.T) {
-	rt := newTestRuntime(t, Options{Policy: PolicyATMem})
+	rt := newTestRuntime(t)
 	hot, err := NewArray[uint64](rt, "hot", 32<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +241,7 @@ func TestOptimizeMovesHotData(t *testing.T) {
 }
 
 func TestOptimizePreservesData(t *testing.T) {
-	rt := newTestRuntime(t, Options{Policy: PolicyATMem})
+	rt := newTestRuntime(t)
 	arr, err := NewArray[uint64](rt, "data", 64<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +270,7 @@ func TestOptimizePreservesData(t *testing.T) {
 }
 
 func TestMbindMechanismSelectable(t *testing.T) {
-	rt := newTestRuntime(t, Options{Policy: PolicyATMem, Mechanism: MigrateMbind})
+	rt := newTestRuntime(t, WithEngine(MigrateMbind))
 	arr, err := NewArray[uint64](rt, "x", 64<<10)
 	if err != nil {
 		t.Fatal(err)
@@ -301,10 +300,8 @@ func TestMbindMechanismSelectable(t *testing.T) {
 func TestCapacityReserveLimitsBudget(t *testing.T) {
 	tb := NVMDRAM()
 	p := tb.Params()
-	rt, err := NewRuntime(CustomTestbed(p), Options{
-		Policy:          PolicyATMem,
-		CapacityReserve: p.Tiers[memsim.TierFast].CapacityBytes, // reserve everything
-	})
+	rt, err := New(CustomTestbed(p),
+		WithCapacityReserve(p.Tiers[memsim.TierFast].CapacityBytes)) // reserve everything
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +330,7 @@ func TestCapacityReserveLimitsBudget(t *testing.T) {
 }
 
 func TestFixedSamplePeriodHonored(t *testing.T) {
-	rt := newTestRuntime(t, Options{Policy: PolicyATMem, SamplePeriod: 333})
+	rt := newTestRuntime(t, WithSamplePeriod(333))
 	if _, err := rt.Malloc("x", 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +341,7 @@ func TestFixedSamplePeriodHonored(t *testing.T) {
 }
 
 func TestThreadsOverride(t *testing.T) {
-	rt := newTestRuntime(t, Options{Threads: 3})
+	rt := newTestRuntime(t, WithThreads(3))
 	if rt.Threads() != 3 {
 		t.Errorf("threads %d", rt.Threads())
 	}
@@ -362,23 +359,15 @@ func TestThreadsOverride(t *testing.T) {
 	}
 }
 
-func TestNewRuntimeValidation(t *testing.T) {
-	if _, err := NewRuntime(NVMDRAM(), Options{}, Options{}); err == nil {
-		t.Error("multiple Options accepted")
-	}
+func TestNewValidation(t *testing.T) {
 	p := NVMDRAM().Params()
 	p.ClockGHz = 0
-	if _, err := NewRuntime(CustomTestbed(p)); err == nil {
+	if _, err := New(CustomTestbed(p)); err == nil {
 		t.Error("invalid testbed accepted")
 	}
 }
 
 func TestStringers(t *testing.T) {
-	for _, p := range []Policy{PolicyBaseline, PolicyAllFast, PolicyPreferFast, PolicyATMem, Policy(99)} {
-		if p.String() == "" {
-			t.Error("empty policy string")
-		}
-	}
 	for _, m := range []MigrationMechanism{MigrateATMem, MigrateMbind, MigrationMechanism(9)} {
 		if m.String() == "" {
 			t.Error("empty mechanism string")

@@ -13,9 +13,11 @@ import (
 func runTracedCycle(t *testing.T, sched *faultinject.Schedule) (*Runtime, MigrationReport) {
 	t.Helper()
 	rec := telemetry.NewRecorder()
-	rt, err := NewRuntime(NVMDRAM(), Options{
-		Policy: PolicyATMem, Recorder: rec, FaultSchedule: sched,
-	})
+	opts := []Option{WithTelemetry(rec)}
+	if sched != nil {
+		opts = append(opts, WithFaultSchedule(*sched))
+	}
+	rt, err := New(NVMDRAM(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestTelemetryFaultEventsMatchInjector(t *testing.T) {
 }
 
 func TestTelemetryDisabledByDefault(t *testing.T) {
-	rt, err := NewRuntime(NVMDRAM())
+	rt, err := New(NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
