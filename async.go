@@ -35,7 +35,7 @@ import (
 // region or staging-slice boundary (rolled back, reported skipped); the
 // epoch itself still completes and attributes its samples.
 func (r *Runtime) RunEpochAsync(ctx context.Context, name string, body func()) (EpochReport, error) {
-	if r.resid == nil || !r.opts.Async.Enabled {
+	if !r.opts.Governor.Enabled || !r.opts.Async.Enabled {
 		return EpochReport{}, fmt.Errorf("atmem: RunEpochAsync requires Options.Async.Enabled")
 	}
 	return r.runEpoch(ctx, name, sourceOverlapped, body)
@@ -89,7 +89,7 @@ func (r *Runtime) reconcileOverlap(rep *EpochReport) {
 // interval's heat is not dropped. It is a no-op returning a zero report
 // when nothing is pending.
 func (r *Runtime) DrainAsync(ctx context.Context) (MigrationReport, error) {
-	if r.resid == nil || !r.opts.Async.Enabled {
+	if !r.opts.Governor.Enabled || !r.opts.Async.Enabled {
 		return MigrationReport{}, fmt.Errorf("atmem: DrainAsync requires Options.Async.Enabled")
 	}
 	if r.pendingSamples == 0 {

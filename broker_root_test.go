@@ -82,6 +82,14 @@ func TestBrokerTwoTenantsConcurrentEpochs(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		concurrentRound(t, "serve", []*Runtime{rtA, rtB},
 			[][]*Array[uint64]{{hotA, coldA}, {hotB, coldB}})
+		// Each tenant's fast footprint stays inside its own share, not
+		// just the sum inside capacity: the engine rounds a promoted
+		// clipped tail out to whole pages, which must not overdraw.
+		for _, tn := range []*Tenant{ta, tb} {
+			if fast, budget := bk.System().TenantUsage(tn.ID()).FastBytes, tn.Budget(); fast > budget {
+				t.Errorf("round %d: tenant %s holds %d fast bytes over its %d budget", round, tn.Name(), fast, budget)
+			}
+		}
 		if rep := bk.Rebalance(); rep.GrantedTo != "" {
 			granted = true
 		}

@@ -125,17 +125,14 @@ type Options struct {
 	// cost of one pointer test per lifecycle point; the simulated-
 	// access hot path is never instrumented.
 	Recorder *telemetry.Recorder
-	// Governor enables the epoch-adaptive placement governor: residency
-	// -aware delta plans, pressure-driven demotion between watermarks,
-	// and a migration circuit breaker. With Governor.Enabled, Optimize
-	// migrates only the difference between the fresh plan and what is
-	// already fast-resident (promotions of newly-hot ranges, demotions
-	// of cold-for-N-epochs ranges scheduled first so reclaimed capacity
-	// funds the promotions), and Runtime.RunEpoch drives the repeated
-	// profile→run→optimize loop. The governor pairs with a policy that
-	// allocates on the large memory (AllocSlow, as PaperPolicy does):
-	// residency tracking assumes objects reach the fast tier only
-	// through migration.
+	// Governor enables the epoch-adaptive placement governor:
+	// hysteresis demotion, pressure-driven demotion between watermarks,
+	// and a migration circuit breaker. Every Optimize migrates only the
+	// difference between the fresh plan and what the page table already
+	// holds on the fast tier; with Governor.Enabled that difference also
+	// demotes cold-for-N-epochs ranges (scheduled first, so reclaimed
+	// capacity funds the promotions), and Runtime.RunEpoch drives the
+	// repeated profile→run→optimize loop.
 	Governor GovernorOptions
 	// BandwidthAware enables the aggregate-bandwidth placement
 	// enhancement the paper sketches as future work (§9): on systems

@@ -2,7 +2,7 @@ package atmem
 
 // This file is the runtime half of the epoch-adaptive placement
 // governor (see internal/governor for the control mechanisms and
-// internal/core's Residency for delta planning). A governed runtime
+// internal/core's Advance for delta planning). A governed runtime
 // re-optimizes repeatedly as the application's hot set drifts — the
 // adaptive interval loop of the paper's §5 — and must do so without
 // re-migrating data that is already placed, without erroring when the
@@ -92,14 +92,9 @@ func (r *Runtime) BreakerTransitions() []governor.Transition {
 	return r.breaker.Transitions()
 }
 
-// ResidentBytes returns the bytes the governor currently tracks as
-// fast-resident (zero on an ungoverned runtime).
-func (r *Runtime) ResidentBytes() uint64 {
-	if r.resid == nil {
-		return 0
-	}
-	return r.resid.ResidentBytes()
-}
+// ResidentBytes returns the fast-tier bytes of every registered
+// object, read from the simulator's page table.
+func (r *Runtime) ResidentBytes() uint64 { return r.registeredFastBytes() }
 
 // RunEpoch drives one adaptive interval: reset the per-epoch heat,
 // profile the body (which runs its phases via RunPhase), then run the
@@ -117,7 +112,7 @@ func (r *Runtime) RunEpoch(name string, body func()) (EpochReport, error) {
 // consistent. While a compiled plan is armed the epoch replays its
 // recorded schedule instead of profiling and analyzing (see replay.go).
 func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (EpochReport, error) {
-	if r.resid == nil {
+	if !r.opts.Governor.Enabled {
 		return EpochReport{}, fmt.Errorf("atmem: RunEpoch requires Options.Governor.Enabled")
 	}
 	if r.armedPlan != nil {
@@ -274,14 +269,18 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 	return rep, err
 }
 
-// optimizeGoverned is Optimize for a governed runtime: one breaker
-// decision, a residency delta against the fresh plan, watermark-driven
-// pressure demotions, and a mixed-direction migration schedule with
-// demotions first. The sampling period is a parameter (not read from
-// the profiler) so the async pipeline can analyze a previous interval's
-// samples while the profiler is already reconfigured for the next; tid
-// selects the telemetry track (the placement track when running on the
-// background service goroutine).
+// optimizeGoverned is the one placement function: Optimize, every
+// governed epoch and DrainAsync run through it. It makes one breaker
+// decision, diffs the fresh plan against the page table's fast tier
+// (core.Advance), adds watermark-driven pressure demotions, and commits
+// a mixed-direction schedule with demotions first. An ungoverned
+// runtime (one-shot Optimize) has no breaker and makes no hysteresis or
+// pressure demotions, so it only promotes what the plan lacks, and its
+// report carries no governed fields. The sampling period is a parameter
+// (not read from the profiler) so the async pipeline can analyze a
+// previous interval's samples while the profiler is already
+// reconfigured for the next; tid selects the telemetry track (the
+// placement track when running on the background service goroutine).
 func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) (MigrationReport, error) {
 	if !r.profiled {
 		return MigrationReport{}, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
@@ -301,15 +300,26 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 		r.recordOptimizeMetrics(tid, analyzeNS)
 	}()
 
-	gi := &govInfo{decision: r.breaker.Decide()}
-	gi.epoch = r.breaker.Epoch()
-	r.gov = gi
+	governed := r.opts.Governor.Enabled
+	gi := &govInfo{decision: governor.DecisionRun}
+	if governed {
+		gi.decision = r.breaker.Decide()
+		gi.epoch = r.breaker.Epoch()
+		r.gov = gi
+	}
+	observe := func(degraded bool) {
+		if governed {
+			r.breaker.Observe(degraded)
+		}
+	}
 	finish := func() MigrationReport {
-		gi.state = r.breaker.State()
-		gi.residentBytes = r.resid.ResidentBytes()
-		// Mirror the breaker state atomically for /healthz, which reads
-		// from the debug listener's goroutine mid-run.
-		r.breakerOpenA.Store(gi.state != governor.StateClosed)
+		if governed {
+			gi.state = r.breaker.State()
+			gi.residentBytes = r.registeredFastBytes()
+			// Mirror the breaker state atomically for /healthz, which
+			// reads from the debug listener's goroutine mid-run.
+			r.breakerOpenA.Store(gi.state != governor.StateClosed)
+		}
 		return r.migrationReport()
 	}
 	emptyStats := func() {
@@ -362,7 +372,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 			// budget at all (core treats budget 0 as unlimited, so this
 			// cannot fall through to the analyzer). A clean no-op epoch.
 			emptyStats()
-			r.breaker.Observe(false)
+			observe(false)
 			return finish(), nil
 		}
 	}
@@ -381,15 +391,68 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	}
 	r.plan = plan
 
-	// Delta against residency: promotions of newly-hot ranges,
-	// demotions of ranges cold for the whole hysteresis window, plus
-	// the not-yet-expired cold chunks as pressure candidates.
-	delta, cands := r.resid.Advance(plan, r.govCfg.DemoteAfterEpochs)
+	// Delta against the page table: promotions of the planned bytes not
+	// yet fast, demotions of chunks cold for the whole hysteresis
+	// window, plus the not-yet-expired cold chunks as pressure
+	// candidates.
+	delta, cands := core.Advance(plan, r.govCfg.DemoteAfterEpochs, r.fastBytes)
+	sched := migrate.Schedule{}
+	if governed {
+		sched.Demotions = r.pressureDemotions(gi, delta, cands)
+	}
+	for _, rg := range delta.Promotions {
+		sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
+	}
+	// Health veto: never promote onto quarantined or distrusted granules.
+	sched.Promotions = r.filterPromotions(tid, sched.Promotions)
+	gi.emptyDelta = sched.Empty()
 
-	// Pressure watermarks: if committing the delta would push occupancy
-	// over the high watermark, demote candidates coldest-first until
-	// the projection drains to the low watermark. This is what lets a
-	// hot-set shift or a budget cut proceed before hysteresis expires.
+	if gi.decision == governor.DecisionProbe && !sched.Empty() {
+		// Half-open: probe with the single smallest region (a
+		// promotion if there is one — it exercises the fast tier the
+		// failures came from) instead of the whole schedule.
+		if len(sched.Promotions) > 0 {
+			sched = migrate.Schedule{Promotions: []migrate.Region{smallestRegion(sched.Promotions)}}
+		} else {
+			sched = migrate.Schedule{Demotions: []migrate.Region{smallestRegion(sched.Demotions)}}
+		}
+	}
+
+	pre := r.objectChecksums()
+	res, err := r.commitSchedule(ctx, tid, sched)
+	r.migStats = &res.Merged
+	if err != nil {
+		// Unrecoverable (failed rollback): degrade the breaker and
+		// surface the error.
+		observe(true)
+		return finish(), fmt.Errorf("atmem: migration: %w", err)
+	}
+	gi.promotedBytes = res.Promotions.BytesMoved
+	gi.demotedBytes = res.Demotions.BytesMoved
+	gi.regionsDemoted = len(res.Demotions.Moved)
+	// Promotion outcomes are health observations: committed promotions
+	// vouch for their target granules, skipped ones indict them.
+	r.observeMigrationHealth(res)
+	// Plan recording captures exactly what committed this epoch — the
+	// decisions a replay must reproduce (see replay.go).
+	r.recordCommitted(res.Promotions.Moved, res.Demotions.Moved)
+
+	// A cancelled plan skips regions deliberately; that is the caller's
+	// choice, not a failing migration path, so it must not trip the
+	// breaker.
+	observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
+	if err := r.verifyMigrationInvariants(pre); err != nil {
+		return finish(), fmt.Errorf("atmem: post-migration invariant violated: %w", err)
+	}
+	return finish(), nil
+}
+
+// pressureDemotions returns the governed demotions: the delta's
+// hysteresis demotions, then, if committing the delta would push
+// occupancy over the high watermark, candidates coldest-first until the
+// projection drains to the low watermark. This is what lets a hot-set
+// shift or a budget cut proceed before hysteresis expires.
+func (r *Runtime) pressureDemotions(gi *govInfo, delta core.Delta, cands []core.Candidate) []migrate.Region {
 	capEff := r.sys.P.Tiers[memsim.TierFast].CapacityBytes
 	// Quarantined pages are capacity the tier no longer has: the
 	// watermarks must drain occupancy against the effective size, or a
@@ -426,62 +489,18 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 		// means the budget is gone entirely — drain everything.
 		target = projected
 	}
-	sched := migrate.Schedule{}
+	var out []migrate.Region
 	for _, rg := range delta.Demotions {
-		sched.Demotions = append(sched.Demotions, migrate.Region{Base: rg.Base, Size: rg.Size})
+		out = append(out, migrate.Region{Base: rg.Base, Size: rg.Size})
 	}
 	for _, c := range cands {
 		if gi.pressureBytes >= target {
 			break
 		}
-		sched.Demotions = append(sched.Demotions, migrate.Region{Base: c.Range.Base, Size: c.Range.Size})
-		gi.pressureBytes += c.Range.Size
+		out = append(out, migrate.Region{Base: c.Range.Base, Size: c.Range.Size})
+		gi.pressureBytes += c.FastBytes
 	}
-	for _, rg := range delta.Promotions {
-		sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
-	}
-	// Health veto: never promote onto quarantined or distrusted granules.
-	sched.Promotions = r.filterPromotions(tid, sched.Promotions)
-	gi.emptyDelta = sched.Empty()
-
-	if gi.decision == governor.DecisionProbe && !sched.Empty() {
-		// Half-open: probe with the single smallest region (a
-		// promotion if there is one — it exercises the fast tier the
-		// failures came from) instead of the whole schedule.
-		if len(sched.Promotions) > 0 {
-			sched = migrate.Schedule{Promotions: []migrate.Region{smallestRegion(sched.Promotions)}}
-		} else {
-			sched = migrate.Schedule{Demotions: []migrate.Region{smallestRegion(sched.Demotions)}}
-		}
-	}
-
-	pre := r.objectChecksums()
-	res, err := r.commitSchedule(ctx, tid, sched)
-	r.migStats = &res.Merged
-	if err != nil {
-		// Unrecoverable (failed rollback): degrade the breaker and
-		// surface the error.
-		r.breaker.Observe(true)
-		return finish(), fmt.Errorf("atmem: migration: %w", err)
-	}
-	gi.promotedBytes = res.Promotions.BytesMoved
-	gi.demotedBytes = res.Demotions.BytesMoved
-	gi.regionsDemoted = len(res.Demotions.Moved)
-	// Promotion outcomes are health observations: committed promotions
-	// vouch for their target granules, skipped ones indict them.
-	r.observeMigrationHealth(res)
-	// Plan recording captures exactly what committed this epoch — the
-	// decisions a replay must reproduce (see replay.go).
-	r.recordCommitted(res.Promotions.Moved, res.Demotions.Moved)
-
-	// A cancelled plan skips regions deliberately; that is the caller's
-	// choice, not a failing migration path, so it must not trip the
-	// breaker.
-	r.breaker.Observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
-	if err := r.verifyMigrationInvariants(pre); err != nil {
-		return finish(), fmt.Errorf("atmem: post-migration invariant violated: %w", err)
-	}
-	return finish(), nil
+	return out
 }
 
 // registeredFastBytes sums the fast-tier bytes of every registered
@@ -489,19 +508,15 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 func (r *Runtime) registeredFastBytes() uint64 {
 	var n uint64
 	for _, do := range r.reg.Objects() {
-		n += r.sys.BytesOnTier(do.Base, do.Size)[memsim.TierFast]
+		n += r.fastBytes(do.Base, do.Size)
 	}
 	return n
 }
 
-// markMovedRegion resolves the object containing a committed migration
-// range and updates its residency. Regions are built from per-object
-// chunk ranges and objects are page-aligned, so a range never spans
-// objects.
-func (r *Runtime) markMovedRegion(rg migrate.Region, fast bool) {
-	if o, _, ok := r.reg.Find(rg.Base); ok {
-		r.resid.MarkMoved(o, rg.Base, rg.Size, fast)
-	}
+// fastBytes reports how many bytes of [base, base+size) the page table
+// maps on the fast tier.
+func (r *Runtime) fastBytes(base, size uint64) uint64 {
+	return r.sys.BytesOnTier(base, size)[memsim.TierFast]
 }
 
 func smallestRegion(regions []migrate.Region) migrate.Region {

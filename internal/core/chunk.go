@@ -139,6 +139,9 @@ type DataObject struct {
 	// per chunk.
 	readSamples  []uint64
 	writeSamples []uint64
+	// cold counts, per chunk, the consecutive placement epochs the
+	// chunk has held fast-tier bytes outside the plan (see Advance).
+	cold []int
 }
 
 // ChunkSizeFor computes the adaptive chunk size for an object of the given
@@ -235,6 +238,7 @@ func (r *Registry) Register(name string, base, size uint64) (*DataObject, error)
 		NumChunks:    n,
 		readSamples:  make([]uint64, n),
 		writeSamples: make([]uint64, n),
+		cold:         make([]int, n),
 	}
 	r.nextID++
 	r.objects = append(r.objects, nil)

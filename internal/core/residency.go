@@ -2,129 +2,24 @@ package core
 
 import "sort"
 
-// Residency tracks, per registered object, which data chunks currently
-// reside on the fast tier, plus a per-chunk cold-epoch hysteresis
-// counter. It is the state that turns a sequence of independent
-// placement plans into delta plans: each epoch the analyzer's fresh
-// selection is diffed against residency, so only newly-hot chunks are
-// promoted and only chunks cold for DemoteAfterEpochs consecutive
-// epochs are demoted back to the slow tier.
-//
-// Residency state changes only when a migration commits (MarkMoved) —
-// a skipped or rolled-back region keeps its previous placement and its
-// previous residency, so the two can never drift apart.
-//
-// Residency is not safe for concurrent use; the runtime serializes
-// epochs.
-type Residency struct {
-	objs map[uint64]*objResidency // keyed by object base
-}
-
-type objResidency struct {
-	obj      *DataObject
-	resident []bool // chunk currently fast-resident
-	cold     []int  // consecutive epochs resident but unselected
-}
-
-// NewResidency builds an empty residency map.
-func NewResidency() *Residency {
-	return &Residency{objs: make(map[uint64]*objResidency)}
-}
-
-func (r *Residency) ensure(o *DataObject) *objResidency {
-	st, ok := r.objs[o.Base]
-	if !ok {
-		st = &objResidency{
-			obj:      o,
-			resident: make([]bool, o.NumChunks),
-			cold:     make([]int, o.NumChunks),
-		}
-		r.objs[o.Base] = st
-	}
-	return st
-}
-
-// Drop forgets every chunk of the object based at base. Runtime.Free
-// calls it so a freed-then-reallocated address range cannot inherit
-// stale residency or hysteresis state.
-func (r *Residency) Drop(base uint64) {
-	delete(r.objs, base)
-}
-
-// Tracked reports whether the object based at base has residency state.
-func (r *Residency) Tracked(base uint64) bool {
-	_, ok := r.objs[base]
-	return ok
-}
-
-// Resident reports whether chunk j of o is fast-resident.
-func (r *Residency) Resident(o *DataObject, j int) bool {
-	st, ok := r.objs[o.Base]
-	return ok && st.resident[j]
-}
-
-// ColdEpochs returns chunk j's hysteresis counter.
-func (r *Residency) ColdEpochs(o *DataObject, j int) int {
-	st, ok := r.objs[o.Base]
-	if !ok {
-		return 0
-	}
-	return st.cold[j]
-}
-
-// ResidentBytes sums the bytes of every fast-resident chunk.
-func (r *Residency) ResidentBytes() uint64 {
-	var n uint64
-	for _, st := range r.objs {
-		for j, res := range st.resident {
-			if res {
-				n += st.obj.ChunkBytes(j)
-			}
-		}
-	}
-	return n
-}
-
-// MarkMoved records one committed migration range of object o:
-// fast=true marks the covered chunks fast-resident (promotion),
-// fast=false clears them (demotion). Either way the chunks' hysteresis
-// counters reset. Moved regions are built from chunk ranges, so a chunk
-// changes state when the region covers it through the object's end;
-// page-alignment slack past the object is ignored.
-func (r *Residency) MarkMoved(o *DataObject, base, size uint64, fast bool) {
-	st := r.ensure(o)
-	end := base + size
-	if oEnd := o.Base + o.Size; end > oEnd {
-		end = oEnd
-	}
-	for j := 0; j < o.NumChunks; j++ {
-		lo, hi := o.ChunkRange(j)
-		if hi <= base || lo >= end {
-			continue
-		}
-		if lo >= base && hi <= end {
-			st.resident[j] = fast
-			st.cold[j] = 0
-		}
-	}
-}
-
-// Delta is the residency-aware difference between a fresh placement
-// plan and the current fast-tier residency: what must actually move.
+// Delta is the difference between a fresh placement plan and what the
+// fast tier holds now: what must actually move. Advance reads the fast
+// tier from the page table, so the delta sees every fast byte, whether
+// a migration or a fast allocation put it there, and a skipped or
+// rolled-back region simply shows up again next epoch.
 type Delta struct {
-	// Promotions are the selected-but-not-resident ranges, in address
-	// order; migrating them to the fast tier realizes the plan.
+	// Promotions are the planned ranges not yet wholly on the fast
+	// tier, split at chunk boundaries and re-merged where adjacent, in
+	// address order; migrating them to the fast tier realizes the plan.
 	Promotions []Range
-	// Demotions are the resident ranges whose chunks have been outside
-	// the selection for at least the hysteresis window, in address
-	// order; they return to the slow tier, reclaiming budget.
+	// Demotions are the unplanned chunks holding fast bytes whose cold
+	// counter reached the hysteresis window, merged where adjacent, in
+	// address order; they return to the slow tier, reclaiming budget.
 	Demotions []Range
-	// PromoteBytes and DemoteBytes total the two direction's ranges.
+	// PromoteBytes counts the planned bytes still off the fast tier;
+	// DemoteBytes counts the fast bytes the demotions free.
 	PromoteBytes uint64
 	DemoteBytes  uint64
-	// ResidentSelectedBytes counts selected bytes already in place —
-	// the re-migration the delta avoided.
-	ResidentSelectedBytes uint64
 }
 
 // Empty reports whether the delta schedules no movement at all — the
@@ -133,71 +28,81 @@ func (d *Delta) Empty() bool {
 	return len(d.Promotions) == 0 && len(d.Demotions) == 0
 }
 
-// Candidate is one fast-resident chunk outside the current selection
-// whose hysteresis window has not yet expired — the pool pressure
-// demotion draws from, coldest first.
+// Candidate is one unplanned chunk holding fast bytes whose hysteresis
+// window has not yet expired — the pool pressure demotion draws from,
+// coldest first.
 type Candidate struct {
 	// Range is the chunk's byte range (clipped to the object).
 	Range Range
+	// FastBytes is how much of Range is on the fast tier: what
+	// demoting the chunk frees.
+	FastBytes uint64
 	// Priority is the chunk's current-epoch priority (misses/byte); the
 	// coldest candidate has the lowest.
 	Priority float64
 }
 
-// Advance folds one epoch's plan into the hysteresis counters and
-// returns the delta plus the pressure-demotion candidates:
+// Advance diffs one epoch's plan against the fast tier and folds the
+// epoch into the per-chunk cold counters. fast(base, size) reports how
+// many bytes of [base, base+size) are on the fast tier; the runtime
+// backs it with the simulator's page table. Advance returns the delta
+// plus the pressure-demotion candidates:
 //
-//   - selected chunks reset their cold counters; the ones not yet
-//     resident become promotions;
-//   - resident chunks outside the selection age one epoch; the ones at
-//     or past demoteAfter become demotions, the younger ones become
-//     candidates, ordered coldest-first (ties by address);
-//   - adjacent chunks merge into maximal contiguous ranges.
+//   - each planned range, cut at chunk boundaries, becomes a promotion
+//     unless it is already wholly fast, and PromoteBytes counts only
+//     its missing bytes; a chunk the plan touches resets its counter;
+//   - an unplanned chunk holding fast bytes ages one epoch (any other
+//     resets); at or past demoteAfter it becomes a demotion, younger
+//     it becomes a candidate, ordered coldest-first (ties by address);
+//   - adjacent pieces merge into maximal contiguous ranges.
 //
 // Advance must be called exactly once per migrating epoch; breaker-
 // skipped epochs do not call it, freezing the counters (a frozen epoch
-// carries no placement signal).
-func (r *Residency) Advance(plan *Plan, demoteAfter int) (Delta, []Candidate) {
+// carries no placement signal). The counters live on the DataObject, so
+// a freed object, once unregistered, takes them with it.
+func Advance(plan *Plan, demoteAfter int, fast func(base, size uint64) uint64) (Delta, []Candidate) {
 	var d Delta
 	var cands []Candidate
 	for i := range plan.Objects {
 		op := &plan.Objects[i]
 		o := op.Object
-		st := r.ensure(o)
-		selected := selectedChunks(op)
-
-		var promo, demo chunkRun
+		ranges := op.Ranges
+		var promo, demo rangeRun
 		for j := 0; j < o.NumChunks; j++ {
-			bytes := o.ChunkBytes(j)
-			switch {
-			case selected[j] && !st.resident[j]:
-				st.cold[j] = 0
-				promo.extend(o, j, op.Local.PR[j])
-				d.PromoteBytes += bytes
-			case selected[j]: // and resident
-				st.cold[j] = 0
-				d.ResidentSelectedBytes += bytes
-				promo.flush(&d.Promotions)
-			case st.resident[j]: // and not selected
-				st.cold[j]++
-				promo.flush(&d.Promotions)
-				if st.cold[j] >= demoteAfter {
-					demo.extend(o, j, op.Local.PR[j])
-					d.DemoteBytes += bytes
-					continue
+			lo, hi := o.ChunkRange(j)
+			planned := false
+			for ; len(ranges) > 0 && ranges[0].Base < hi; ranges = ranges[1:] {
+				pLo, pHi := max(lo, ranges[0].Base), min(hi, ranges[0].End())
+				if pLo < pHi {
+					planned = true
+					if f := fast(pLo, pHi-pLo); f < pHi-pLo {
+						promo.add(&d.Promotions, pLo, pHi)
+						d.PromoteBytes += pHi - pLo - f
+					}
 				}
-				lo, hi := o.ChunkRange(j)
-				cands = append(cands, Candidate{
-					Range:    Range{Base: lo, Size: hi - lo, Density: op.Local.PR[j]},
-					Priority: op.Local.PR[j],
-				})
-			default:
-				st.cold[j] = 0
-				promo.flush(&d.Promotions)
+				if ranges[0].End() > hi {
+					break // the range continues into the next chunk
+				}
 			}
-			// Reached only when chunk j did not extend the demotion run
-			// (that arm continues above), so the run ends here.
-			demo.flush(&d.Demotions)
+			var f uint64 // the chunk's fast bytes outside the plan
+			if !planned {
+				f = fast(lo, hi-lo)
+			}
+			if f == 0 {
+				o.cold[j] = 0
+				continue
+			}
+			o.cold[j]++
+			if o.cold[j] >= demoteAfter {
+				demo.add(&d.Demotions, lo, hi)
+				d.DemoteBytes += f
+				continue
+			}
+			cands = append(cands, Candidate{
+				Range:     Range{Base: lo, Size: hi - lo},
+				FastBytes: f,
+				Priority:  op.Local.PR[j],
+			})
 		}
 		promo.flush(&d.Promotions)
 		demo.flush(&d.Demotions)
@@ -211,57 +116,27 @@ func (r *Residency) Advance(plan *Plan, demoteAfter int) (Delta, []Candidate) {
 	return d, cands
 }
 
-// chunkRun accumulates adjacent chunks into one contiguous Range.
-type chunkRun struct {
-	open  bool
-	base  uint64
-	end   uint64
-	prSum float64
-	n     int
+// rangeRun accumulates adjacent pieces into one contiguous Range.
+type rangeRun struct {
+	open bool
+	base uint64
+	end  uint64
 }
 
-func (cr *chunkRun) extend(o *DataObject, j int, pr float64) {
-	lo, hi := o.ChunkRange(j)
-	if !cr.open {
-		*cr = chunkRun{open: true, base: lo, end: hi, prSum: pr, n: 1}
+// add appends [lo, hi) to the run, first flushing the run to out when
+// the piece does not continue it.
+func (rr *rangeRun) add(out *[]Range, lo, hi uint64) {
+	if rr.open && lo == rr.end {
+		rr.end = hi
 		return
 	}
-	cr.end = hi
-	cr.prSum += pr
-	cr.n++
+	rr.flush(out)
+	*rr = rangeRun{open: true, base: lo, end: hi}
 }
 
-func (cr *chunkRun) flush(out *[]Range) {
-	if !cr.open {
-		return
+func (rr *rangeRun) flush(out *[]Range) {
+	if rr.open {
+		*out = append(*out, Range{Base: rr.base, Size: rr.end - rr.base})
+		rr.open = false
 	}
-	*out = append(*out, Range{
-		Base:    cr.base,
-		Size:    cr.end - cr.base,
-		Density: cr.prSum / float64(cr.n),
-	})
-	cr.open = false
-}
-
-// selectedChunks maps the plan's (chunk-aligned) ranges back to a
-// per-chunk selection mask: a chunk is selected when a range covers it
-// fully. Budget truncation trims ranges at chunk boundaries, so partial
-// coverage only arises at a clipped tail chunk, which stays unselected
-// (the delta migrates slightly less than the plan rather than more).
-func selectedChunks(op *ObjectPlan) []bool {
-	o := op.Object
-	sel := make([]bool, o.NumChunks)
-	for _, rg := range op.Ranges {
-		first := int((rg.Base - o.Base) / o.ChunkSize)
-		for j := first; j < o.NumChunks; j++ {
-			lo, hi := o.ChunkRange(j)
-			if lo >= rg.End() {
-				break
-			}
-			if lo >= rg.Base && hi <= rg.End() {
-				sel[j] = true
-			}
-		}
-	}
-	return sel
 }

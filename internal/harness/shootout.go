@@ -307,15 +307,16 @@ func fastShareOf(phases []atmem.PhaseResult) float64 {
 
 // optimizeShootoutCell sets one kernel up under one policy at the
 // constrained budget, warms it up, profiles a warm iteration (see
-// collectKernelData for why warm), and Optimizes.
-func optimizeShootoutCell(tb atmem.Testbed, scn ShootoutScenario, app string, pol atmem.PlacementPolicy) (*atmem.Runtime, apps.Kernel, atmem.MigrationReport, error) {
+// collectKernelData for why warm), and Optimizes. extra options are
+// applied after the cell's own.
+func optimizeShootoutCell(tb atmem.Testbed, scn ShootoutScenario, app string, pol atmem.PlacementPolicy, extra ...atmem.Option) (*atmem.Runtime, apps.Kernel, atmem.MigrationReport, error) {
 	var rep atmem.MigrationReport
 	ac := core.DefaultConfig()
 	ac.Epsilon = scn.Epsilon
-	rt, err := atmem.New(tb,
+	rt, err := atmem.New(tb, append([]atmem.Option{
 		atmem.WithPlacementPolicy(pol),
 		atmem.WithSamplePeriod(scn.SamplePeriod),
-		atmem.WithAnalyzer(ac))
+		atmem.WithAnalyzer(ac)}, extra...)...)
 	if err != nil {
 		return nil, nil, rep, err
 	}

@@ -99,41 +99,51 @@ func TestPolicyShootout(t *testing.T) {
 	}
 }
 
-// TestShootoutOneShotPlacesTailChunks pins one-shot Optimize's handling
-// of a budget-clipped plan range that ends inside a chunk: on the
-// shootout's bfs/paper cell the bfs.edges range ends 12,416 bytes into
-// a 16 KiB chunk, and every planned byte, that partial tail included,
-// must end up fast-resident. The governed path's residency promotes only fully
-// covered chunks, so routing one-shot Optimize through it would drop
-// such tails; this test is the tripwire for that fold.
+// TestShootoutOneShotPlacesTailChunks pins Optimize's handling of a
+// budget-clipped plan range that ends inside a chunk: on the shootout's
+// bfs/paper cell the bfs.edges range ends 12,416 bytes into a 16 KiB
+// chunk, and every planned byte, that partial tail included, must end
+// up fast-resident. The delta reads residency from the page table at
+// byte granularity, so the one-shot and the governed runtime place the
+// same bytes.
 func TestShootoutOneShotPlacesTailChunks(t *testing.T) {
 	scn := DefaultShootoutScenario()
 	tb, err := shootoutTestbed(scn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _, _, err := optimizeShootoutCell(tb, scn, "bfs", atmem.PaperPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := rt.Plan()
-	if plan == nil || plan.SelectedBytes == 0 {
-		t.Fatal("Optimize selected nothing")
-	}
-	clipped := 0
-	for _, op := range plan.Objects {
-		o := op.Object
-		for _, rg := range op.Ranges {
-			if rg.End() < o.Base+o.Size && (rg.End()-o.Base)%o.ChunkSize != 0 {
-				clipped++
+	for _, tc := range []struct {
+		name  string
+		extra []atmem.Option
+	}{
+		{"oneshot", nil},
+		{"governed", []atmem.Option{atmem.WithGovernor(atmem.GovernorOptions{})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, _, _, err := optimizeShootoutCell(tb, scn, "bfs", atmem.PaperPolicy(), tc.extra...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if fast := rt.System().BytesOnTier(rg.Base, rg.Size)[memsim.TierFast]; fast != rg.Size {
-				t.Errorf("%s range [%#x,+%d): %d bytes fast-resident, want all",
-					o.Name, rg.Base, rg.Size, fast)
+			plan := rt.Plan()
+			if plan == nil || plan.SelectedBytes == 0 {
+				t.Fatal("Optimize selected nothing")
 			}
-		}
-	}
-	if clipped == 0 {
-		t.Error("no plan range ends inside a chunk short of its object's end; the case this test pins did not arise")
+			clipped := 0
+			for _, op := range plan.Objects {
+				o := op.Object
+				for _, rg := range op.Ranges {
+					if rg.End() < o.Base+o.Size && (rg.End()-o.Base)%o.ChunkSize != 0 {
+						clipped++
+					}
+					if fast := rt.System().BytesOnTier(rg.Base, rg.Size)[memsim.TierFast]; fast != rg.Size {
+						t.Errorf("%s range [%#x,+%d): %d bytes fast-resident, want all",
+							o.Name, rg.Base, rg.Size, fast)
+					}
+				}
+			}
+			if clipped == 0 {
+				t.Error("no plan range ends inside a chunk short of its object's end; the case this test pins did not arise")
+			}
+		})
 	}
 }

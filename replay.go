@@ -100,7 +100,7 @@ func (r *Runtime) ArmPlan(sig core.Signature) (core.LookupVerdict, error) {
 	if r.planCache == nil {
 		return core.LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.PlanCache")
 	}
-	if r.resid == nil {
+	if !r.opts.Governor.Enabled {
 		return core.LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.Governor.Enabled")
 	}
 	if r.opts.Async.Enabled {
@@ -165,9 +165,9 @@ func (r *Runtime) FinishPlan() (*core.CompiledPlan, error) {
 // applyPlanEpoch is the replay source's step after the body: execute
 // one plan epoch's recorded schedule through the same commit path as the
 // online loop, demotions first (they fund the promotions, the invariant
-// the compiler encoded as dependency edges), with residency kept
-// truthful so the final fast-resident footprint of a replay matches the
-// recorded run bit for bit.
+// the compiler encoded as dependency edges). The page table is the
+// only record of residency, so the final fast-resident footprint of a
+// replay matches the recorded run bit for bit.
 func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationReport, error) {
 	r.rec.Begin(0, "replay", "apply-plan", telemetry.Args{"plan_epoch": epoch})
 
@@ -199,7 +199,7 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 		gi.regionsDemoted = len(res.Demotions.Moved)
 	}
 	gi.state = r.breaker.State()
-	gi.residentBytes = r.resid.ResidentBytes()
+	gi.residentBytes = r.registeredFastBytes()
 	r.recordOptimizeMetrics(0, 0)
 	r.rec.End(0, "replay", "apply-plan", telemetry.Args{
 		"promoted_bytes": gi.promotedBytes,

@@ -94,8 +94,8 @@ type MigrationReport struct {
 	// PressureDemotedBytes is the slice of the demotion schedule the
 	// watermarks forced ahead of hysteresis expiry.
 	PressureDemotedBytes uint64
-	// ResidentBytes is the fast-resident footprint the governor tracks
-	// after the epoch.
+	// ResidentBytes is the fast-tier footprint of the registered
+	// objects after the epoch, read from the page table.
 	ResidentBytes uint64
 
 	// Health summarizes the tier-health subsystem (zero unless faults,

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"atmem/internal/core"
 	"atmem/internal/faultinject"
@@ -48,7 +47,6 @@ type Runtime struct {
 	// Governor state (nil/zero unless Options.Governor.Enabled; see
 	// governor.go).
 	govCfg  governor.Config
-	resid   *core.Residency
 	breaker *governor.Breaker
 	gov     *govInfo
 	epoch   int
@@ -177,7 +175,6 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 	}
 	if o.Governor.Enabled {
 		r.govCfg = gcfg
-		r.resid = core.NewResidency()
 		r.breaker = governor.NewBreaker(gcfg)
 	}
 	period := o.SamplePeriod
@@ -352,11 +349,6 @@ func (r *Runtime) Free(o *Object) error {
 	if err := r.sys.Free(o.base, o.size); err != nil {
 		return err
 	}
-	if r.resid != nil {
-		// Drop the freed range's residency and hysteresis state: a
-		// reallocation at the same address must start cold.
-		r.resid.Drop(o.base)
-	}
 	delete(r.objects, o.base)
 	o.data = nil
 	return nil
@@ -474,9 +466,9 @@ func (r *Runtime) Manifest() []ObjectManifest {
 }
 
 // Optimize is atmem_optimize (Listing 1): it runs the two-stage analyzer
-// over the attributed samples, then migrates the selected ranges onto the
-// high-performance memory with the configured engine. It returns the
-// migration statistics.
+// over the attributed samples, then migrates the selected bytes not yet
+// on the high-performance memory there with the configured engine. It
+// returns the migration statistics.
 //
 // Optimize consumes partial success: the engines are transactional per
 // region, so recoverable faults (capacity exhaustion, injected faults)
@@ -496,68 +488,11 @@ func (r *Runtime) Optimize() (MigrationReport, error) {
 // migration plan at the next region (or staging-slice) boundary, rolls
 // a region caught mid-copy back via the per-region transaction, and
 // reports the unfinished regions as skipped outcomes — in-band partial
-// success, not an error.
+// success, not an error. It is the same placement path every governed
+// epoch runs (optimizeGoverned); an ungoverned runtime just has no
+// breaker and makes no demotions.
 func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
-	if r.resid != nil {
-		// Governed runtimes diff the plan against residency and may
-		// demote as well as promote; see governor.go.
-		return r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
-	}
-	if !r.profiled {
-		return MigrationReport{}, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
-	}
-	r.rec.Begin(0, "optimize", "optimize", nil)
-	var analyzeNS uint64
-	defer func() {
-		r.logNewFaults(0)
-		r.rec.End(0, "optimize", "optimize", r.optimizeSpanArgs())
-		r.recordOptimizeMetrics(0, analyzeNS)
-	}()
-	free := r.sys.FreeCapacity(memsim.TierFast)
-	if free <= r.opts.CapacityReserve {
-		// The reserve consumes the whole remaining fast tier: there is
-		// no placement budget, so skip the analyzer and migration
-		// entirely and report an empty plan (see
-		// Options.CapacityReserve).
-		r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
-		st := migrate.Stats{Engine: r.engine.Name()}
-		r.migStats = &st
-		return r.migrationReport(), nil
-	}
-	budget := free - r.opts.CapacityReserve
-	analyzeStart := time.Now()
-	plan, err := r.policy.Rank(core.PolicyProfile{
-		Registry: r.reg,
-		Period:   r.prof.Config().Period,
-		Epoch:    r.epoch,
-	}, budget, r.stageObserver(0))
-	analyzeNS = uint64(time.Since(analyzeStart))
-	if err != nil {
-		return MigrationReport{}, err
-	}
-	if r.opts.BandwidthAware && !r.sys.P.SharedChannels {
-		trimPlanForBandwidth(plan, &r.sys.P)
-	}
-	r.plan = plan
-
-	sched := migrate.Schedule{Promotions: make([]migrate.Region, 0, len(plan.Objects)*2)}
-	for i := range plan.Objects {
-		for _, rg := range plan.Objects[i].Ranges {
-			sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
-		}
-	}
-	pre := r.objectChecksums()
-	res, err := r.commitSchedule(ctx, 0, sched)
-	r.migStats = &res.Merged
-	if err != nil {
-		// Only unrecoverable failures (a failed rollback) reach here;
-		// recoverable faults degraded into per-region outcomes.
-		return r.migrationReport(), fmt.Errorf("atmem: migration: %w", err)
-	}
-	if err := r.verifyMigrationInvariants(pre); err != nil {
-		return r.migrationReport(), fmt.Errorf("atmem: post-migration invariant violated: %w", err)
-	}
-	return r.migrationReport(), nil
+	return r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
 }
 
 // commitSchedule is the one migration-commit path. It runs sched
@@ -565,10 +500,9 @@ func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 // modelled time to the simulated clock — unless a background placement
 // overlaps running kernels, in which case the epoch join reconciles the
 // clock — and commits what moved: the stale TLB and cache entries of
-// exactly the committed slices are invalidated, and on a governed
-// runtime residency follows the commits, never the plan, so a
-// rolled-back region keeps both its placement and its residency. An
-// error is an unrecoverable failed rollback; nothing is committed then.
+// exactly the committed slices are invalidated. Residency needs no
+// update here, because the page table is its only record. An error is
+// an unrecoverable failed rollback; nothing is committed then.
 func (r *Runtime) commitSchedule(ctx context.Context, tid int, sched migrate.Schedule) (migrate.ScheduleResult, error) {
 	startNS := r.simNS.Load()
 	var sink migrate.EventSink
@@ -583,14 +517,6 @@ func (r *Runtime) commitSchedule(ctx context.Context, tid int, sched migrate.Sch
 		return res, err
 	}
 	r.invalidateMoved(res.Merged.Moved)
-	if r.resid != nil {
-		for _, rg := range res.Demotions.Moved {
-			r.markMovedRegion(rg, false)
-		}
-		for _, rg := range res.Promotions.Moved {
-			r.markMovedRegion(rg, true)
-		}
-	}
 	return res, nil
 }
 
