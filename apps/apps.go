@@ -17,6 +17,7 @@ package apps
 
 import (
 	"fmt"
+	"math/bits"
 
 	"atmem"
 	"atmem/graph"
@@ -168,6 +169,30 @@ func registerCSR(rt *atmem.Runtime, g *graph.Graph, prefix string, withWeights b
 func (d *csrData) neighborSpan(c *atmem.Ctx, v int) (lo, hi uint64) {
 	off := d.offsets.LoadSeq(c, v, v+2)
 	return off[0], off[1]
+}
+
+// sortUnique replaces a merged frontier with its distinct vertices in
+// ascending order, the deterministic processing order of the next round.
+// seen is a scratch bitmap with a bit for every vertex, clear on entry
+// and left clear. Setting bits and reading back the words between the
+// lowest and highest one set costs O(len(xs) + span/64) with no
+// comparisons, where a comparison sort of a large frontier costs several
+// percent of a traversal.
+func sortUnique(xs []uint32, seen []uint64) []uint32 {
+	lo, hi := len(seen), 0
+	for _, x := range xs {
+		w := int(x >> 6)
+		seen[w] |= 1 << (x & 63)
+		lo, hi = min(lo, w), max(hi, w+1)
+	}
+	out := xs[:0]
+	for w := lo; w < hi; w++ {
+		for word := seen[w]; word != 0; word &= word - 1 {
+			out = append(out, uint32(w<<6+bits.TrailingZeros64(word)))
+		}
+		seen[w] = 0
+	}
+	return out
 }
 
 // orFlags reduces per-thread change flags.

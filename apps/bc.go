@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"atmem"
@@ -97,6 +96,7 @@ func (b *BC) RunIteration(rt *atmem.Runtime) IterationResult {
 
 	threads := rt.Threads()
 	bufs := make([][]uint32, threads)
+	seen := make([]uint64, n/64+1)
 
 	// Phase 1: push BFS, keeping the sorted frontier of every level.
 	levels := [][]uint32{{uint32(b.root)}}
@@ -114,18 +114,22 @@ func (b *BC) RunIteration(rt *atmem.Runtime) IterationResult {
 			for _, fv := range b.front.LoadSeq(c, lo, hi) {
 				v := int(fv)
 				elo, ehi := b.out.neighborSpan(c, v)
-				for _, dst := range b.out.edges.LoadSeq(c, int(elo), int(ehi)) {
-					work++
-					b.lvl.SimLoad(c, int(dst))
+				dsts := b.out.edges.LoadSeq(c, int(elo), int(ehi))
+				work += float64(len(dsts))
+				seg := 0
+				for k, dst := range dsts {
 					if atomic.LoadInt32(&lvl[dst]) != -1 {
 						continue
 					}
 					if atomic.CompareAndSwapInt32(&lvl[dst], -1, d+1) {
+						b.lvl.SimLoadGather(c, dsts[seg:k+1])
+						seg = k + 1
 						b.lvl.SimStore(c, int(dst))
 						b.front.SimStore(c, minInt(nextBase+len(buf), n-1))
 						buf = append(buf, dst)
 					}
 				}
+				b.lvl.SimLoadGather(c, dsts[seg:])
 			}
 			bufs[c.ID] = buf
 			c.Compute(work)
@@ -134,7 +138,7 @@ func (b *BC) RunIteration(rt *atmem.Runtime) IterationResult {
 		for _, buf := range bufs {
 			next = append(next, buf...)
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
+		next = sortUnique(next, seen)
 		if len(next) > 0 {
 			levels = append(levels, next)
 		}
@@ -155,13 +159,21 @@ func (b *BC) RunIteration(rt *atmem.Runtime) IterationResult {
 			for _, fv := range b.front.LoadSeq(c, lo, hi) {
 				v := int(fv)
 				elo, ehi := b.in.neighborSpan(c, v)
+				us := b.in.edges.LoadSeq(c, int(elo), int(ehi))
+				work += 2 * float64(len(us))
+				// Levels are read-only in this phase: the level gather
+				// splits at each neighbour one level up, whose sigma
+				// load follows its level load.
 				sum := 0.0
-				for _, u := range b.in.edges.LoadSeq(c, int(elo), int(ehi)) {
-					work += 2
-					if b.lvl.Load(c, int(u)) == depth-1 {
+				seg := 0
+				for k, u := range us {
+					if lvl[u] == depth-1 {
+						b.lvl.SimLoadGather(c, us[seg:k+1])
+						seg = k + 1
 						sum += b.sigma.Load(c, int(u))
 					}
 				}
+				b.lvl.SimLoadGather(c, us[seg:])
 				b.sigma.Store(c, v, sum)
 			}
 			c.Compute(work)
@@ -184,16 +196,21 @@ func (b *BC) RunIteration(rt *atmem.Runtime) IterationResult {
 					continue
 				}
 				elo, ehi := b.out.neighborSpan(c, v)
+				ws := b.out.edges.LoadSeq(c, int(elo), int(ehi))
+				work += 2 * float64(len(ws))
 				sum := 0.0
-				for _, w := range b.out.edges.LoadSeq(c, int(elo), int(ehi)) {
-					work += 2
-					if b.lvl.Load(c, int(w)) == depth+1 {
+				seg := 0
+				for k, w := range ws {
+					if lvl[w] == depth+1 {
+						b.lvl.SimLoadGather(c, ws[seg:k+1])
+						seg = k + 1
 						sw := b.sigma.Load(c, int(w))
 						if sw > 0 {
 							sum += sv / sw * (1 + b.delta.Load(c, int(w)))
 						}
 					}
 				}
+				b.lvl.SimLoadGather(c, ws[seg:])
 				b.delta.Store(c, v, sum)
 				if v != b.root {
 					b.bc.Store(c, v, b.bc.Load(c, v)+sum)

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"atmem"
@@ -80,6 +79,7 @@ func (b *BFS) RunIteration(rt *atmem.Runtime) IterationResult {
 
 	threads := rt.Threads()
 	bufs := make([][]uint32, threads)
+	seen := make([]uint64, n/64+1)
 	for depth := int32(0); len(cur) > 0; depth++ {
 		d := depth
 		frontLen := len(cur)
@@ -93,18 +93,25 @@ func (b *BFS) RunIteration(rt *atmem.Runtime) IterationResult {
 			for _, fv := range front {
 				v := int(fv)
 				elo, ehi := b.csr.neighborSpan(c, v)
-				for _, dst := range b.csr.edges.LoadSeq(c, int(elo), int(ehi)) {
-					work++
-					b.lvl.SimLoad(c, int(dst))
+				dsts := b.csr.edges.LoadSeq(c, int(elo), int(ehi))
+				work += float64(len(dsts))
+				// Segmented gather: the level loads up to each claim
+				// are charged before the claim's stores, the rest
+				// after the loop (DESIGN.md §8).
+				seg := 0
+				for k, dst := range dsts {
 					if atomic.LoadInt32(&lvl[dst]) != -1 {
 						continue
 					}
 					if atomic.CompareAndSwapInt32(&lvl[dst], -1, d+1) {
+						b.lvl.SimLoadGather(c, dsts[seg:k+1])
+						seg = k + 1
 						b.lvl.SimStore(c, int(dst))
 						b.next.SimStore(c, minInt(nextBase+len(buf), n-1))
 						buf = append(buf, dst)
 					}
 				}
+				b.lvl.SimLoadGather(c, dsts[seg:])
 			}
 			bufs[c.ID] = buf
 			c.Compute(work)
@@ -113,7 +120,7 @@ func (b *BFS) RunIteration(rt *atmem.Runtime) IterationResult {
 		for _, buf := range bufs {
 			merged = append(merged, buf...)
 		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
+		merged = sortUnique(merged, seen)
 		copy(b.frontier.Raw(), merged)
 		cur = b.frontier.Raw()[:len(merged)]
 	}

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"atmem"
@@ -102,6 +101,7 @@ func (k *CC) RunIteration(rt *atmem.Runtime) IterationResult {
 
 	threads := rt.Threads()
 	bufs := make([][]uint32, threads)
+	seen := make([]uint64, n/64+1)
 	for round := int32(0); len(cur) > 0 && int(round) < k.MaxRounds; round++ {
 		r := round
 		frontLen := len(cur)
@@ -116,12 +116,15 @@ func (k *CC) RunIteration(rt *atmem.Runtime) IterationResult {
 				k.label.SimLoad(c, v)
 				lv := atomic.LoadUint32(&labels[v])
 				elo, ehi := k.sym.neighborSpan(c, v)
-				for _, dst := range k.sym.edges.LoadSeq(c, int(elo), int(ehi)) {
-					work++
-					k.label.SimLoad(c, int(dst))
+				dsts := k.sym.edges.LoadSeq(c, int(elo), int(ehi))
+				work += float64(len(dsts))
+				seg := 0
+				for i, dst := range dsts {
 					if !atomicMinUint32(&labels[dst], lv) {
 						continue
 					}
+					k.label.SimLoadGather(c, dsts[seg:i+1])
+					seg = i + 1
 					k.label.SimStore(c, int(dst))
 					k.stamp.SimLoad(c, int(dst))
 					old := atomic.LoadInt32(&stamp[dst])
@@ -131,6 +134,7 @@ func (k *CC) RunIteration(rt *atmem.Runtime) IterationResult {
 						buf = append(buf, dst)
 					}
 				}
+				k.label.SimLoadGather(c, dsts[seg:])
 			}
 			bufs[c.ID] = buf
 			c.Compute(work)
@@ -139,8 +143,7 @@ func (k *CC) RunIteration(rt *atmem.Runtime) IterationResult {
 		for _, buf := range bufs {
 			merged = append(merged, buf...)
 		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-		merged = dedupSorted(merged)
+		merged = sortUnique(merged, seen)
 		copy(k.frontier.Raw(), merged)
 		cur = k.frontier.Raw()[:len(merged)]
 	}

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"atmem"
@@ -97,6 +96,7 @@ func (b *DOBFS) RunIteration(rt *atmem.Runtime) IterationResult {
 
 	threads := rt.Threads()
 	bufs := make([][]uint32, threads)
+	seen := make([]uint64, n/64+1)
 	switchLen := int(b.SwitchFraction * float64(n))
 	for depth := int32(0); len(cur) > 0; depth++ {
 		d := depth
@@ -112,18 +112,22 @@ func (b *DOBFS) RunIteration(rt *atmem.Runtime) IterationResult {
 				for _, fv := range front {
 					v := int(fv)
 					elo, ehi := b.out.neighborSpan(c, v)
-					for _, dst := range b.out.edges.LoadSeq(c, int(elo), int(ehi)) {
-						work++
-						b.lvl.SimLoad(c, int(dst))
+					dsts := b.out.edges.LoadSeq(c, int(elo), int(ehi))
+					work += float64(len(dsts))
+					seg := 0
+					for k, dst := range dsts {
 						if atomic.LoadInt32(&lvl[dst]) != -1 {
 							continue
 						}
 						if atomic.CompareAndSwapInt32(&lvl[dst], -1, d+1) {
+							b.lvl.SimLoadGather(c, dsts[seg:k+1])
+							seg = k + 1
 							b.lvl.SimStore(c, int(dst))
 							b.next.SimStore(c, minInt(nextBase+len(buf), n-1))
 							buf = append(buf, dst)
 						}
 					}
+					b.lvl.SimLoadGather(c, dsts[seg:])
 				}
 				bufs[c.ID] = buf
 				c.Compute(work)
@@ -171,7 +175,7 @@ func (b *DOBFS) RunIteration(rt *atmem.Runtime) IterationResult {
 		for _, buf := range bufs {
 			merged = append(merged, buf...)
 		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
+		merged = sortUnique(merged, seen)
 		copy(b.frontier.Raw(), merged)
 		cur = b.frontier.Raw()[:len(merged)]
 	}

@@ -113,12 +113,12 @@ func (p *PageRank) RunIteration(rt *atmem.Runtime) IterationResult {
 					continue
 				}
 				contrib := p.Damping * p.rank.Load(c, v) / float64(deg)
-				for _, dst := range p.csr.edges.LoadSeq(c, int(elo), int(ehi)) {
-					p.nextRnk.SimLoad(c, int(dst))
-					p.nextRnk.SimStore(c, int(dst))
+				dsts := p.csr.edges.LoadSeq(c, int(elo), int(ehi))
+				p.nextRnk.SimUpdateGather(c, dsts)
+				for _, dst := range dsts {
 					atomicAddFloat64(&nextBits[dst], contrib)
-					work += 2
 				}
+				work += 2 * float64(len(dsts))
 			}
 			c.Compute(work)
 		}))

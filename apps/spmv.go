@@ -55,16 +55,18 @@ func (s *SpMV) RunIteration(rt *atmem.Runtime) IterationResult {
 	n := s.g.NumVertices()
 	res.add(rt.RunPhase("spmv.multiply", func(c *atmem.Ctx) {
 		lo, hi := s.mat.span(c)
+		x := s.x.Raw()
 		work := 0.0
 		for row := lo; row < hi; row++ {
 			elo, ehi := s.mat.neighborSpan(c, row)
 			cols := s.mat.edges.LoadSeq(c, int(elo), int(ehi))
 			vals := s.mat.weights.LoadSeq(c, int(elo), int(ehi))
+			s.x.SimLoadGather(c, cols)
 			sum := 0.0
 			for i, col := range cols {
-				sum += float64(vals[i]) * s.x.Load(c, int(col))
-				work += 2
+				sum += float64(vals[i]) * x[col]
 			}
+			work += 2 * float64(len(cols))
 			s.y.Store(c, row, sum)
 		}
 		c.Compute(work)

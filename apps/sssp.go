@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"unsafe"
 
@@ -120,6 +119,7 @@ func (s *SSSP) RunIteration(rt *atmem.Runtime) IterationResult {
 	cur[0] = uint32(s.source)
 	threads := rt.Threads()
 	bufs := make([][]uint32, threads)
+	seen := make([]uint64, n/64+1)
 	for round := int32(0); len(cur) > 0 && int(round) < s.MaxRounds; round++ {
 		r := round
 		frontLen := len(cur)
@@ -140,14 +140,14 @@ func (s *SSSP) RunIteration(rt *atmem.Runtime) IterationResult {
 				elo, ehi := s.csr.neighborSpan(c, v)
 				dsts := s.csr.edges.LoadSeq(c, int(elo), int(ehi))
 				ws := s.csr.weights.LoadSeq(c, int(elo), int(ehi))
+				work += 2 * float64(len(dsts))
+				seg := 0
 				for ei, dst := range dsts {
-					w := ws[ei]
-					work += 2
-					nd := dv + w
-					s.dist.SimLoad(c, int(dst))
-					if !atomicMinFloat32(&distBits[dst], nd) {
+					if !atomicMinFloat32(&distBits[dst], dv+ws[ei]) {
 						continue
 					}
+					s.dist.SimLoadGather(c, dsts[seg:ei+1])
+					seg = ei + 1
 					s.dist.SimStore(c, int(dst))
 					s.stamp.SimLoad(c, int(dst))
 					old := atomic.LoadInt32(&stamp[dst])
@@ -157,6 +157,7 @@ func (s *SSSP) RunIteration(rt *atmem.Runtime) IterationResult {
 						buf = append(buf, dst)
 					}
 				}
+				s.dist.SimLoadGather(c, dsts[seg:])
 			}
 			bufs[c.ID] = buf
 			c.Compute(work)
@@ -165,23 +166,11 @@ func (s *SSSP) RunIteration(rt *atmem.Runtime) IterationResult {
 		for _, buf := range bufs {
 			merged = append(merged, buf...)
 		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-		merged = dedupSorted(merged)
+		merged = sortUnique(merged, seen)
 		copy(s.frontier.Raw(), merged)
 		cur = s.frontier.Raw()[:len(merged)]
 	}
 	return res
-}
-
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(xs []uint32) []uint32 {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // Distances returns the computed distances (after RunIteration).

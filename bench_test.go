@@ -228,6 +228,31 @@ func BenchmarkAccessorRandom(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/access")
 }
 
+// BenchmarkAccessorGather measures the gather accessor on the same
+// random pattern as BenchmarkAccessorRandom: 8-byte elements at
+// precomputed random indices, charged one gather per 64-index list (a
+// neighbour list), reported in ns per simulated access.
+func BenchmarkAccessorGather(b *testing.B) {
+	sys := memsim.NewSystem(memsim.NVMDRAMParams())
+	base, err := sys.Alloc(8<<20, memsim.TierSlow)
+	if err != nil {
+		b.Fatal(err)
+	}
+	acc := sys.NewAccessor()
+	acc.SetSealed(true)
+	const list = 64
+	idx := make([]uint32, 1<<16)
+	for i := range idx {
+		idx[i] = uint32(uint64(i) * 7919 * 8 % (1 << 20))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := (i * list) % len(idx)
+		acc.Gather(base, 3, idx[lo:lo+list], true, false)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*list), "ns/access")
+}
+
 // BenchmarkAccessorStrided measures a 256-byte-stride scan — every
 // fourth line, too sparse for stream detection, dense enough for page
 // locality.

@@ -19,11 +19,12 @@ package cache
 // It tracks line presence only — data contents live in the Go slices that
 // back simulated objects.
 type Cache struct {
-	setMask  uint64
-	ways     int
-	tags     []uint64 // sets*ways entries; tag 0 means empty (tag = line+1)
+	setMask uint64
+	ways    int
+	// tags holds sets*ways entries: tagOf(line) (0 means empty), with
+	// the entry's dirty flag in bit 63.
+	tags     []uint64
 	stamps   []uint64 // LRU clock per entry
-	dirty    []bool
 	clock    uint64
 	hits     uint64
 	misses   uint64
@@ -35,6 +36,14 @@ type Cache struct {
 	// dirty flag.
 	OnEvict func(line uint64, dirty bool)
 }
+
+// dirtyBit flags a modified entry in its tag word.
+const dirtyBit = uint64(1) << 63
+
+// tagOf is the tag of a line: line+1, reserving 0 for "empty", kept to
+// the 63 bits below the dirty flag. Simulated lines are byte addresses
+// shifted right by at least 6, so no two of them share a tag.
+func tagOf(line uint64) uint64 { return (line + 1) &^ dirtyBit }
 
 // New builds a cache of sizeBytes capacity with the given line size and
 // associativity. sizeBytes is rounded down to a power-of-two set count; the
@@ -55,16 +64,14 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	for sets&(sets-1) != 0 {
 		sets &= sets - 1
 	}
-	c := &Cache{
+	return &Cache{
 		setMask:  uint64(sets - 1),
 		ways:     ways,
 		tags:     make([]uint64, sets*ways),
 		stamps:   make([]uint64, sets*ways),
-		dirty:    make([]bool, sets*ways),
 		capacity: sets * ways * lineBytes,
 		lineSize: lineBytes,
 	}
-	return c
 }
 
 // LineSize returns the cache line size in bytes.
@@ -87,39 +94,10 @@ func (c *Cache) Access(line uint64) bool {
 // that large shared LLCs implement. A later hit on the line still
 // promotes it to MRU.
 func (c *Cache) AccessHint(line uint64, streaming bool) bool {
-	tag := line + 1 // reserve 0 for "empty"
-	set := int(line&c.setMask) * c.ways
-	c.clock++
-	victim := set
-	oldest := ^uint64(0)
-	for i := set; i < set+c.ways; i++ {
-		if c.tags[i] == tag {
-			c.stamps[i] = c.clock
-			c.hits++
-			return true
-		}
-		if c.stamps[i] < oldest {
-			oldest = c.stamps[i]
-			victim = i
-		}
+	if c.Hit(line, false) {
+		return true
 	}
-	if c.tags[victim] != 0 && c.OnEvict != nil {
-		c.OnEvict(c.tags[victim]-1, c.dirty[victim])
-	}
-	c.tags[victim] = tag
-	c.dirty[victim] = false
-	if streaming {
-		// Insert as the set's next eviction candidate: strictly older
-		// than every live entry (saturating at zero).
-		stamp := oldest
-		if stamp > 0 {
-			stamp--
-		}
-		c.stamps[victim] = stamp
-	} else {
-		c.stamps[victim] = c.clock
-	}
-	c.misses++
+	c.Fill(line, streaming, false)
 	return false
 }
 
@@ -131,50 +109,83 @@ func (c *Cache) AccessHint(line uint64, streaming bool) bool {
 // bit-identical to AccessHint(line, streaming) followed by
 // MarkDirty(line).
 func (c *Cache) AccessDirty(line uint64, streaming bool) bool {
-	tag := line + 1
+	if c.Hit(line, true) {
+		return true
+	}
+	c.Fill(line, streaming, true)
+	return false
+}
+
+// Hit is the first half of an access: it advances the LRU clock and looks
+// line up, and on a hit makes the entry the most recent (flagging it
+// dirty if dirty) and returns true. After a miss the caller must Fill the
+// line before any other operation on the cache. Splitting the access lets
+// a caller work out the streaming hint, which only a miss uses, after
+// the lookup.
+func (c *Cache) Hit(line uint64, dirty bool) bool {
+	tag := tagOf(line)
 	set := int(line&c.setMask) * c.ways
 	c.clock++
-	victim := set
-	oldest := ^uint64(0)
-	for i := set; i < set+c.ways; i++ {
-		if c.tags[i] == tag {
-			c.stamps[i] = c.clock
-			c.dirty[i] = true
+	tags := c.tags[set : set+c.ways]
+	for i, t := range tags {
+		if t&^dirtyBit == tag {
+			if dirty {
+				t |= dirtyBit
+			}
+			tags[i] = t
+			c.stamps[set+i] = c.clock
 			c.hits++
 			return true
 		}
-		if c.stamps[i] < oldest {
-			oldest = c.stamps[i]
-			victim = i
+	}
+	return false
+}
+
+// Fill is the second half of an access Hit missed: it installs line over
+// the first way with the oldest stamp, reporting the evicted line to
+// OnEvict, and flags it dirty if dirty. A streaming line is installed as
+// the set's next eviction candidate, strictly older than every live entry
+// (saturating at zero); any other line is the most recent. The victim
+// scan reads the stamps only here, because a kernel's L1 misses mostly
+// hit the LLC.
+func (c *Cache) Fill(line uint64, streaming, dirty bool) {
+	set := int(line&c.setMask) * c.ways
+	tags := c.tags[set : set+c.ways]
+	stamps := c.stamps[set : set+c.ways]
+	victim, oldest := 0, stamps[0]
+	for i, st := range stamps {
+		if st < oldest {
+			victim, oldest = i, st
 		}
 	}
-	if c.tags[victim] != 0 && c.OnEvict != nil {
-		c.OnEvict(c.tags[victim]-1, c.dirty[victim])
+	if old := tags[victim]; old != 0 && c.OnEvict != nil {
+		c.OnEvict(old&^dirtyBit-1, old&dirtyBit != 0)
 	}
-	c.tags[victim] = tag
-	c.dirty[victim] = true
+	tag := tagOf(line)
+	if dirty {
+		tag |= dirtyBit
+	}
+	tags[victim] = tag
 	if streaming {
-		stamp := oldest
-		if stamp > 0 {
-			stamp--
+		if oldest > 0 {
+			oldest--
 		}
-		c.stamps[victim] = stamp
+		stamps[victim] = oldest
 	} else {
-		c.stamps[victim] = c.clock
+		stamps[victim] = c.clock
 	}
 	c.misses++
-	return false
 }
 
 // MarkDirty flags the line as modified if present, so its eventual
 // eviction is reported as a writeback. Returns whether the line was
 // found.
 func (c *Cache) MarkDirty(line uint64) bool {
-	tag := line + 1
+	tag := tagOf(line)
 	set := int(line&c.setMask) * c.ways
 	for i := set; i < set+c.ways; i++ {
-		if c.tags[i] == tag {
-			c.dirty[i] = true
+		if c.tags[i]&^dirtyBit == tag {
+			c.tags[i] |= dirtyBit
 			return true
 		}
 	}
@@ -184,10 +195,10 @@ func (c *Cache) MarkDirty(line uint64) bool {
 // Contains reports whether the line is currently cached, without touching
 // LRU state or hit/miss counters.
 func (c *Cache) Contains(line uint64) bool {
-	tag := line + 1
+	tag := tagOf(line)
 	set := int(line&c.setMask) * c.ways
 	for i := set; i < set+c.ways; i++ {
-		if c.tags[i] == tag {
+		if c.tags[i]&^dirtyBit == tag {
 			return true
 		}
 	}
@@ -205,13 +216,12 @@ func (c *Cache) InvalidateRange(loLine, hiLine uint64) {
 	}
 	if sets := uint64(len(c.tags) / c.ways); hiLine-loLine < sets {
 		for line := loLine; line < hiLine; line++ {
-			tag := line + 1
+			tag := tagOf(line)
 			set := int(line&c.setMask) * c.ways
 			for i := set; i < set+c.ways; i++ {
-				if c.tags[i] == tag {
+				if c.tags[i]&^dirtyBit == tag {
 					c.tags[i] = 0
 					c.stamps[i] = 0
-					c.dirty[i] = false
 					break
 				}
 			}
@@ -222,22 +232,18 @@ func (c *Cache) InvalidateRange(loLine, hiLine uint64) {
 		if tag == 0 {
 			continue
 		}
-		line := tag - 1
+		line := tag&^dirtyBit - 1
 		if line >= loLine && line < hiLine {
 			c.tags[i] = 0
 			c.stamps[i] = 0
-			c.dirty[i] = false
 		}
 	}
 }
 
 // Flush empties the cache and resets counters.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.stamps[i] = 0
-		c.dirty[i] = false
-	}
+	clear(c.tags)
+	clear(c.stamps)
 	c.clock = 0
 	c.hits = 0
 	c.misses = 0

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -217,6 +218,276 @@ func TestNoCapacityMissesWithinWorkingSet(t *testing.T) {
 	}
 }
 
+// stampCache is the reference model of Cache: stamp-based LRU sets with
+// the dirty flag in its own array and one walk per access, the plain form
+// of what Cache packs (the flag in the tag word, the walk split into Hit
+// and Fill). FuzzLLCMatchesStampModel holds Cache to it entry by entry.
+type stampCache struct {
+	setMask uint64
+	ways    int
+	tags    []uint64 // line+1; 0 means empty
+	stamps  []uint64
+	dirty   []bool
+	clock   uint64
+	hits    uint64
+	misses  uint64
+	onEvict func(line uint64, dirty bool)
+}
+
+func newStampCache(sizeBytes, lineBytes, ways int) *stampCache {
+	sets := sizeBytes / (lineBytes * ways)
+	if sets < 1 {
+		sets = 1
+	}
+	for sets&(sets-1) != 0 {
+		sets &= sets - 1
+	}
+	return &stampCache{
+		setMask: uint64(sets - 1),
+		ways:    ways,
+		tags:    make([]uint64, sets*ways),
+		stamps:  make([]uint64, sets*ways),
+		dirty:   make([]bool, sets*ways),
+	}
+}
+
+func (c *stampCache) accessHint(line uint64, streaming bool) bool {
+	tag := line + 1
+	set := int(line&c.setMask) * c.ways
+	c.clock++
+	victim := set
+	oldest := ^uint64(0)
+	for i := set; i < set+c.ways; i++ {
+		if c.tags[i] == tag {
+			c.stamps[i] = c.clock
+			c.hits++
+			return true
+		}
+		if c.stamps[i] < oldest {
+			oldest = c.stamps[i]
+			victim = i
+		}
+	}
+	if c.tags[victim] != 0 && c.onEvict != nil {
+		c.onEvict(c.tags[victim]-1, c.dirty[victim])
+	}
+	c.tags[victim] = tag
+	c.dirty[victim] = false
+	if streaming {
+		stamp := oldest
+		if stamp > 0 {
+			stamp--
+		}
+		c.stamps[victim] = stamp
+	} else {
+		c.stamps[victim] = c.clock
+	}
+	c.misses++
+	return false
+}
+
+func (c *stampCache) markDirty(line uint64) bool {
+	tag := line + 1
+	set := int(line&c.setMask) * c.ways
+	for i := set; i < set+c.ways; i++ {
+		if c.tags[i] == tag {
+			c.dirty[i] = true
+			return true
+		}
+	}
+	return false
+}
+
+func (c *stampCache) invalidateRange(loLine, hiLine uint64) {
+	for i, tag := range c.tags {
+		if tag != 0 && tag-1 >= loLine && tag-1 < hiLine {
+			c.tags[i], c.stamps[i], c.dirty[i] = 0, 0, false
+		}
+	}
+}
+
+func (c *stampCache) flush() {
+	for i := range c.tags {
+		c.tags[i], c.stamps[i], c.dirty[i] = 0, 0, false
+	}
+	c.clock, c.hits, c.misses = 0, 0, 0
+}
+
+// matchesModel reports the first entry (or counter) where c and ref
+// disagree, or "" when they agree exactly.
+func matchesModel(c *Cache, ref *stampCache) string {
+	if c.setMask != ref.setMask || len(c.tags) != len(ref.tags) {
+		return "geometry"
+	}
+	if c.clock != ref.clock || c.hits != ref.hits || c.misses != ref.misses {
+		return fmt.Sprintf("counters: clock %d/%d hits %d/%d misses %d/%d",
+			c.clock, ref.clock, c.hits, ref.hits, c.misses, ref.misses)
+	}
+	for i := range c.tags {
+		tag, dirty := c.tags[i]&^dirtyBit, c.tags[i]&dirtyBit != 0
+		if tag != ref.tags[i] || dirty != ref.dirty[i] || c.stamps[i] != ref.stamps[i] {
+			return fmt.Sprintf("entry %d: tag %d/%d dirty %v/%v stamp %d/%d",
+				i, tag, ref.tags[i], dirty, ref.dirty[i], c.stamps[i], ref.stamps[i])
+		}
+	}
+	return ""
+}
+
+// llcOp is one step of the LLC differential stream.
+type llcOp struct {
+	kind      byte
+	streaming bool
+	lo, hi    uint64
+}
+
+const (
+	llcLoad byte = iota
+	llcStore
+	llcMarkDirty
+	llcInvalidate
+	llcFlush
+)
+
+// runLLCDiff drives ops through a Cache and the stamp model of the same
+// geometry, as the accessor does: loads through AccessHint, stores
+// through the fused AccessDirty (AccessHint then MarkDirty in the
+// model). Outcomes, eviction streams and every entry must agree after
+// each step.
+func runLLCDiff(tb testing.TB, sets, ways int, ops []llcOp) {
+	tb.Helper()
+	c := New(sets*ways*64, 64, ways)
+	ref := newStampCache(sets*ways*64, 64, ways)
+	var got, want []uint64
+	logTo := func(log *[]uint64) func(uint64, bool) {
+		return func(line uint64, dirty bool) {
+			v := line << 1
+			if dirty {
+				v |= 1
+			}
+			*log = append(*log, v)
+		}
+	}
+	c.OnEvict, ref.onEvict = logTo(&got), logTo(&want)
+	for i, op := range ops {
+		var hit, refHit bool
+		switch op.kind {
+		case llcLoad:
+			hit, refHit = c.AccessHint(op.lo, op.streaming), ref.accessHint(op.lo, op.streaming)
+		case llcStore:
+			hit = c.AccessDirty(op.lo, op.streaming)
+			refHit = ref.accessHint(op.lo, op.streaming)
+			ref.markDirty(op.lo)
+		case llcMarkDirty:
+			hit, refHit = c.MarkDirty(op.lo), ref.markDirty(op.lo)
+		case llcInvalidate:
+			c.InvalidateRange(op.lo, op.hi)
+			ref.invalidateRange(op.lo, op.hi)
+		case llcFlush:
+			c.Flush()
+			ref.flush()
+		}
+		if hit != refHit {
+			tb.Fatalf("op %d (%+v): hit %v, model %v", i, op, hit, refHit)
+		}
+		if len(got) != len(want) || (len(got) > 0 && got[len(got)-1] != want[len(want)-1]) {
+			tb.Fatalf("op %d (%+v): evictions %v, model %v", i, op, got, want)
+		}
+		if d := matchesModel(c, ref); d != "" {
+			tb.Fatalf("op %d (%+v): %s", i, op, d)
+		}
+	}
+}
+
+// llcStream is a seeded op stream over lines [0, universe): loads and
+// stores, a quarter of them streaming, with MarkDirty probes, narrow and
+// wide invalidation windows, and an occasional flush.
+func llcStream(seed, universe uint64, n int) []llcOp {
+	x := seed
+	next := func() uint64 { // SplitMix64
+		x += 0x9e3779b97f4a7c15
+		z := x
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return z ^ z>>31
+	}
+	ops := make([]llcOp, n)
+	for i := range ops {
+		line := next() % universe
+		switch r := next() % 1000; {
+		case r == 0:
+			ops[i] = llcOp{kind: llcFlush}
+		case r < 20:
+			ops[i] = llcOp{kind: llcInvalidate, lo: line, hi: line + next()%(universe/2+1)}
+		case r < 60:
+			ops[i] = llcOp{kind: llcMarkDirty, lo: line}
+		default:
+			kind := llcLoad
+			if next()%2 == 0 {
+				kind = llcStore
+			}
+			ops[i] = llcOp{kind: kind, streaming: next()%4 == 0, lo: line}
+		}
+	}
+	return ops
+}
+
+// TestLLCMatchesStampModel runs seeded streams through both models at
+// one-set and 32-set geometries, so invalidation windows take both the
+// per-line probe and the full tag scan.
+func TestLLCMatchesStampModel(t *testing.T) {
+	for _, g := range []struct{ sets, ways int }{{1, 2}, {1, 8}, {32, 4}, {32, 8}} {
+		for _, mult := range []uint64{2, 8, 64} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				universe := uint64(g.sets*g.ways) * mult
+				runLLCDiff(t, g.sets, g.ways, llcStream(seed, universe, 4000))
+			}
+		}
+	}
+}
+
+// FuzzLLCMatchesStampModel decodes data into an op stream: the first
+// byte picks the geometry and line universe, then each byte pair is a
+// load, a store, a MarkDirty, an invalidation window, or a flush. The
+// seeds include streaming inserts into emptied sets (stamps saturating
+// at 0), dirty evictions, and narrow and wide invalidations.
+func FuzzLLCMatchesStampModel(f *testing.F) {
+	f.Add([]byte{0, 0x10, 1, 0x10, 2, 0x50, 3, 0x10, 1, 0x10, 4, 0x10, 5})
+	f.Add([]byte{1, 0x7f, 0, 0x60, 1, 0x60, 2, 0x60, 3, 0x60, 4, 0x20, 5})
+	f.Add([]byte{2, 0x10, 7, 0xc0, 3, 0x50, 7, 0x50, 8, 0xff, 0, 0x10, 9, 0x30, 7})
+	f.Add([]byte{3, 0x10, 1, 0x10, 33, 0x10, 65, 0x10, 97, 0x10, 129, 0x90, 0, 0x50, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		geoms := []struct{ sets, ways int }{{1, 2}, {1, 4}, {32, 4}, {32, 8}}
+		g := geoms[int(data[0])%len(geoms)]
+		universe := uint64(g.sets*g.ways) * []uint64{2, 8, 64}[int(data[0]>>2)%3]
+		var ops []llcOp
+		for i := 1; i+1 < len(data); i += 2 {
+			a, b := data[i], uint64(data[i+1])
+			line := (uint64(a&0x0f)<<8 | b) % universe
+			switch a >> 4 {
+			case 0x7:
+				ops = append(ops, llcOp{kind: llcFlush})
+			case 0x8, 0x9, 0xa, 0xb:
+				// Window width from the low nibble: narrow below the set
+				// count, wide up to the whole universe.
+				width := uint64(a&0x0f) * (universe/16 + 1)
+				ops = append(ops, llcOp{kind: llcInvalidate, lo: b % universe, hi: b%universe + width})
+			case 0x6:
+				ops = append(ops, llcOp{kind: llcMarkDirty, lo: line})
+			default:
+				kind := llcLoad
+				if a&0x10 != 0 {
+					kind = llcStore
+				}
+				ops = append(ops, llcOp{kind: kind, streaming: a&0x20 != 0, lo: line})
+			}
+		}
+		runLLCDiff(t, g.sets, g.ways, ops)
+	})
+}
+
 // TestAccessDirtyEquivalence drives a seeded mixed stream through two
 // caches — one using the fused store probe, one the unfused
 // AccessHint+MarkDirty pair — and requires bit-identical internal state
@@ -267,10 +538,11 @@ func TestAccessDirtyEquivalence(t *testing.T) {
 			t.Fatalf("eviction %d diverges: %#x vs %#x", i, evA[i], evB[i])
 		}
 	}
+	// Tag words carry the dirty bit, so comparing them compares it too.
 	for i := range a.tags {
-		if a.tags[i] != b.tags[i] || a.stamps[i] != b.stamps[i] || a.dirty[i] != b.dirty[i] {
-			t.Fatalf("entry %d diverges: tag %d/%d stamp %d/%d dirty %v/%v",
-				i, a.tags[i], b.tags[i], a.stamps[i], b.stamps[i], a.dirty[i], b.dirty[i])
+		if a.tags[i] != b.tags[i] || a.stamps[i] != b.stamps[i] {
+			t.Fatalf("entry %d diverges: tag %#x/%#x stamp %d/%d",
+				i, a.tags[i], b.tags[i], a.stamps[i], b.stamps[i])
 		}
 	}
 }
@@ -299,14 +571,13 @@ func TestInvalidateRangeProbeEquivalence(t *testing.T) {
 		if tag == 0 {
 			continue
 		}
-		if line := tag - 1; line >= lo && line < hi {
+		if line := tag&^dirtyBit - 1; line >= lo && line < hi {
 			b.tags[i] = 0
 			b.stamps[i] = 0
-			b.dirty[i] = false
 		}
 	}
 	for i := range a.tags {
-		if a.tags[i] != b.tags[i] || a.stamps[i] != b.stamps[i] || a.dirty[i] != b.dirty[i] {
+		if a.tags[i] != b.tags[i] || a.stamps[i] != b.stamps[i] {
 			t.Fatalf("entry %d diverges after invalidation", i)
 		}
 	}

@@ -287,6 +287,89 @@ func (a *Accessor) SetSealed(sealed bool) {
 	a.sealed = sealed
 }
 
+// Elem simulates one access of an aligned element of at most a cache
+// line (a load, or a store if write): exactly Load/Store of the
+// element, minus the split into lines, which an aligned power-of-two
+// element never needs.
+func (a *Accessor) Elem(addr uint64, write bool) {
+	if !a.sealed {
+		a.syncCheck(addr, write)
+	}
+	a.Accesses++
+	a.accessLine(addr>>a.lineShift, write)
+}
+
+// Gather simulates, for each index i in idx, an access of the aligned
+// element at base + i<<elemShift: a load if load, a store if store, and
+// a load then a store if both. It is bit-identical in every observable
+// to the same sequence of Elem calls, but a sealed accessor charges the
+// whole list in one loop that holds the same-line register and the L1
+// counters in locals and leaves the loop only on an L1 miss. Elements
+// must not straddle a line (see Elem).
+func (a *Accessor) Gather(base uint64, elemShift uint, idx []uint32, load, store bool) {
+	if !load && !store {
+		return
+	}
+	if !a.sealed {
+		// The unsealed protocol checks the sync word per access, in the
+		// element path's order.
+		for _, i := range idx {
+			addr := base + uint64(i)<<elemShift
+			if load {
+				a.Elem(addr, false)
+			}
+			if store {
+				a.Elem(addr, true)
+			}
+		}
+		return
+	}
+	if load && store {
+		a.Accesses += 2 * uint64(len(idx))
+	} else {
+		a.Accesses += uint64(len(idx))
+	}
+	// The locals are written back around l1Miss, which adds to Cycles,
+	// so every float add happens in the element path's order. An
+	// update's store always hits the same-line register its load just
+	// set, so the pair is charged in one step: the store's MarkDirty
+	// walk moves up to the load (no other LLC operation comes between
+	// them), and on an L1 miss it folds into the load's LLC probe.
+	cycles, l1Hits, hitCycles := a.Cycles, a.L1Hits, a.l1HitCycles
+	last, valid, dirty := a.lastLine, a.lastValid, a.lastDirty
+	shift := a.lineShift
+	for _, i := range idx {
+		line := (base + uint64(i)<<elemShift) >> shift
+		if valid && line == last {
+			l1Hits++
+			cycles += hitCycles
+			if store && !dirty {
+				a.llc.MarkDirty(line)
+				dirty = true
+			}
+		} else {
+			last, valid, dirty = line, true, store
+			if a.l1.Access(line) {
+				l1Hits++
+				cycles += hitCycles
+				if store {
+					a.llc.MarkDirty(line)
+				}
+			} else {
+				a.Cycles = cycles
+				a.l1Miss(line, !load, store)
+				cycles = a.Cycles
+			}
+		}
+		if load && store {
+			l1Hits++
+			cycles += hitCycles
+		}
+	}
+	a.Cycles, a.L1Hits = cycles, l1Hits
+	a.lastLine, a.lastValid, a.lastDirty = last, valid, dirty
+}
+
 func (a *Accessor) access(addr uint64, size uint32, write bool) {
 	if !a.sealed {
 		a.syncCheck(addr, write)
@@ -331,9 +414,20 @@ func (a *Accessor) accessRange(addr uint64, elemSize uint32, count int, write bo
 		return
 	}
 	a.Accesses += uint64(count)
-	lineBytes := uint64(1) << a.lineShift
 	first := addr >> a.lineShift
 	last := (addr + es*uint64(count) - 1) >> a.lineShift
+	if first == last {
+		// One line (an offsets pair, a short edge list): every touch
+		// after the first is a same-line L1 hit, with no Bresenham
+		// set-up.
+		a.accessLine(first, write)
+		if extra := uint64(count - 1); extra > 0 {
+			a.L1Hits += extra
+			a.Cycles += float64(extra) * a.l1HitCycles
+		}
+		return
+	}
+	lineBytes := uint64(1) << a.lineShift
 	// f and l index the first and last element whose byte span
 	// intersects the current line; both advance with division-free
 	// Bresenham steps (q/r precomputed once). rem is the offset of the
@@ -396,6 +490,23 @@ func (a *Accessor) accessLine(line uint64, write bool) {
 		}
 		return
 	}
+	a.l1Miss(line, write, write)
+}
+
+// l1Miss is the rest of a line access after the L1 filter missed: the
+// LLC lookup and, on an LLC miss, stream detection, the fill,
+// translation and the tier charge. It touches neither the same-line register nor L1Hits, so
+// Gather can keep those in locals across the call. dirty flags the LLC
+// entry modified in the probe: set for a store, and by Gather for the
+// load of a load-then-store pair, whose store would flag it next.
+func (a *Accessor) l1Miss(line uint64, write, dirty bool) {
+	// A dirty access flags the entry in the lookup or the fill itself,
+	// leaving the state an AccessHint then MarkDirty pair would.
+	if a.llc.Hit(line, dirty) {
+		a.LLCHits++
+		a.Cycles += a.llcHitCycles
+		return
+	}
 	// Stream detection: is the predecessor line L1-resident? The probe
 	// runs after the miss installed line, so a 1-set L1 may already
 	// have dropped line-1. An active forward stream fetched line-1 only
@@ -403,22 +514,10 @@ func (a *Accessor) accessLine(line uint64, write bool) {
 	// arbitrarily interleaved parallel-array streams, while a random
 	// miss rarely lands one line past recently-touched data. The LLC
 	// uses it for stream-resistant insertion and the cost model applies
-	// prefetch coverage below.
+	// prefetch coverage below. Only an LLC miss needs it, and the LLC
+	// lookup does not touch the L1, so it is asked after the lookup.
 	sequential := line != 0 && a.l1.Contains(line-1)
-	// Stores go through the fused dirty probe: one set walk both looks
-	// the line up (or installs it) and flags the entry dirty, replacing
-	// the AccessHint + MarkDirty pair with identical state and counters.
-	var llcHit bool
-	if write {
-		llcHit = a.llc.AccessDirty(line, sequential)
-	} else {
-		llcHit = a.llc.AccessHint(line, sequential)
-	}
-	if llcHit {
-		a.LLCHits++
-		a.Cycles += a.llcHitCycles
-		return
-	}
+	a.llc.Fill(line, sequential, dirty)
 	addr := line << a.lineShift
 	pi, retries := a.sys.pt.TranslateStable(addr)
 	if retries > 0 {

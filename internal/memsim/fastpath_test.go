@@ -363,3 +363,156 @@ func TestSyncWordHoisting(t *testing.T) {
 			ref.ShootdownsApplied, fast.ShootdownsApplied)
 	}
 }
+
+// TestBulkEquivalenceSingleLine pins accessRange's one-line fast path:
+// ranges that start and end in one line (an offsets pair, a short edge
+// list), aligned or not, including a lone element and a full line.
+func TestBulkEquivalenceSingleLine(t *testing.T) {
+	_, _, _, _, fb, sb := equivFixture(t)
+	runEquivalence(t, []rangeOp{
+		{addr: sb + 4096, elemSize: 8, count: 2, write: false},
+		{addr: sb + 4096, elemSize: 8, count: 2, write: true},
+		{addr: sb + 8192 + 40, elemSize: 8, count: 3, write: false},
+		{addr: fb + 64, elemSize: 4, count: 16, write: true},
+		{addr: fb + 200, elemSize: 12, count: 1, write: false},
+		{addr: fb + 320, elemSize: 1, count: 64, write: false},
+		{addr: sb + 4096 + 16, elemSize: 8, count: 1, write: true},
+	})
+}
+
+// gatherOp is one gather of a replayable workload: indices into an
+// array of 1<<elemShift-byte elements at base.
+type gatherOp struct {
+	base        uint64
+	elemShift   uint
+	idx         []uint32
+	load, store bool
+}
+
+// runGatherElementwise replays ops as per-element Elem calls: for each
+// index a load, a store, or a load then a store.
+func runGatherElementwise(a *Accessor, ops []gatherOp) {
+	for _, op := range ops {
+		for _, i := range op.idx {
+			addr := op.base + uint64(i)<<op.elemShift
+			if op.load {
+				a.Elem(addr, false)
+			}
+			if op.store {
+				a.Elem(addr, true)
+			}
+		}
+	}
+}
+
+func runGather(a *Accessor, ops []gatherOp) {
+	for _, op := range ops {
+		a.Gather(op.base, op.elemShift, op.idx, op.load, op.store)
+	}
+}
+
+// gatherWorkload builds seeded gathers over both tiers: every element
+// size from 1 to 8 bytes, load, store and update modes, random indices
+// with repeats and runs of same-line neighbours, and empty lists.
+func gatherWorkload(seed int64, fb, sb uint64, n int) []gatherOp {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]gatherOp, n)
+	for k := range ops {
+		shift := uint(rng.Intn(4))
+		span := uint32(1*MiB) >> shift
+		idx := make([]uint32, rng.Intn(48))
+		for j := range idx {
+			switch r := rng.Intn(8); {
+			case r == 0 && j > 0:
+				idx[j] = idx[j-1] // repeated index
+			case r <= 2 && j > 0:
+				idx[j] = (idx[j-1] + 1) % span // same-line neighbour
+			default:
+				idx[j] = uint32(rng.Intn(int(span)))
+			}
+		}
+		base := fb
+		if rng.Intn(2) == 0 {
+			base = sb
+		}
+		mode := rng.Intn(3)
+		ops[k] = gatherOp{base: base, elemShift: shift, idx: idx, load: mode != 1, store: mode != 0}
+	}
+	return ops
+}
+
+// TestGatherEquivalence holds Accessor.Gather to the element path on twin
+// systems: every counter, Cycles and the reduced PhaseStats must match
+// exactly, sealed and unsealed, across an InvalidateCacheRange between
+// gathers. Unsealed, a shootdown is also published from the miss hook in
+// the middle of a gather, and one between gathers.
+func TestGatherEquivalence(t *testing.T) {
+	for _, sealed := range []bool{true, false} {
+		name := "unsealed"
+		if sealed {
+			name = "sealed"
+		}
+		t.Run(name, func(t *testing.T) {
+			sysRef, sysFast, ref, fast, fb, sb := equivFixture(t)
+			ref.SetSealed(sealed)
+			fast.SetSealed(sealed)
+			if !sealed {
+				shootAt := func(s *System) MissHook {
+					misses := 0
+					return func(addr uint64, write bool) float64 {
+						if misses++; misses == 500 {
+							s.Shootdown(fb, 128*KiB)
+						}
+						return 17
+					}
+				}
+				ref.SetMissHook(shootAt(sysRef))
+				fast.SetMissHook(shootAt(sysFast))
+			}
+			pre := gatherWorkload(11, fb, sb, 400)
+			runGatherElementwise(ref, pre)
+			runGather(fast, pre)
+			ref.InvalidateCacheRange(fb, 64*KiB)
+			fast.InvalidateCacheRange(fb, 64*KiB)
+			mid := gatherWorkload(12, fb, sb, 400)
+			runGatherElementwise(ref, mid)
+			runGather(fast, mid)
+			if !sealed {
+				sysRef.Shootdown(sb, 256*KiB)
+				sysFast.Shootdown(sb, 256*KiB)
+			}
+			post := gatherWorkload(13, fb, sb, 400)
+			runGatherElementwise(ref, post)
+			runGather(fast, post)
+			ref.SetSealed(false)
+			fast.SetSealed(false)
+			compareAccessors(t, ref, fast, sysRef, sysFast)
+			if !sealed && (ref.ShootdownsApplied != 2 || fast.ShootdownsApplied != 2) {
+				t.Fatalf("ShootdownsApplied: ref %d fast %d, want 2/2",
+					ref.ShootdownsApplied, fast.ShootdownsApplied)
+			}
+		})
+	}
+}
+
+// TestGatherMatchesLoadStore ties Elem to the general Load/Store path
+// for aligned elements of every size, so Gather's equivalence to Elem
+// is equivalence to the element path kernels used before.
+func TestGatherMatchesLoadStore(t *testing.T) {
+	sysRef, sysFast, ref, fast, fb, sb := equivFixture(t)
+	ops := gatherWorkload(21, fb, sb, 600)
+	for _, op := range ops {
+		size := uint32(1) << op.elemShift
+		for _, i := range op.idx {
+			addr := op.base + uint64(i)<<op.elemShift
+			if op.load {
+				ref.Load(addr, size)
+			}
+			if op.store {
+				ref.Store(addr, size)
+			}
+		}
+	}
+	runGather(fast, ops)
+	compareAccessors(t, ref, fast, sysRef, sysFast)
+}

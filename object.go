@@ -2,6 +2,7 @@ package atmem
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"atmem/internal/core"
@@ -64,6 +65,10 @@ type Array[T Element] struct {
 	obj      *Object
 	elems    []T
 	elemSize uint64
+	// elemShift is log2(elemSize). Elements are power-of-two sized and
+	// objects huge-page aligned, so no element straddles a cache line
+	// and each access is one Accessor.Elem.
+	elemShift uint
 }
 
 // NewArray allocates and registers an array of n elements of type T under
@@ -83,9 +88,10 @@ func NewArray[T Element](rt *Runtime, name string, n int) (*Array[T], error) {
 		return nil, err
 	}
 	a := &Array[T]{
-		obj:      obj,
-		elems:    make([]T, n),
-		elemSize: es,
+		obj:       obj,
+		elems:     make([]T, n),
+		elemSize:  es,
+		elemShift: uint(bits.TrailingZeros64(es)),
 	}
 	if n > 0 {
 		// Alias the object's byte backing to the array storage, so the
@@ -120,13 +126,13 @@ func (a *Array[T]) Addr(i int) uint64 {
 
 // Load reads element i through the simulated memory system.
 func (a *Array[T]) Load(c *Ctx, i int) T {
-	c.acc.Load(a.Addr(i), uint32(a.elemSize))
+	c.acc.Elem(a.Addr(i), false)
 	return a.elems[i]
 }
 
 // Store writes element i through the simulated memory system.
 func (a *Array[T]) Store(c *Ctx, i int, v T) {
-	c.acc.Store(a.Addr(i), uint32(a.elemSize))
+	c.acc.Elem(a.Addr(i), true)
 	a.elems[i] = v
 }
 
@@ -134,14 +140,32 @@ func (a *Array[T]) Store(c *Ctx, i int, v T) {
 // backing data — used by kernels that read the element through an atomic
 // operation on Raw() (the simulator tracks cost, the atomic op provides
 // the synchronized value).
+//
+// A neighbour loop should not call SimLoad per neighbour: it charges
+// the loads with SimLoadGather over the neighbour list, split at each
+// claimed neighbour whose stores must follow its load (see DESIGN.md
+// §8, "Gather accessors").
 func (a *Array[T]) SimLoad(c *Ctx, i int) {
-	c.acc.Load(a.Addr(i), uint32(a.elemSize))
+	c.acc.Elem(a.Addr(i), false)
 }
 
 // SimStore charges a simulated write of element i without touching the
 // backing data — the counterpart of SimLoad for CAS-updated elements.
 func (a *Array[T]) SimStore(c *Ctx, i int) {
-	c.acc.Store(a.Addr(i), uint32(a.elemSize))
+	c.acc.Elem(a.Addr(i), true)
+}
+
+// SimLoadGather charges a simulated read of element i for each i in idx,
+// in order — exactly len(idx) SimLoad calls, charged in one loop.
+func (a *Array[T]) SimLoadGather(c *Ctx, idx []uint32) {
+	c.acc.Gather(a.obj.base, a.elemShift, idx, true, false)
+}
+
+// SimUpdateGather charges a simulated read then write of element i for
+// each i in idx, in order — exactly SimLoad(i) then SimStore(i) per
+// index, the charge of an atomic read-modify-write scatter.
+func (a *Array[T]) SimUpdateGather(c *Ctx, idx []uint32) {
+	c.acc.Gather(a.obj.base, a.elemShift, idx, true, true)
 }
 
 // LoadSeq charges a sequential simulated read of elements [lo, hi) and
