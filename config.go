@@ -186,11 +186,6 @@ type Options struct {
 	// /debug/pprof/ the usual profiles. Implies Metrics (a registry is
 	// created if none was given). Call Runtime.Close to stop it.
 	DebugAddr string
-	// ScorecardSink, when non-nil, receives every per-epoch Scorecard as
-	// the epoch boundary computes it (control-plane goroutine, governed
-	// runs only). The harness uses it to stream scorecard rows into
-	// experiment reports.
-	ScorecardSink func(Scorecard)
 	// Tenant, when non-nil, attaches the runtime to a multi-tenant
 	// broker (see NewBroker): the runtime allocates from the broker's
 	// shared memory system instead of building its own, its governed

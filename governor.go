@@ -20,20 +20,6 @@ import (
 	"atmem/internal/telemetry"
 )
 
-// govInfo captures one governed Optimize for reporting.
-type govInfo struct {
-	epoch          int
-	decision       governor.Decision
-	state          governor.State // breaker state after the epoch
-	skipped        bool           // breaker-open epoch, no migration ran
-	emptyDelta     bool           // nothing to move before any probe shrink
-	promotedBytes  uint64
-	demotedBytes   uint64
-	regionsDemoted int
-	pressureBytes  uint64 // demotions scheduled by the watermarks
-	residentBytes  uint64
-}
-
 // EpochReport is the outcome of one Runtime.RunEpoch: the phases the
 // body ran, the samples the epoch attributed, and the governed
 // migration report.
@@ -135,7 +121,7 @@ const (
 // runEpoch is the one epoch bracket every placement source runs
 // through: count the epoch and open its span, run the start health
 // pass, run the body between the source's before and after steps, run
-// the end health pass, and close the epoch with its scorecard.
+// the end health pass, and close the epoch with its observer (endEpoch).
 func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, body func()) (EpochReport, error) {
 	r.epoch++
 	rep := EpochReport{Epoch: r.epoch, Replayed: src == sourceReplay}
@@ -162,6 +148,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 	err := r.beginEpochHealth(0)
 	r.unlockPlacement()
 	if err != nil {
+		r.drainTransitions(0)
 		end["error"] = err.Error()
 		r.rec.End(0, "epoch", name, end)
 		return rep, err
@@ -257,7 +244,6 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 		err = r.endEpochHealth(0)
 		r.unlockPlacement()
 	}
-	r.finishEpochScorecard(&rep, scrubStart)
 	end["optimized"] = rep.Optimized
 	if src != sourceReplay {
 		end["samples"] = rep.Samples
@@ -265,7 +251,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 	if src == sourceOverlapped {
 		end["overlapped"] = rep.Overlapped
 	}
-	r.rec.End(0, "epoch", name, end)
+	r.endEpoch(name, end, &rep, scrubStart)
 	return rep, err
 }
 
@@ -273,17 +259,19 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 // governed epoch and DrainAsync run through it. It makes one breaker
 // decision, diffs the fresh plan against the page table's fast tier
 // (core.Advance), adds watermark-driven pressure demotions, and commits
-// a mixed-direction schedule with demotions first. An ungoverned
-// runtime (one-shot Optimize) has no breaker and makes no hysteresis or
-// pressure demotions, so it only promotes what the plan lacks, and its
-// report carries no governed fields. The sampling period is a parameter
-// (not read from the profiler) so the async pipeline can analyze a
-// previous interval's samples while the profiler is already
-// reconfigured for the next; tid selects the telemetry track (the
-// placement track when running on the background service goroutine).
-func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) (MigrationReport, error) {
+// a mixed-direction schedule with demotions first. It builds its
+// MigrationReport in place, and endPlacement completes and observes it
+// on every return. An ungoverned runtime (one-shot Optimize) has no
+// breaker and makes no hysteresis or pressure demotions, so it only
+// promotes what the plan lacks, and its report carries no governed
+// fields. The sampling period is a parameter (not read from the
+// profiler) so the async pipeline can analyze a previous interval's
+// samples while the profiler is already reconfigured for the next; tid
+// selects the telemetry track (the placement track when running on the
+// background service goroutine).
+func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) (rep MigrationReport, err error) {
 	if !r.profiled {
-		return MigrationReport{}, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
+		return rep, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
 	}
 	// Serialize against co-tenants on a shared system: the staging
 	// reservations and the global reserved==0 invariant assume one
@@ -291,50 +279,32 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	r.lockPlacement()
 	defer r.unlockPlacement()
 	r.rec.Begin(tid, "optimize", "optimize", nil)
-	var analyzeNS uint64
-	defer func() {
-		r.logNewFaults(tid)
-		r.logBreakerTransitions(tid)
-		r.logHealthTransitions(tid)
-		r.rec.End(tid, "optimize", "optimize", r.optimizeSpanArgs())
-		r.recordOptimizeMetrics(tid, analyzeNS)
-	}()
 
 	governed := r.opts.Governor.Enabled
-	gi := &govInfo{decision: governor.DecisionRun}
+	decision := governor.DecisionRun
+	var analyzeNS uint64
 	if governed {
-		gi.decision = r.breaker.Decide()
-		gi.epoch = r.breaker.Epoch()
-		r.gov = gi
+		decision = r.breaker.Decide()
+		rep.Epoch = r.breaker.Epoch()
 	}
+	defer func() { r.endPlacement(tid, &rep, false, decision, analyzeNS) }()
 	observe := func(degraded bool) {
 		if governed {
 			r.breaker.Observe(degraded)
 		}
 	}
-	finish := func() MigrationReport {
-		if governed {
-			gi.state = r.breaker.State()
-			gi.residentBytes = r.registeredFastBytes()
-			// Mirror the breaker state atomically for /healthz, which
-			// reads from the debug listener's goroutine mid-run.
-			r.breakerOpenA.Store(gi.state != governor.StateClosed)
-		}
-		return r.migrationReport()
-	}
-	emptyStats := func() {
+	emptyPlan := func() {
 		r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
-		st := migrate.Stats{Engine: r.engine.Name()}
-		r.migStats = &st
+		rep.Engine, rep.TotalBytes = r.engine.Name(), r.plan.TotalBytes
 	}
 
-	if gi.decision == governor.DecisionSkip {
+	if decision == governor.DecisionSkip {
 		// Open breaker: no analysis, no migration, hysteresis counters
 		// frozen. The epoch still ran its phases on the degraded
 		// placement; the cooldown was counted by Decide.
-		gi.skipped = true
-		emptyStats()
-		return finish(), nil
+		rep.BreakerSkipped = true
+		emptyPlan()
+		return rep, nil
 	}
 
 	// The placement budget is an exact ledger identity: free capacity
@@ -371,25 +341,32 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 			// Nothing resident and no headroom: there is no placement
 			// budget at all (core treats budget 0 as unlimited, so this
 			// cannot fall through to the analyzer). A clean no-op epoch.
-			emptyStats()
+			emptyPlan()
 			observe(false)
-			return finish(), nil
+			return rep, nil
 		}
 	}
 	analyzeStart := time.Now()
 	plan, err := r.policy.Rank(core.PolicyProfile{
 		Registry: r.reg,
 		Period:   period,
-		Epoch:    gi.epoch,
+		Epoch:    rep.Epoch,
 	}, budget, r.stageObserver(tid))
 	analyzeNS = uint64(time.Since(analyzeStart))
 	if err != nil {
-		return MigrationReport{}, err
+		return rep, err
 	}
 	if r.opts.BandwidthAware && !r.sys.P.SharedChannels {
 		trimPlanForBandwidth(plan, &r.sys.P)
 	}
 	r.plan = plan
+	rep.TotalBytes = plan.TotalBytes
+	rep.SelectedBytes = plan.SelectedBytes
+	rep.ClippedBytes = plan.ClippedBytes
+	for i := range plan.Objects {
+		rep.SampledBytes += plan.Objects[i].SampledBytes
+		rep.EstimatedBytes += plan.Objects[i].EstimatedBytes
+	}
 
 	// Delta against the page table: promotions of the planned bytes not
 	// yet fast, demotions of chunks cold for the whole hysteresis
@@ -398,16 +375,16 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	delta, cands := core.Advance(plan, r.govCfg.DemoteAfterEpochs, r.fastBytes)
 	sched := migrate.Schedule{}
 	if governed {
-		sched.Demotions = r.pressureDemotions(gi, delta, cands)
+		sched.Demotions, rep.PressureDemotedBytes = r.pressureDemotions(delta, cands)
 	}
 	for _, rg := range delta.Promotions {
 		sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
 	}
 	// Health veto: never promote onto quarantined or distrusted granules.
 	sched.Promotions = r.filterPromotions(tid, sched.Promotions)
-	gi.emptyDelta = sched.Empty()
+	rep.DeltaEmpty = governed && sched.Empty()
 
-	if gi.decision == governor.DecisionProbe && !sched.Empty() {
+	if decision == governor.DecisionProbe && !sched.Empty() {
 		// Half-open: probe with the single smallest region (a
 		// promotion if there is one — it exercises the fast tier the
 		// failures came from) instead of the whole schedule.
@@ -420,16 +397,13 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 
 	pre := r.objectChecksums()
 	res, err := r.commitSchedule(ctx, tid, sched)
-	r.migStats = &res.Merged
+	rep.setSchedule(res, governed && err == nil)
 	if err != nil {
 		// Unrecoverable (failed rollback): degrade the breaker and
 		// surface the error.
 		observe(true)
-		return finish(), fmt.Errorf("atmem: migration: %w", err)
+		return rep, fmt.Errorf("atmem: migration: %w", err)
 	}
-	gi.promotedBytes = res.Promotions.BytesMoved
-	gi.demotedBytes = res.Demotions.BytesMoved
-	gi.regionsDemoted = len(res.Demotions.Moved)
 	// Promotion outcomes are health observations: committed promotions
 	// vouch for their target granules, skipped ones indict them.
 	r.observeMigrationHealth(res)
@@ -442,9 +416,9 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	// breaker.
 	observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
 	if err := r.verifyMigrationInvariants(pre); err != nil {
-		return finish(), fmt.Errorf("atmem: post-migration invariant violated: %w", err)
+		return rep, fmt.Errorf("atmem: post-migration invariant violated: %w", err)
 	}
-	return finish(), nil
+	return rep, nil
 }
 
 // pressureDemotions returns the governed demotions: the delta's
@@ -452,7 +426,8 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 // occupancy over the high watermark, candidates coldest-first until the
 // projection drains to the low watermark. This is what lets a hot-set
 // shift or a budget cut proceed before hysteresis expires.
-func (r *Runtime) pressureDemotions(gi *govInfo, delta core.Delta, cands []core.Candidate) []migrate.Region {
+// The second result is the fast bytes the pressure candidates hold.
+func (r *Runtime) pressureDemotions(delta core.Delta, cands []core.Candidate) (out []migrate.Region, pressureBytes uint64) {
 	capEff := r.sys.P.Tiers[memsim.TierFast].CapacityBytes
 	// Quarantined pages are capacity the tier no longer has: the
 	// watermarks must drain occupancy against the effective size, or a
@@ -489,18 +464,17 @@ func (r *Runtime) pressureDemotions(gi *govInfo, delta core.Delta, cands []core.
 		// means the budget is gone entirely — drain everything.
 		target = projected
 	}
-	var out []migrate.Region
 	for _, rg := range delta.Demotions {
 		out = append(out, migrate.Region{Base: rg.Base, Size: rg.Size})
 	}
 	for _, c := range cands {
-		if gi.pressureBytes >= target {
+		if pressureBytes >= target {
 			break
 		}
 		out = append(out, migrate.Region{Base: c.Range.Base, Size: c.Range.Size})
-		gi.pressureBytes += c.FastBytes
+		pressureBytes += c.FastBytes
 	}
-	return out
+	return out, pressureBytes
 }
 
 // registeredFastBytes sums the fast-tier bytes of every registered

@@ -106,6 +106,26 @@ func (r *Runtime) HealthStats() HealthStats {
 	return hs
 }
 
+// healthReport projects HealthStats onto the HealthReport a
+// MigrationReport carries.
+func (r *Runtime) healthReport() HealthReport {
+	hs := r.HealthStats()
+	return HealthReport{
+		QuarantinedBytes:    hs.Quarantined,
+		QuarantinedRanges:   hs.QuarantinedRanges,
+		CorruptedChunks:     hs.CorruptedChunks,
+		CorruptionsDetected: hs.Scrub.Detections,
+		CorruptionsRepaired: hs.Scrub.Repairs,
+		EmergencyDemotions:  hs.EmergencyDemotions,
+		PromotionsVetoed:    hs.PromotionsVetoed,
+		RetiredRanges:       hs.RetiredRanges,
+		CondemnedGranules:   hs.Board.Condemned,
+		SuspectGranules:     hs.Board.Suspect,
+		ScrubbedBytes:       hs.Scrub.BytesScrubbed,
+		DegradedRanges:      hs.DegradedRanges,
+	}
+}
+
 // Scoreboard exposes the health scoreboard (nil unless Options.Health
 // is enabled), for tests and the harness.
 func (r *Runtime) Scoreboard() *health.Scoreboard { return r.board }
@@ -332,7 +352,7 @@ func (r *Runtime) scrubPass(tid int) error {
 		chargedNS := uint64(float64(scanned) / (gbs * 1e9) * 1e9)
 		r.simNS.Add(chargedNS)
 		// The epoch scorecard's ScrubSeconds diffs this cumulative
-		// charge across the epoch (see finishEpochScorecard).
+		// charge across the epoch (see endEpoch).
 		r.scrubChargedNS += chargedNS
 	}
 	return nil

@@ -1,13 +1,12 @@
 package atmem
 
-// This file wires the live metrics registry (internal/metrics) into the
-// runtime's lifecycle, the way telemetry.go wires the trace recorder: a
-// metricsSet of pre-registered instruments recorded at phase, optimize,
-// and epoch boundaries (never on the simulated-access hot path), and the
-// per-epoch placement-quality scorecards derived from the same numbers
-// the MigrationReport carries — bit-exactly, which the reconciliation
-// test enforces. Everything is nil-safe: with Options.Metrics and
-// Options.DebugAddr unset each record point costs one pointer test.
+// This file holds the live metrics registry's (internal/metrics) side
+// of the runtime: the metricsSet of pre-registered instruments and the
+// per-epoch placement-quality Scorecard. The boundary observers in
+// observe.go record into both, from the same record that feeds the
+// trace (never on the simulated-access hot path). Everything is
+// nil-safe: with Options.Metrics and Options.DebugAddr unset each
+// record point costs one pointer test.
 //
 // Shard discipline (see internal/metrics): counter shard 0 is the
 // runtime's control plane, shard 1 the background placement worker —
@@ -59,17 +58,14 @@ type metricsSet struct {
 	breakerState    *metrics.Gauge
 	residentBytes   *metrics.Gauge
 
-	// Health instruments. The counters are fed by delta against the
-	// cumulative HealthReport (lastHealth below); optimizeGoverned and
-	// the epoch loop never run concurrently with each other, so the
-	// delta bookkeeping needs no lock.
+	// Health instruments. The counters are fed by the delta between two
+	// placements' cumulative HealthReports.
 	quarantinedBytes *metrics.Gauge
 	scrubbedBytes    *metrics.Counter
 	crcDetected      *metrics.Counter
 	crcRepaired      *metrics.Counter
 	emergDemotions   *metrics.Counter
 	promosVetoed     *metrics.Counter
-	lastHealth       HealthReport
 
 	// Epoch-boundary instruments (control plane only).
 	epochs         *metrics.Counter
@@ -167,67 +163,6 @@ func (r *Runtime) metShard(tid int) int {
 	return 0
 }
 
-// recordPhaseMetrics records one finished phase: per-tier traffic,
-// occupancy, applied shootdowns, and the phase latency histogram.
-// RunPhase (control plane) is the only caller.
-func (r *Runtime) recordPhaseMetrics(pr *PhaseResult) {
-	m := r.met
-	if m == nil {
-		return
-	}
-	m.phases.Inc(0)
-	for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
-		m.tierRead[t].Add(0, pr.Stats.ReadBytes[t])
-		m.tierWrite[t].Add(0, pr.Stats.WriteBytes[t])
-		m.tierWriteback[t].Add(0, pr.Stats.WritebackBytes[t])
-		mapped, reserved := r.sys.TierUsage(t)
-		m.tierMapped[t].SetUint(mapped)
-		m.tierReserved[t].SetUint(reserved)
-	}
-	m.shootdownsApplied.Add(0, pr.Stats.ShootdownsApplied)
-	m.phaseNS.ObserveSeconds(pr.Stats.WallSeconds)
-}
-
-// recordOptimizeMetrics records one finished Optimize from r.migStats,
-// r.gov, and the health report; analyzeNS is the analyzer's host wall
-// time (0 when no analysis ran). The caller's track id selects the
-// counter shard, keeping the single-writer discipline when the governed
-// Optimize runs on the background placement worker.
-func (r *Runtime) recordOptimizeMetrics(tid int, analyzeNS uint64) {
-	m := r.met
-	if m == nil {
-		return
-	}
-	shard := r.metShard(tid)
-	if analyzeNS > 0 {
-		m.analyzeNS.Observe(analyzeNS)
-	}
-	if st := r.migStats; st != nil {
-		m.migrateNS.ObserveSeconds(st.Seconds)
-		m.movedBytes.Add(shard, st.BytesMoved)
-		m.pagesMoved.Add(shard, uint64(st.PagesMoved))
-		m.hugeSplits.Add(shard, uint64(st.HugePagesSplit))
-		m.tlbShootdowns.Add(shard, uint64(st.TLBShootdowns))
-		m.regionsMigrated.Add(shard, uint64(st.RegionsMigrated))
-		m.regionsRetried.Add(shard, uint64(st.RegionsRetried))
-		m.regionsSkipped.Add(shard, uint64(st.RegionsSkipped))
-	}
-	if gi := r.gov; gi != nil {
-		m.promotedBytes.Add(shard, gi.promotedBytes)
-		m.demotedBytes.Add(shard, gi.demotedBytes)
-		m.breakerState.Set(float64(int(gi.state)))
-		m.residentBytes.SetUint(gi.residentBytes)
-	}
-	h := r.healthReport()
-	m.quarantinedBytes.SetUint(h.QuarantinedBytes)
-	m.scrubbedBytes.Add(shard, h.ScrubbedBytes-m.lastHealth.ScrubbedBytes)
-	m.crcDetected.Add(shard, uint64(h.CorruptionsDetected-m.lastHealth.CorruptionsDetected))
-	m.crcRepaired.Add(shard, uint64(h.CorruptionsRepaired-m.lastHealth.CorruptionsRepaired))
-	m.emergDemotions.Add(shard, uint64(h.EmergencyDemotions-m.lastHealth.EmergencyDemotions))
-	m.promosVetoed.Add(shard, uint64(h.PromotionsVetoed-m.lastHealth.PromotionsVetoed))
-	m.lastHealth = h
-}
-
 // Scorecard is the per-epoch placement-quality summary a governed epoch
 // derives at its boundary: how much of the interval's traffic the fast
 // tier actually served, how hard the resident footprint worked, what
@@ -284,70 +219,3 @@ func (r *Runtime) Scorecards() []Scorecard { return r.scorecards }
 // the first governed epoch). Safe from any goroutine — the debug
 // listener's /epochz endpoint reads it mid-run.
 func (r *Runtime) LastScorecard() *Scorecard { return r.lastScore.Load() }
-
-// finishEpochScorecard derives the epoch's scorecard at its boundary
-// (control plane, after the migration/health passes settled), publishes
-// it to the scorecard gauges and the atomic latest-scorecard slot, and
-// hands it to the configured sink.
-func (r *Runtime) finishEpochScorecard(rep *EpochReport, scrubStartNS uint64) {
-	sc := Scorecard{Epoch: rep.Epoch}
-	for i := range rep.Phases {
-		st := &rep.Phases[i].Stats
-		sc.PhaseSeconds += st.WallSeconds
-		for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
-			n := st.ReadBytes[t] + st.WriteBytes[t] + st.WritebackBytes[t]
-			sc.TotalBytesTouched += n
-			if t == memsim.TierFast {
-				sc.FastBytesTouched += n
-			}
-		}
-	}
-	if sc.TotalBytesTouched > 0 {
-		sc.FastAccessShare = float64(sc.FastBytesTouched) / float64(sc.TotalBytesTouched)
-	}
-	if rep.Optimized {
-		sc.ResidentBytes = rep.Migration.ResidentBytes
-		sc.PromotedBytes = rep.Migration.PromotedBytes
-		sc.DemotedBytes = rep.Migration.DemotedBytes
-		sc.MovedBytes = rep.Migration.BytesMoved
-		sc.MigrationSeconds = rep.Migration.Seconds
-		sc.Breaker = rep.Migration.Breaker
-	} else {
-		// A zero-sample epoch ran no Optimize: placement is unchanged,
-		// so report the standing residency and breaker state.
-		sc.ResidentBytes = r.ResidentBytes()
-		sc.Breaker = r.BreakerState().String()
-	}
-	if sc.ResidentBytes > 0 {
-		sc.FastResidencyEfficiency = float64(sc.FastBytesTouched) / float64(sc.ResidentBytes)
-	}
-	if sc.MovedBytes > 0 {
-		sc.MigrationEfficiency = float64(sc.FastBytesTouched) / float64(sc.MovedBytes)
-	}
-	sc.ScrubSeconds = float64(r.scrubChargedNS-scrubStartNS) / 1e9
-	sc.ProfilingOverheadSeconds = float64(r.prof.SampleCount()) * r.opts.SampleOverheadNS / 1e9
-	if sc.PhaseSeconds > 0 {
-		sc.OverheadTax = (sc.ScrubSeconds + sc.ProfilingOverheadSeconds) / sc.PhaseSeconds
-	}
-
-	r.scorecards = append(r.scorecards, sc)
-	r.lastScore.Store(&sc)
-	if m := r.met; m != nil {
-		m.epochs.Inc(0)
-		if rep.Migration.BreakerSkipped {
-			m.epochsSkipped.Inc(0)
-		}
-		m.samples.Add(0, uint64(rep.Samples))
-		m.epochNS.ObserveSeconds(sc.PhaseSeconds + sc.MigrationSeconds + sc.ScrubSeconds)
-		m.scoreEpoch.SetUint(uint64(sc.Epoch))
-		m.scoreFastShare.Set(sc.FastAccessShare)
-		m.scoreResidEff.Set(sc.FastResidencyEfficiency)
-		m.scoreMigEff.Set(sc.MigrationEfficiency)
-		m.scoreOverhead.Set(sc.OverheadTax)
-	}
-	if r.opts.ScorecardSink != nil {
-		r.opts.ScorecardSink(sc)
-	}
-	// Feed the broker's arbiter on a tenant runtime (see broker.go).
-	r.reportTenantSignal(&sc)
-}

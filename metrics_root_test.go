@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,11 +18,9 @@ import (
 // read off the EpochReport's MigrationReport and PhaseResults — the
 // scorecard is a derived view, never a second bookkeeping.
 func TestScorecardReconciliation(t *testing.T) {
-	var sunk []Scorecard
 	rt, err := New(govTestbed(8<<20),
 		WithGovernor(GovernorOptions{}),
 		WithMetrics(NewMetricsRegistry()),
-		WithScorecardSink(func(sc Scorecard) { sunk = append(sunk, sc) }),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -32,20 +32,19 @@ func TestScorecardReconciliation(t *testing.T) {
 	fillDeterministic(a, 1)
 
 	var reps []EpochReport
+	var latest []Scorecard
 	for e := 0; e < 3; e++ {
 		reps = append(reps, epochOn(t, rt, fmt.Sprintf("e%d", e), a))
+		latest = append(latest, *rt.LastScorecard())
 	}
 	cards := rt.Scorecards()
 	if len(cards) != len(reps) {
 		t.Fatalf("%d scorecards for %d epochs", len(cards), len(reps))
 	}
-	if len(sunk) != len(reps) {
-		t.Fatalf("sink saw %d scorecards, want %d", len(sunk), len(reps))
-	}
 	for i, sc := range cards {
 		rep := reps[i]
-		if sc != sunk[i] {
-			t.Errorf("epoch %d: sink scorecard differs from stored one", rep.Epoch)
+		if sc != latest[i] {
+			t.Errorf("epoch %d: LastScorecard after the epoch differs from the stored one", rep.Epoch)
 		}
 		if sc.Epoch != rep.Epoch {
 			t.Errorf("scorecard %d: epoch %d, want %d", i, sc.Epoch, rep.Epoch)
@@ -294,5 +293,88 @@ func TestMetricsOffIsInert(t *testing.T) {
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close without debug listener: %v", err)
+	}
+}
+
+// TestMetricFamiliesPinned pins the metric surface: the family names
+// and label keys a governed, health-enabled, tenant-labelled runtime
+// exposes after one epoch. Dashboards and the benchmark read the
+// families by name, so a rename or a label change must show up here.
+func TestMetricFamiliesPinned(t *testing.T) {
+	bk := NewBroker(govTestbed(16<<20), BrokerConfig{})
+	tn, err := bk.Admit(TenantSpec{Name: "a", Class: ClassBurstable, FloorBytes: 2 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, hot, _ := brokerTenantRuntime(t, tn, WithScrubber(), WithMetrics(NewMetricsRegistry()))
+	epochOn(t, rt, "e1", hot)
+
+	snap := rt.Metrics().Snapshot()
+	var ids []string
+	for id := range snap.Counters {
+		ids = append(ids, id)
+	}
+	for id := range snap.Gauges {
+		ids = append(ids, id)
+	}
+	for id := range snap.Histograms {
+		ids = append(ids, id)
+	}
+	labelKey := regexp.MustCompile(`(\w+)="`)
+	seen := map[string]bool{}
+	var got []string
+	for _, id := range ids {
+		name, labels, _ := strings.Cut(id, "{")
+		var keys []string
+		for _, m := range labelKey.FindAllStringSubmatch(labels, -1) {
+			keys = append(keys, m[1])
+		}
+		slices.Sort(keys)
+		if f := name + "{" + strings.Join(keys, ",") + "}"; !seen[f] {
+			seen[f] = true
+			got = append(got, f)
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"atmem_epoch_duration_ns{tenant}",
+		"atmem_epochs_breaker_skipped_total{tenant}",
+		"atmem_epochs_total{tenant}",
+		"atmem_governor_breaker_state{tenant}",
+		"atmem_governor_resident_bytes{tenant}",
+		"atmem_health_corruptions_detected_total{tenant}",
+		"atmem_health_corruptions_repaired_total{tenant}",
+		"atmem_health_emergency_demotions_total{tenant}",
+		"atmem_health_promotions_vetoed_total{tenant}",
+		"atmem_health_quarantined_bytes{tenant}",
+		"atmem_health_scrubbed_bytes_total{tenant}",
+		"atmem_migration_demoted_bytes_total{tenant}",
+		"atmem_migration_huge_pages_split_total{tenant}",
+		"atmem_migration_moved_bytes_total{tenant}",
+		"atmem_migration_pages_moved_total{tenant}",
+		"atmem_migration_promoted_bytes_total{tenant}",
+		"atmem_migration_regions_migrated_total{tenant}",
+		"atmem_migration_regions_retried_total{tenant}",
+		"atmem_migration_regions_skipped_total{tenant}",
+		"atmem_migration_tlb_shootdowns_total{tenant}",
+		"atmem_optimize_analyze_ns{tenant}",
+		"atmem_optimize_migrate_ns{tenant}",
+		"atmem_phase_duration_ns{tenant}",
+		"atmem_phases_total{tenant}",
+		"atmem_profiler_samples_total{tenant}",
+		"atmem_scorecard_epoch{tenant}",
+		"atmem_scorecard_fast_access_share{tenant}",
+		"atmem_scorecard_fast_residency_efficiency{tenant}",
+		"atmem_scorecard_migration_efficiency{tenant}",
+		"atmem_scorecard_overhead_tax{tenant}",
+		"atmem_tier_mapped_bytes{tenant,tier}",
+		"atmem_tier_read_bytes_total{tenant,tier}",
+		"atmem_tier_reserved_bytes{tenant,tier}",
+		"atmem_tier_write_bytes_total{tenant,tier}",
+		"atmem_tier_writeback_bytes_total{tenant,tier}",
+		"atmem_tlb_shootdowns_applied_total{tenant}",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("metric families changed:\n got %q\nwant %q", got, want)
 	}
 }

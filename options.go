@@ -171,12 +171,6 @@ func WithDebugAddr(addr string) Option {
 	return func(o *Options) { o.DebugAddr = addr }
 }
 
-// WithScorecardSink streams every per-epoch placement-quality Scorecard
-// to fn as the epoch boundary computes it (see Options.ScorecardSink).
-func WithScorecardSink(fn func(Scorecard)) Option {
-	return func(o *Options) { o.ScorecardSink = fn }
-}
-
 // WithTenant attaches the runtime to a multi-tenant broker as the
 // given admitted tenant (see NewBroker and Options.Tenant): the
 // runtime shares the broker's memory system, honors its granted

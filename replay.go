@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"atmem/internal/core"
+	"atmem/internal/governor"
 	"atmem/internal/memsim"
 	"atmem/internal/migrate"
 	"atmem/internal/telemetry"
@@ -185,28 +186,19 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 
 	// Replay bypasses the breaker (the recorded run already paid for the
 	// decisions) but reports through the same governed-report shape.
-	gi := &govInfo{epoch: epoch, emptyDelta: sched.Empty()}
-	r.gov = gi
 	r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
-
+	rep := MigrationReport{
+		TotalBytes: r.plan.TotalBytes,
+		Epoch:      epoch,
+		DeltaEmpty: sched.Empty(),
+	}
 	res, err := r.commitSchedule(ctx, 0, sched)
-	r.migStats = &res.Merged
+	rep.setSchedule(res, err == nil)
 	if err != nil {
 		err = fmt.Errorf("atmem: replay migration: %w", err)
-	} else {
-		gi.promotedBytes = res.Promotions.BytesMoved
-		gi.demotedBytes = res.Demotions.BytesMoved
-		gi.regionsDemoted = len(res.Demotions.Moved)
 	}
-	gi.state = r.breaker.State()
-	gi.residentBytes = r.registeredFastBytes()
-	r.recordOptimizeMetrics(0, 0)
-	r.rec.End(0, "replay", "apply-plan", telemetry.Args{
-		"promoted_bytes": gi.promotedBytes,
-		"demoted_bytes":  gi.demotedBytes,
-		"seconds":        res.Merged.Seconds,
-	})
-	return r.migrationReport(), err
+	r.endPlacement(0, &rep, true, governor.DecisionRun, 0)
+	return rep, err
 }
 
 // PlanCache is the cross-run store of compiled placement plans. Share

@@ -185,78 +185,41 @@ func (m MigrationReport) String() string {
 	return s
 }
 
-func (r *Runtime) migrationReport() MigrationReport {
-	rep := MigrationReport{}
-	if r.migStats != nil {
-		rep.Engine = r.migStats.Engine
-		rep.Seconds = r.migStats.Seconds
-		rep.BytesMoved = r.migStats.BytesMoved
-		rep.PagesMoved = r.migStats.PagesMoved
-		rep.Regions = r.migStats.Regions
-		rep.HugePagesSplit = r.migStats.HugePagesSplit
-		rep.TLBShootdowns = r.migStats.TLBShootdowns
-		rep.RegionsMigrated = r.migStats.RegionsMigrated
-		rep.RegionsRetried = r.migStats.RegionsRetried
-		rep.RegionsSkipped = r.migStats.RegionsSkipped
-		for _, out := range r.migStats.Outcomes {
-			if out.Outcome == migrate.OutcomeSkipped {
-				rep.SkippedBytes += out.Region.Size
-			}
+// setSchedule fills the report's migration fields from one committed
+// schedule's merged stats; governed adds the per-direction split. It is
+// the one reader of a ScheduleResult for both placement paths
+// (optimizeGoverned and applyPlanEpoch).
+func (m *MigrationReport) setSchedule(res migrate.ScheduleResult, governed bool) {
+	st := &res.Merged
+	m.Engine = st.Engine
+	m.Seconds = st.Seconds
+	m.BytesMoved = st.BytesMoved
+	m.PagesMoved = st.PagesMoved
+	m.Regions = st.Regions
+	m.HugePagesSplit = st.HugePagesSplit
+	m.TLBShootdowns = st.TLBShootdowns
+	m.RegionsMigrated = st.RegionsMigrated
+	m.RegionsRetried = st.RegionsRetried
+	m.RegionsSkipped = st.RegionsSkipped
+	for _, out := range st.Outcomes {
+		if out.Outcome == migrate.OutcomeSkipped {
+			m.SkippedBytes += out.Region.Size
 		}
 	}
-	if r.plan != nil {
-		rep.TotalBytes = r.plan.TotalBytes
-		rep.SelectedBytes = r.plan.SelectedBytes
-		rep.ClippedBytes = r.plan.ClippedBytes
-		for i := range r.plan.Objects {
-			rep.SampledBytes += r.plan.Objects[i].SampledBytes
-			rep.EstimatedBytes += r.plan.Objects[i].EstimatedBytes
-		}
+	if governed {
+		m.PromotedBytes = res.Promotions.BytesMoved
+		m.DemotedBytes = res.Demotions.BytesMoved
+		m.RegionsDemoted = len(res.Demotions.Moved)
 	}
-	if r.gov != nil {
-		rep.Epoch = r.gov.epoch
-		rep.Breaker = r.gov.state.String()
-		rep.BreakerSkipped = r.gov.skipped
-		rep.DeltaEmpty = r.gov.emptyDelta
-		rep.PromotedBytes = r.gov.promotedBytes
-		rep.DemotedBytes = r.gov.demotedBytes
-		rep.RegionsDemoted = r.gov.regionsDemoted
-		rep.PressureDemotedBytes = r.gov.pressureBytes
-		rep.ResidentBytes = r.gov.residentBytes
-	}
+}
+
+// LastMigration returns the report of the most recent placement, or a
+// zero report if none has run. Its Health is read at call time.
+func (r *Runtime) LastMigration() MigrationReport {
+	rep := r.lastMig
 	rep.Health = r.healthReport()
 	return rep
 }
-
-// healthReport assembles the HealthReport from the ledger, scrubber,
-// scoreboard, and runtime counters.
-func (r *Runtime) healthReport() HealthReport {
-	h := HealthReport{
-		QuarantinedBytes:   r.sys.Quarantined(),
-		QuarantinedRanges:  len(r.sys.QuarantinedRanges()),
-		CorruptedChunks:    r.heal.corruptedChunks,
-		EmergencyDemotions: r.heal.emergencyDemotions,
-		PromotionsVetoed:   r.heal.promotionsVetoed,
-		RetiredRanges:      r.heal.retiredRanges,
-		DegradedRanges:     r.heal.degradeOrders,
-	}
-	if r.scrub != nil {
-		st := r.scrub.Stats()
-		h.CorruptionsDetected = st.Detections
-		h.CorruptionsRepaired = st.Repairs
-		h.ScrubbedBytes = st.BytesScrubbed
-	}
-	if r.board != nil {
-		st := r.board.Stats()
-		h.CondemnedGranules = st.Condemned
-		h.SuspectGranules = st.Suspect
-	}
-	return h
-}
-
-// LastMigration returns the report of the most recent Optimize, or a zero
-// report if none has run.
-func (r *Runtime) LastMigration() MigrationReport { return r.migrationReport() }
 
 // ObjectPlacement describes where one object's bytes live.
 type ObjectPlacement struct {

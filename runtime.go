@@ -40,15 +40,19 @@ type Runtime struct {
 	accessors []*memsim.Accessor
 
 	plan     *core.Plan
-	migStats *migrate.Stats
 	phases   []PhaseResult
 	profiled bool
+
+	// lastMig is the record of the most recent placement (Optimize, a
+	// governed epoch's or DrainAsync's placement, or a replayed plan
+	// epoch), built in place by optimizeGoverned or applyPlanEpoch and
+	// completed by endPlacement (observe.go).
+	lastMig MigrationReport
 
 	// Governor state (nil/zero unless Options.Governor.Enabled; see
 	// governor.go).
 	govCfg  governor.Config
 	breaker *governor.Breaker
-	gov     *govInfo
 	epoch   int
 
 	// Compiled-plan record/replay state (see replay.go). planRec is
@@ -72,13 +76,12 @@ type Runtime struct {
 
 	// Telemetry state (see telemetry.go). simNS is the simulated-clock
 	// cursor in nanoseconds, advanced by phase wall time and modelled
-	// migration time; rec is nil when telemetry is off.
-	rec           *telemetry.Recorder
-	simNS         atomic.Uint64
-	profOpen      bool
-	faultsTraced  int
-	breakerTraced int
-	healthTraced  int
+	// migration time; rec is nil when telemetry is off; traced is how
+	// far the trace has drained the transition logs (observe.go).
+	rec      *telemetry.Recorder
+	simNS    atomic.Uint64
+	profOpen bool
+	traced   traceCursor
 
 	// Live-metrics state (see metrics.go and debug.go). met is nil when
 	// metrics are off; scorecards accumulates one placement-quality row
@@ -685,14 +688,7 @@ func (r *Runtime) RunPhase(name string, kernel func(c *Ctx)) PhaseResult {
 	// The simulated clock advances by the phase's wall time; the span
 	// End therefore lands at the phase's end on the sim axis.
 	r.simNS.Add(uint64(pr.Stats.WallSeconds * 1e9))
-	r.rec.End(0, "phase", name, telemetry.Args{
-		"wall_s":     pr.Stats.WallSeconds,
-		"accesses":   pr.Stats.Accesses,
-		"llc_misses": pr.Stats.LLCMisses,
-		"tlb_misses": pr.Stats.TLBMisses,
-	})
-	r.emitPhaseMetrics(&pr)
-	r.recordPhaseMetrics(&pr)
+	r.endPhase(&pr)
 	return pr
 }
 

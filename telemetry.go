@@ -1,19 +1,18 @@
 package atmem
 
 // This file wires the telemetry recorder (internal/telemetry) into the
-// runtime's lifecycle: adapters for the analyzer stage observer and the
-// migration engine event sink, per-phase metric snapshots, fault-event
-// mirroring, and the trace writers the harness and CLIs use. All hooks
-// are nil-safe — with Options.Recorder unset each lifecycle point costs
-// one pointer test, and the simulated-access hot path carries no
-// instrumentation at all.
+// runtime: adapters for the analyzer stage observer and the migration
+// engine event sink, the chunk-heat instants, and the trace writers the
+// harness and CLIs use. The phase, placement and epoch boundaries and
+// the transition drain that feed the trace are in observe.go. All hooks
+// are nil-safe — with Options.Recorder unset each one costs one pointer
+// test, and the simulated-access hot path carries no instrumentation.
 
 import (
 	"fmt"
 	"io"
 
 	"atmem/internal/core"
-	"atmem/internal/memsim"
 	"atmem/internal/migrate"
 	"atmem/internal/telemetry"
 )
@@ -70,104 +69,6 @@ func (r *Runtime) emitMigrationEvent(tid int, startNS uint64, ev migrate.Event) 
 		"migrate", "region-"+string(ev.Kind), args)
 }
 
-// optimizeSpanArgs summarizes the Optimize outcome for its span's
-// closing edge.
-func (r *Runtime) optimizeSpanArgs() telemetry.Args {
-	if !r.rec.Enabled() {
-		return nil
-	}
-	args := telemetry.Args{}
-	if r.migStats != nil {
-		args["engine"] = r.migStats.Engine
-		args["migration_s"] = r.migStats.Seconds
-		args["bytes_moved"] = r.migStats.BytesMoved
-		args["regions_migrated"] = r.migStats.RegionsMigrated
-		args["regions_retried"] = r.migStats.RegionsRetried
-		args["regions_skipped"] = r.migStats.RegionsSkipped
-	}
-	if r.plan != nil {
-		args["selected_bytes"] = r.plan.SelectedBytes
-		args["clipped_bytes"] = r.plan.ClippedBytes
-	}
-	if r.gov != nil {
-		args["epoch"] = r.gov.epoch
-		args["decision"] = r.gov.decision.String()
-		args["breaker"] = r.gov.state.String()
-		args["promoted_bytes"] = r.gov.promotedBytes
-		args["demoted_bytes"] = r.gov.demotedBytes
-		args["pressure_bytes"] = r.gov.pressureBytes
-		args["resident_bytes"] = r.gov.residentBytes
-	}
-	return args
-}
-
-// logBreakerTransitions mirrors breaker state changes not yet in the
-// trace as instants on the governor track (same drain pattern as
-// logNewFaults). The governed Optimize calls it before closing its
-// span, so a transition lands inside the epoch that caused it.
-func (r *Runtime) logBreakerTransitions(tid int) {
-	if !r.rec.Enabled() || r.breaker == nil {
-		return
-	}
-	trs := r.breaker.Transitions()
-	for ; r.breakerTraced < len(trs); r.breakerTraced++ {
-		tr := trs[r.breakerTraced]
-		r.rec.Instant(tid, "governor", "breaker-"+tr.To.String(), telemetry.Args{
-			"epoch":    tr.Epoch,
-			"from":     tr.From.String(),
-			"reason":   tr.Reason,
-			"cooldown": tr.Cooldown,
-		})
-	}
-}
-
-// logHealthTransitions mirrors scoreboard granule-state changes not yet
-// in the trace as instants on the health track (same drain pattern as
-// logBreakerTransitions). The governed Optimize calls it before closing
-// its span; the trace writers call it again so epoch-boundary
-// transitions (scrub detections, condemnations) also reach the trace.
-func (r *Runtime) logHealthTransitions(tid int) {
-	if !r.rec.Enabled() || r.board == nil {
-		return
-	}
-	trs := r.board.Transitions()
-	for ; r.healthTraced < len(trs); r.healthTraced++ {
-		tr := trs[r.healthTraced]
-		args := telemetry.Args{
-			"epoch":  tr.Epoch,
-			"base":   tr.Base,
-			"bytes":  tr.Size,
-			"from":   tr.From.String(),
-			"reason": tr.Reason,
-		}
-		if tr.Backoff > 0 {
-			args["backoff"] = tr.Backoff
-		}
-		r.rec.Instant(tid, "health", "granule-"+tr.To.String(), args)
-	}
-}
-
-// emitPhaseMetrics snapshots the per-phase counters onto the trace's
-// counter tracks: tier occupancy (mapped and reserved bytes per tier)
-// and the phase's per-tier traffic breakdown.
-func (r *Runtime) emitPhaseMetrics(pr *PhaseResult) {
-	if !r.rec.Enabled() {
-		return
-	}
-	occ := make(telemetry.Args, 2*memsim.NumTiers)
-	traffic := make(telemetry.Args, 3*memsim.NumTiers)
-	for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
-		mapped, reserved := r.sys.TierUsage(t)
-		occ[t.String()+"_mapped"] = mapped
-		occ[t.String()+"_reserved"] = reserved
-		traffic[t.String()+"_read"] = pr.Stats.ReadBytes[t]
-		traffic[t.String()+"_write"] = pr.Stats.WriteBytes[t]
-		traffic[t.String()+"_writeback"] = pr.Stats.WritebackBytes[t]
-	}
-	r.rec.Counter(0, "metric", "tier-occupancy", occ)
-	r.rec.Counter(0, "metric", "phase-traffic", traffic)
-}
-
 // emitChunkHeat records one instant per object with its accumulated
 // sample totals — the trace-side companion of WriteChunkHeat.
 func (r *Runtime) emitChunkHeat() {
@@ -195,39 +96,18 @@ func (r *Runtime) emitChunkHeat() {
 	}
 }
 
-// logNewFaults mirrors fault-injector events not yet in the trace as
-// instants on the control track. Optimize calls it before closing its
-// span; the trace writers call it again so Alloc-time faults (outside
-// any Optimize) also reach the written trace, keeping the trace's fault
-// events in one-to-one correspondence with Runtime.FaultEvents.
-func (r *Runtime) logNewFaults(tid int) {
-	if !r.rec.Enabled() || r.faults == nil {
-		return
-	}
-	evs := r.faults.Events()
-	for ; r.faultsTraced < len(evs); r.faultsTraced++ {
-		ev := evs[r.faultsTraced]
-		r.rec.Instant(tid, "fault", string(ev.Op), telemetry.Args{
-			"call": ev.Call,
-			"rule": ev.Rule,
-		})
-	}
-}
-
 // WriteTrace writes the recorded events as Perfetto-loadable Chrome
-// trace-event JSON (see telemetry.WriteChromeTrace). Pending fault
-// events are synced into the trace first.
+// trace-event JSON (see telemetry.WriteChromeTrace). Transitions not yet
+// in the trace (say, an Alloc-time fault) are drained into it first.
 func (r *Runtime) WriteTrace(w io.Writer) error {
-	r.logNewFaults(0)
-	r.logHealthTransitions(0)
+	r.drainTransitions(0)
 	return telemetry.WriteChromeTrace(w, r.rec.Events())
 }
 
 // WriteTraceCSV writes the recorded events as a flat CSV timeline with
 // both clocks in explicit columns.
 func (r *Runtime) WriteTraceCSV(w io.Writer) error {
-	r.logNewFaults(0)
-	r.logHealthTransitions(0)
+	r.drainTransitions(0)
 	return telemetry.WriteCSV(w, r.rec.Events())
 }
 

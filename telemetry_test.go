@@ -2,8 +2,12 @@ package atmem
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
+	"atmem/internal/core"
 	"atmem/internal/faultinject"
 	"atmem/internal/telemetry"
 )
@@ -183,5 +187,118 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 	}
 	if len(events) != 0 {
 		t.Errorf("disabled runtime emitted %d events", len(events))
+	}
+}
+
+// TestObservationsAgreeAcrossEpochShapes pins the one observation
+// stream: after every epoch — synchronous, overlapped or replayed, and
+// before any trace writer runs — the trace holds exactly one instant
+// per fault event, breaker transition and granule transition, and the
+// metrics registry agrees with the epoch reports. Each runtime has
+// health with scrub, a one-strike breaker, and a persistent migration
+// fault storm over one of two arrays the epochs scan in turn, so the
+// fault, breaker and granule logs grow while the other array moves.
+func TestObservationsAgreeAcrossEpochShapes(t *testing.T) {
+	const epochs = 4
+	gov := WithGovernor(GovernorOptions{BreakerThreshold: 1, BreakerCooldown: 1})
+	// fixture adds the stormed array to healthFixture's pair; odd
+	// epochs scan the cold array, even epochs the stormed one.
+	fixture := func(opts ...Option) (*Runtime, []*Array[uint64]) {
+		rt, _, cold := healthFixture(t, append([]Option{gov}, opts...)...)
+		stormed, err := NewArray[uint64](rt, "stormed", 256<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, []*Array[uint64]{cold, stormed}
+	}
+	pc := core.NewPlanCache()
+	recording, scanned := fixture(WithPlanCache(pc))
+	sig := recording.BuildSignature("synthetic", 0x1234, []string{"scan"})
+	if _, err := recording.ArmPlan(sig); err != nil {
+		t.Fatal(err)
+	}
+	for e := 1; e <= epochs; e++ {
+		epochOn(t, recording, fmt.Sprintf("e%d", e), scanned[(e-1)%2])
+	}
+	if _, err := recording.FinishPlan(); err != nil {
+		t.Fatal(err)
+	}
+
+	instants := func(rec *telemetry.Recorder, cat, prefix string) int {
+		n := 0
+		for _, ev := range rec.Events() {
+			if ev.Cat == cat && ev.Ph == telemetry.PhaseInstant && strings.HasPrefix(ev.Name, prefix) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name          string
+		async, replay bool
+	}{
+		{name: "sync"},
+		{name: "overlapped", async: true},
+		{name: "replayed", replay: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := telemetry.NewRecorder()
+			opts := []Option{WithTelemetry(rec), WithMetrics(NewMetricsRegistry())}
+			switch {
+			case tc.async:
+				opts = append(opts, WithAsyncPlacement(AsyncOptions{}))
+			case tc.replay:
+				opts = append(opts, WithPlanCache(pc))
+			}
+			rt, scanned := fixture(opts...)
+			if tc.replay {
+				if v, err := rt.ArmPlan(sig); err != nil || v != core.LookupHit {
+					t.Fatalf("ArmPlan = (%v, %v), want hit", v, err)
+				}
+			}
+			rt.ArmFaults(faultinject.Fault{
+				Kind: faultinject.Persistent, Op: faultinject.OpRetier,
+				Base: scanned[1].Object().Base(), Size: scanned[1].Object().Size(),
+			})
+			var moved uint64
+			for e := 1; e <= epochs; e++ {
+				name := fmt.Sprintf("e%d", e)
+				body := func() { scanPhase(rt, name, scanned[(e-1)%2]) }
+				var rep EpochReport
+				var err error
+				if tc.async {
+					rep, err = rt.RunEpochAsync(context.Background(), name, body)
+				} else {
+					rep, err = rt.RunEpoch(name, body)
+				}
+				if err != nil {
+					t.Fatalf("epoch %d: %v", e, err)
+				}
+				if rep.Replayed != tc.replay {
+					t.Fatalf("epoch %d: Replayed %v, want %v", e, rep.Replayed, tc.replay)
+				}
+				moved += rep.Migration.BytesMoved
+
+				if got, want := instants(rec, "fault", ""), len(rt.FaultEvents()); got != want {
+					t.Errorf("epoch %d: %d fault instants, injector logged %d", e, got, want)
+				}
+				if got, want := instants(rec, "governor", "breaker-"), len(rt.BreakerTransitions()); got != want {
+					t.Errorf("epoch %d: %d breaker instants, %d transitions", e, got, want)
+				}
+				if got, want := instants(rec, "health", "granule-"), len(rt.Scoreboard().Transitions()); got != want {
+					t.Errorf("epoch %d: %d granule instants, %d transitions", e, got, want)
+				}
+				snap := rt.Metrics().Snapshot()
+				if got := snap.Counters["atmem_migration_moved_bytes_total"]; got != moved {
+					t.Errorf("epoch %d: moved-bytes counter %d, reports sum to %d", e, got, moved)
+				}
+				if got := snap.Counters["atmem_epochs_total"]; got != uint64(e) {
+					t.Errorf("epoch %d: epochs counter %d", e, got)
+				}
+			}
+			if len(rt.FaultEvents()) == 0 || moved == 0 {
+				t.Fatalf("%d faults, %d bytes moved: the agreement checks are vacuous", len(rt.FaultEvents()), moved)
+			}
+		})
 	}
 }
