@@ -31,7 +31,6 @@ func main() {
 	faults := flag.String("faults", "", "arm a fault-injection schedule on every run (DSL, e.g. 'retier:nth=3;reserve:p=0.01,seed=7,max=5')")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after the runs) to this file")
-	benchJSON := flag.String("bench-json", harness.BenchSimPath, "path the bench-sim experiment writes its JSON artifact to")
 	debugAddr := flag.String("debug-addr", "", "serve live /metrics, /epochz, /healthz, and pprof on this address during the adaptive scenarios (e.g. 127.0.0.1:9798)")
 	servingTenants := flag.Int("serving-tenants", 0, "trim the serving experiment to its first N tenants (min 2: the guaranteed anchor and the storm victim; 0 runs the full cast)")
 	flag.Usage = func() {
@@ -77,7 +76,6 @@ func main() {
 		sched = &s
 	}
 
-	harness.BenchSimPath = *benchJSON
 	// runAll lives in its own function so the profile writers flush on
 	// every exit path, including experiment failures.
 	os.Exit(runAll(exps, *format, *verbose, *traceDir, *async, sched, *cpuprofile, *memprofile, *debugAddr, *servingTenants))

@@ -3,20 +3,14 @@ package harness
 // This file is the paper-scale thrust of the reproduction: experiments
 // that run a true scale-24 RMAT graph (~16.8M vertices, 268M directed
 // edges — the paper's rmat24 row of Table 2 at full size) under full
-// simulation, compare a governed run's online placement loop against
-// compiled-plan replay, and emit the machine-readable BENCH_sim.json
-// the CI pipeline tracks across PRs. The built-in "rmat24" dataset
-// stays the ~1000x-scaled analogue (scale 16) used by the paper-artifact
+// simulation, and compare a governed run's online placement loop
+// against compiled-plan replay. The built-in "rmat24" dataset stays
+// the ~1000x-scaled analogue (scale 16) used by the paper-artifact
 // experiments; the paper-size graph registers separately as
 // "rmat24-paper" so nothing else pays its generation cost.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"os/exec"
-	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -27,17 +21,12 @@ import (
 	"atmem/internal/memsim"
 )
 
-// BenchSimPath is where the bench-sim experiment writes its JSON
-// artifact; atmem-bench overrides it via -bench-json.
-var BenchSimPath = "BENCH_sim.json"
-
 // ScaleExperiments returns the paper-scale experiments (run by id, like
 // the other extensions).
 func ScaleExperiments() []Experiment {
 	return []Experiment{
 		{ID: "scale24", Title: "Paper-scale rmat24 (scale-24 RMAT, 268M edges): governed bfs+pr under full simulation", Run: scale24},
 		{ID: "plan-replay", Title: "Compiled plan replay vs online placement loop: wall-clock, CRCs, final residency", Run: planReplay},
-		{ID: "bench-sim", Title: "Simulator throughput + scaling + replay speedup, emitted as BENCH_sim.json", Run: benchSim},
 	}
 }
 
@@ -277,217 +266,4 @@ func planReplay(s *Suite) ([]*Report, error) {
 		online.PlacementSeconds/replay.PlacementSeconds, online.Plan.Epochs, len(online.Plan.Steps))
 	rep.AddNote("equivalence held: bit-identical graph CRCs, identical final residency and per-object tier layout")
 	return []*Report{rep}, nil
-}
-
-// BenchSimSchemaVersion is the schema of the BENCH_sim.json artifact.
-// Bump it when fields change meaning or disappear; benchSim refuses to
-// overwrite an artifact stamped with a NEWER version, so an old binary
-// can never silently downgrade the perf trajectory CI tracks.
-//
-// v1: unversioned (no schema_version field).
-// v2: adds schema_version, gomaxprocs, git_sha.
-const BenchSimSchemaVersion = 2
-
-// BenchSim is the machine-readable perf snapshot CI uploads as
-// BENCH_sim.json: raw simulator throughput, host-core scaling, and the
-// online-vs-replay comparison. Fields are stable across PRs — they are
-// the perf trajectory.
-type BenchSim struct {
-	SchemaVersion int   `json:"schema_version"`
-	GeneratedUnix int64 `json:"generated_unix"`
-	HostCores     int   `json:"host_cores"`
-	// GoMaxProcs is the scheduler width the snapshot ran under and
-	// GitSHA the source revision it measured (GITHUB_SHA in CI, local
-	// git HEAD otherwise, empty when neither resolves) — the provenance
-	// a regression gate needs before comparing two snapshots.
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GitSHA     string `json:"git_sha,omitempty"`
-	// NsPerSimAccess and SimAccessesPerSec characterize the sealed
-	// parallel hot path at the highest measured proc count.
-	NsPerSimAccess    float64 `json:"ns_per_simulated_access"`
-	SimAccessesPerSec float64 `json:"simulated_accesses_per_sec"`
-	// ScalingProcs / ScalingAccessesPerSec are the sweep (procs capped
-	// at host cores); ScalingEfficiency is tput(max)/(max*tput(1)).
-	ScalingProcs          []int     `json:"scaling_procs"`
-	ScalingAccessesPerSec []float64 `json:"scaling_accesses_per_sec"`
-	ScalingEfficiency     float64   `json:"scaling_efficiency"`
-	// Online-vs-replay wall clocks of the plan-replay experiment.
-	OnlineWallSeconds      float64 `json:"online_wall_seconds"`
-	ReplayWallSeconds      float64 `json:"replay_wall_seconds"`
-	OnlinePlacementSeconds float64 `json:"online_placement_seconds"`
-	ReplayPlacementSeconds float64 `json:"replay_placement_seconds"`
-	PlacementSpeedup       float64 `json:"placement_speedup"`
-	ReplayResidencyMatched bool    `json:"replay_residency_matched"`
-	ReplayGraphCRCsMatched bool    `json:"replay_graph_crcs_matched"`
-}
-
-// measureSimThroughput runs the sealed parallel workload (the
-// BenchmarkAccessorParallel shape: 8 simulated workers, a graph-kernel
-// access mix over private 4 MiB regions) at the given GOMAXPROCS and
-// returns simulated accesses per host second.
-func measureSimThroughput(procs, opsPerWorker int) float64 {
-	prev := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(prev)
-	const workers = 8
-	sys := memsim.NewSystem(memsim.NVMDRAMParams())
-	accs := make([]*memsim.Accessor, workers)
-	bases := make([]uint64, workers)
-	for i := range accs {
-		base, err := sys.Alloc(4*memsim.MiB, memsim.TierSlow)
-		if err != nil {
-			return 0
-		}
-		accs[i] = sys.NewAccessor()
-		accs[i].SetSealed(true)
-		bases[i] = base
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range accs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a, base := accs[i], bases[i]
-			rng := uint64(i+1)*0x9e3779b97f4a7c15 + 1
-			span := uint64(4*memsim.MiB - 64*memsim.KiB)
-			for n := 0; n < opsPerWorker; n++ {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				addr := base + rng%span
-				switch rng % 8 {
-				case 0:
-					a.StoreRange(addr, 8, 64)
-				case 1:
-					a.LoadRange(addr, 8, 256)
-				case 2:
-					a.Store(addr, 8)
-				default:
-					a.Load(addr, 8)
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	var total uint64
-	for _, a := range accs {
-		total += a.Accesses
-	}
-	return float64(total) / elapsed
-}
-
-// benchSim produces the BENCH_sim.json artifact plus a human-readable
-// report of the same numbers.
-func benchSim(s *Suite) ([]*Report, error) {
-	if err := checkBenchSchema(BenchSimPath); err != nil {
-		return nil, err
-	}
-	bs := BenchSim{
-		SchemaVersion: BenchSimSchemaVersion,
-		GeneratedUnix: time.Now().Unix(),
-		HostCores:     runtime.NumCPU(),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		GitSHA:        benchGitSHA(),
-	}
-	const ops = 1 << 15
-	for _, procs := range []int{1, 2, 4, 8} {
-		if procs > 1 && procs > runtime.NumCPU() {
-			break
-		}
-		best := 0.0
-		for trial := 0; trial < 3; trial++ {
-			if tput := measureSimThroughput(procs, ops); tput > best {
-				best = tput
-			}
-		}
-		bs.ScalingProcs = append(bs.ScalingProcs, procs)
-		bs.ScalingAccessesPerSec = append(bs.ScalingAccessesPerSec, best)
-	}
-	last := len(bs.ScalingProcs) - 1
-	bs.SimAccessesPerSec = bs.ScalingAccessesPerSec[last]
-	bs.NsPerSimAccess = 1e9 / bs.SimAccessesPerSec
-	bs.ScalingEfficiency = bs.ScalingAccessesPerSec[last] /
-		(float64(bs.ScalingProcs[last]) * bs.ScalingAccessesPerSec[0])
-
-	online, replay, err := comparePlanSessions("pr", "twitter", 4)
-	if err != nil {
-		return nil, err
-	}
-	bs.OnlineWallSeconds = online.WallSeconds
-	bs.ReplayWallSeconds = replay.WallSeconds
-	bs.OnlinePlacementSeconds = online.PlacementSeconds
-	bs.ReplayPlacementSeconds = replay.PlacementSeconds
-	bs.PlacementSpeedup = online.PlacementSeconds / replay.PlacementSeconds
-	bs.ReplayResidencyMatched = true // comparePlanSessions enforces it
-	bs.ReplayGraphCRCsMatched = true
-
-	f, err := os.Create(BenchSimPath)
-	if err != nil {
-		return nil, fmt.Errorf("harness: bench-sim artifact: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&bs); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-
-	rep := &Report{
-		ID:      "bench-sim",
-		Title:   "Simulator throughput, host-core scaling, and replay speedup",
-		Columns: []string{"metric", "value"},
-	}
-	rep.AddRow("host cores", fmt.Sprintf("%d", bs.HostCores))
-	for i, procs := range bs.ScalingProcs {
-		rep.AddRow(fmt.Sprintf("simacc/s @ %d procs", procs),
-			fmt.Sprintf("%.3g", bs.ScalingAccessesPerSec[i]))
-	}
-	rep.AddRow("ns/simulated-access", fmt.Sprintf("%.1f", bs.NsPerSimAccess))
-	rep.AddRow("scaling efficiency", pct(bs.ScalingEfficiency))
-	rep.AddRow("online placement(s)", secs(bs.OnlinePlacementSeconds))
-	rep.AddRow("replay placement(s)", secs(bs.ReplayPlacementSeconds))
-	rep.AddRow("placement speedup", ratio(bs.PlacementSpeedup))
-	rep.AddNote("written to %s (CI uploads it as the perf-trajectory artifact)", BenchSimPath)
-	return []*Report{rep}, nil
-}
-
-// checkBenchSchema refuses to clobber an artifact stamped by a NEWER
-// schema: an older binary rerunning bench-sim must fail loudly rather
-// than silently strip fields the regression gate depends on. A missing
-// or unparseable artifact (including v1, which carried no version) is
-// fair game.
-func checkBenchSchema(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var probe struct {
-		SchemaVersion int `json:"schema_version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil
-	}
-	if probe.SchemaVersion > BenchSimSchemaVersion {
-		return fmt.Errorf("harness: %s carries schema_version %d, newer than this binary's %d; refusing to overwrite (rebuild from the newer source or remove the artifact)",
-			path, probe.SchemaVersion, BenchSimSchemaVersion)
-	}
-	return nil
-}
-
-// benchGitSHA resolves the source revision to stamp into the artifact:
-// CI's GITHUB_SHA when set, the local git HEAD otherwise, empty when
-// neither resolves (e.g. a source tarball — provenance is best-effort).
-func benchGitSHA() string {
-	if sha := os.Getenv("GITHUB_SHA"); sha != "" {
-		return sha
-	}
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }

@@ -196,6 +196,10 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 	rep.setSchedule(res, err == nil)
 	if err != nil {
 		err = fmt.Errorf("atmem: replay migration: %w", err)
+	} else {
+		// Replayed promotions are health observations like online ones:
+		// a storm that skips them must indict the failing granules.
+		r.observeMigrationHealth(res)
 	}
 	r.endPlacement(0, &rep, true, governor.DecisionRun, 0)
 	return rep, err

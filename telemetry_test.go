@@ -296,8 +296,9 @@ func TestObservationsAgreeAcrossEpochShapes(t *testing.T) {
 					t.Errorf("epoch %d: epochs counter %d", e, got)
 				}
 			}
-			if len(rt.FaultEvents()) == 0 || moved == 0 {
-				t.Fatalf("%d faults, %d bytes moved: the agreement checks are vacuous", len(rt.FaultEvents()), moved)
+			if len(rt.FaultEvents()) == 0 || moved == 0 || len(rt.Scoreboard().Transitions()) == 0 {
+				t.Fatalf("%d faults, %d bytes moved, %d granule transitions: the agreement checks are vacuous",
+					len(rt.FaultEvents()), moved, len(rt.Scoreboard().Transitions()))
 			}
 		})
 	}
