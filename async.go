@@ -29,14 +29,14 @@ import (
 // run before the launch and after the join, as on every epoch. The
 // first epoch of a run (nothing pending) overlaps nothing and just
 // profiles; call DrainAsync after the last epoch to place the final
-// interval's samples. Requires Options.Async.Enabled.
+// interval's samples. Requires Options.Async.
 //
 // Cancelling ctx stops the in-flight background plan at the next
 // region or staging-slice boundary (rolled back, reported skipped); the
 // epoch itself still completes and attributes its samples.
 func (r *Runtime) RunEpochAsync(ctx context.Context, name string, body func()) (EpochReport, error) {
-	if !r.opts.Governor.Enabled || !r.opts.Async.Enabled {
-		return EpochReport{}, fmt.Errorf("atmem: RunEpochAsync requires Options.Async.Enabled")
+	if !r.opts.Governor.Enabled || !r.opts.Async {
+		return EpochReport{}, fmt.Errorf("atmem: RunEpochAsync requires Options.Async")
 	}
 	return r.runEpoch(ctx, name, sourceOverlapped, body)
 }
@@ -46,7 +46,7 @@ func (r *Runtime) RunEpochAsync(ctx context.Context, name string, body func()) (
 // background migration's modelled seconds were deliberately not added
 // by commitSchedule (asyncActive was set). Whatever part of the
 // migration fits under the phases is hidden — that is the point of
-// overlapping — except for the configured StealFraction of it, charged
+// overlapping — except for stealFraction of it, charged
 // back as the copy bandwidth stolen from the kernels; any excess beyond
 // the phases' time surfaces in full, as it would on real hardware when
 // the service threads outlive the interval.
@@ -61,7 +61,7 @@ func (r *Runtime) reconcileOverlap(rep *EpochReport) {
 		overlap = phaseS
 	}
 	excess := migS - overlap
-	stolen := overlap * r.opts.Async.StealFraction
+	stolen := overlap * stealFraction
 	rep.OverlapSeconds = overlap
 	rep.StolenSeconds = stolen
 	r.overlapTotalS += overlap
@@ -89,8 +89,8 @@ func (r *Runtime) reconcileOverlap(rep *EpochReport) {
 // interval's heat is not dropped. It is a no-op returning a zero report
 // when nothing is pending.
 func (r *Runtime) DrainAsync(ctx context.Context) (MigrationReport, error) {
-	if !r.opts.Governor.Enabled || !r.opts.Async.Enabled {
-		return MigrationReport{}, fmt.Errorf("atmem: DrainAsync requires Options.Async.Enabled")
+	if !r.opts.Governor.Enabled || !r.opts.Async {
+		return MigrationReport{}, fmt.Errorf("atmem: DrainAsync requires Options.Async")
 	}
 	if r.pendingSamples == 0 {
 		return MigrationReport{}, nil

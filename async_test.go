@@ -18,7 +18,7 @@ func asyncRuntime(t *testing.T, extra ...Option) *Runtime {
 	t.Helper()
 	opts := append([]Option{
 		WithSamplePeriod(64),
-		WithAsyncPlacement(AsyncOptions{}),
+		WithAsyncPlacement(),
 	}, extra...)
 	rt, err := New(NVMDRAM(), opts...)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestAsyncFasterThanSyncWithIdenticalData(t *testing.T) {
 		if async {
 			rt, err = New(NVMDRAM(),
 				WithSamplePeriod(64),
-				WithAsyncPlacement(AsyncOptions{}))
+				WithAsyncPlacement())
 		} else {
 			rt, err = New(NVMDRAM(),
 				WithSamplePeriod(64),
@@ -391,12 +391,12 @@ func TestAsyncRequiresOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := rt.RunEpochAsync(context.Background(), "x", func() {}); err == nil {
-		t.Error("RunEpochAsync succeeded without Options.Async.Enabled")
+		t.Error("RunEpochAsync succeeded without Options.Async")
 	}
 	if _, err := rt.DrainAsync(context.Background()); err == nil {
-		t.Error("DrainAsync succeeded without Options.Async.Enabled")
+		t.Error("DrainAsync succeeded without Options.Async")
 	}
-	rt2, err := New(NVMDRAM(), WithAsyncPlacement(AsyncOptions{}))
+	rt2, err := New(NVMDRAM(), WithAsyncPlacement())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func benchEpochs(b *testing.B, async bool) {
 		var err error
 		if async {
 			rt, err = New(NVMDRAM(),
-				WithSamplePeriod(64), WithAsyncPlacement(AsyncOptions{}))
+				WithSamplePeriod(64), WithAsyncPlacement())
 		} else {
 			rt, err = New(NVMDRAM(),
 				WithSamplePeriod(64), WithGovernor(GovernorOptions{}))

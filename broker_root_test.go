@@ -186,7 +186,7 @@ func TestTenantCloseReleasesShareAndAdmitsQueued(t *testing.T) {
 	default:
 	}
 
-	rt, hot, cold := brokerTenantRuntime(t, ta, WithAsyncPlacement(AsyncOptions{}))
+	rt, hot, cold := brokerTenantRuntime(t, ta, WithAsyncPlacement())
 	ctx := context.Background()
 	for _, name := range []string{"e1", "e2", "e3"} {
 		if _, err := rt.RunEpochAsync(ctx, name, func() { scanPhase(rt, name, hot, cold) }); err != nil {

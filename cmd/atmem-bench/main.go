@@ -32,7 +32,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after the runs) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve live /metrics, /epochz, /healthz, and pprof on this address during the adaptive scenarios (e.g. 127.0.0.1:9798)")
-	servingTenants := flag.Int("serving-tenants", 0, "trim the serving experiment to its first N tenants (min 2: the guaranteed anchor and the storm victim; 0 runs the full cast)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: atmem-bench [-format text|csv|md|json] [-v] <experiment>...|all\n\nexperiments ('all' runs the paper set; extensions run by id):\n")
 		for _, e := range harness.AllExperiments() {
@@ -78,10 +77,10 @@ func main() {
 
 	// runAll lives in its own function so the profile writers flush on
 	// every exit path, including experiment failures.
-	os.Exit(runAll(exps, *format, *verbose, *traceDir, *async, sched, *cpuprofile, *memprofile, *debugAddr, *servingTenants))
+	os.Exit(runAll(exps, *format, *verbose, *traceDir, *async, sched, *cpuprofile, *memprofile, *debugAddr))
 }
 
-func runAll(exps []harness.Experiment, format string, verbose bool, traceDir string, async bool, faults *faultinject.Schedule, cpuprofile, memprofile, debugAddr string, servingTenants int) int {
+func runAll(exps []harness.Experiment, format string, verbose bool, traceDir string, async bool, faults *faultinject.Schedule, cpuprofile, memprofile, debugAddr string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -118,7 +117,6 @@ func runAll(exps []harness.Experiment, format string, verbose bool, traceDir str
 	suite.TraceDir = traceDir
 	suite.Async = async
 	suite.DebugAddr = debugAddr
-	suite.ServingTenants = servingTenants
 	if faults != nil {
 		suite.Faults = faults
 		// The canonical String() form keys the memoized runs, so two

@@ -97,8 +97,9 @@ type Options struct {
 	// SamplePeriod fixes the profiler period; 0 enables the automatic
 	// adjustment of §5.1.
 	SamplePeriod uint64
-	// SampleOverheadNS overrides the per-sample capture cost; 0 keeps
-	// the default.
+	// SampleOverheadNS is the per-sample capture cost the profiler
+	// charges. It is always the pebs default; New overwrites any other
+	// value, and Runtime.Options reports it.
 	SampleOverheadNS float64
 	// CapacityReserve holds back this many bytes of fast memory from
 	// the placement budget (staging headroom and "other tenants" in
@@ -154,10 +155,11 @@ type Options struct {
 	// Async configures overlapped background placement: RunEpochAsync
 	// migrates the previous interval's plan on a service goroutine while
 	// the next interval's phases run, the way the paper's service
-	// threads overlap the application. Async.Enabled implies
-	// Governor.Enabled (the pipeline is built on the governed delta
-	// planner).
-	Async AsyncOptions
+	// threads overlap the application. Async implies Governor.Enabled
+	// (the pipeline is built on the governed delta planner). A quarter
+	// of the hidden migration time is still charged to the clock as
+	// the copy bandwidth stolen from the kernels (stealFraction).
+	Async bool
 	// Health configures the tier-health subsystem: a per-granule error
 	// scoreboard feeding exponential-backoff distrust and persistent
 	// -fault quarantine, and (with Health.Scrub) a CRC-32C scrubber
@@ -166,11 +168,6 @@ type Options struct {
 	// the damaged chunk, and retires its pages from the allocatable
 	// fast-tier capacity. See health.go.
 	Health HealthOptions
-	// Retry shapes the per-region degradation ladder shared by both
-	// migration engines and the scrubber's emergency demotion path. The
-	// zero value keeps each engine's historical ladder (see
-	// migrate.RetryPolicy).
-	Retry migrate.RetryPolicy
 	// Metrics, when non-nil, attaches a live metrics registry: per-tier
 	// traffic and occupancy, epoch/analyze/migrate latency histograms,
 	// governor and health counters, and the per-epoch placement-quality
@@ -210,20 +207,6 @@ type HealthOptions struct {
 	// Policy tunes granularity, windows, backoff, and scrub bandwidth;
 	// zero fields take the health package defaults.
 	Policy health.Policy
-}
-
-// AsyncOptions configures overlapped background placement (see
-// Runtime.RunEpochAsync).
-type AsyncOptions struct {
-	// Enabled turns the overlapped pipeline on, implying
-	// Governor.Enabled.
-	Enabled bool
-	// StealFraction is the fraction of overlapped migration time that
-	// still surfaces on the simulated clock as slowdown of the
-	// concurrent phases — the bandwidth the background copy steals from
-	// the kernels. 0 means the default 0.25; values are clamped to
-	// [0, 1].
-	StealFraction float64
 }
 
 // GovernorOptions configures the epoch-adaptive placement governor
@@ -272,28 +255,17 @@ func (o *Options) withDefaults() Options {
 	if out.Analyzer == (core.Config{}) {
 		out.Analyzer = core.DefaultConfig()
 	}
-	if out.SampleOverheadNS == 0 {
-		out.SampleOverheadNS = pebs.DefaultConfig().SampleOverheadNS
-	}
+	out.SampleOverheadNS = pebs.DefaultConfig().SampleOverheadNS
 	if out.CapacityReserve == 0 {
 		out.CapacityReserve = defaultStagingBytes
 	}
-	if out.Async.Enabled {
+	if out.Async {
 		out.Governor.Enabled = true
 	}
 	if out.Tenant != nil {
 		// Broker budgets are enforced by the governed placement loop;
 		// an ungoverned tenant could not honor its share.
 		out.Governor.Enabled = true
-	}
-	if out.Async.StealFraction == 0 {
-		out.Async.StealFraction = defaultStealFraction
-	}
-	if out.Async.StealFraction < 0 {
-		out.Async.StealFraction = 0
-	}
-	if out.Async.StealFraction > 1 {
-		out.Async.StealFraction = 1
 	}
 	if out.Health.Scrub {
 		out.Health.Enabled = true
@@ -308,17 +280,18 @@ func (o *Options) withDefaults() Options {
 
 const defaultStagingBytes = 2 << 20
 
-// defaultStealFraction is the share of overlapped migration seconds
-// charged to the simulated clock (see AsyncOptions.StealFraction).
-const defaultStealFraction = 0.25
+// stealFraction is the share of overlapped migration seconds still
+// charged to the simulated clock: the bandwidth the background copy
+// steals from the concurrent phases (see Options.Async).
+const stealFraction = 0.25
 
-// newEngine builds the configured migration engine; both engines share
-// the configured retry policy.
+// newEngine builds the configured migration engine with its default
+// degradation ladder (the zero migrate.RetryPolicy).
 func (o *Options) newEngine(threads int) migrate.Engine {
 	switch o.Mechanism {
 	case MigrateMbind:
-		return &migrate.MbindEngine{Retry: o.Retry}
+		return &migrate.MbindEngine{}
 	default:
-		return &migrate.ATMemEngine{Threads: threads, StagingBytes: defaultStagingBytes, Retry: o.Retry}
+		return &migrate.ATMemEngine{Threads: threads, StagingBytes: defaultStagingBytes}
 	}
 }

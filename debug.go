@@ -135,7 +135,7 @@ func (r *Runtime) Close() error {
 		return nil
 	}
 	var errs []error
-	if r.opts.Async.Enabled {
+	if r.opts.Async {
 		if _, err := r.DrainAsync(context.Background()); err != nil {
 			errs = append(errs, err)
 		}

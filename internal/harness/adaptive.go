@@ -1,89 +1,23 @@
 package harness
 
 import (
-	"context"
 	"fmt"
-	"hash/crc32"
+	"slices"
 	"strings"
 
 	"atmem"
-	"atmem/apps"
 	"atmem/internal/faultinject"
 	"atmem/internal/governor"
 	"atmem/internal/memsim"
-	"atmem/internal/telemetry"
 )
 
-// This file implements the adaptive-pressure scenario: the epoch-
-// adaptive governor driven through a workload shift (BFS's hot set →
-// PageRank's hot set) on one shared runtime while the fast-tier budget
-// tightens underneath it, with and without injected migration faults.
-// It is the end-to-end exercise of the governor's three mechanisms —
-// residency deltas, watermark demotion, and the circuit breaker — on
-// real kernels rather than synthetic arrays.
-
-// AdaptiveScenario configures one adaptive-pressure run.
-type AdaptiveScenario struct {
-	// Dataset names the input graph (both kernels load it).
-	Dataset string
-	// BFSEpochs, ShiftEpochs, and HoldEpochs structure the epoch
-	// sequence: BFS-hot epochs at ReserveStart, then PR epochs during
-	// which the capacity reserve tightens linearly to ReserveEnd, then
-	// PR epochs holding the final reserve (the convergence window).
-	BFSEpochs, ShiftEpochs, HoldEpochs int
-	// ReserveStart and ReserveEnd bound the fast-tier capacity reserve
-	// (ReserveEnd >= ReserveStart: the budget only shrinks).
-	ReserveStart, ReserveEnd uint64
-	// Governor configures the placement governor; Enabled is forced on.
-	Governor atmem.GovernorOptions
-	// FaultSchedule, when non-nil, arms fault injection for the
-	// scenario.
-	FaultSchedule *faultinject.Schedule
-	// FaultEpochs, when non-zero, disarms the schedule after that many
-	// epochs (Runtime.DisarmFaults) — the storm ends, and the breaker
-	// must recover. Zero keeps the faults armed throughout.
-	FaultEpochs int
-	// Async drives the epochs through overlapped background placement
-	// (RunEpochAsync, one interval deep, drained after the last epoch)
-	// instead of the stop-the-world RunEpoch.
-	Async bool
-	// StealFraction overrides the overlapped-copy bandwidth steal (see
-	// atmem.AsyncOptions); 0 keeps the default. Only meaningful with
-	// Async.
-	StealFraction float64
-	// TraceDir, when non-empty, records telemetry and writes the trace
-	// artifacts there.
-	TraceDir string
-	// DebugAddr, when non-empty, serves the live debug endpoints
-	// (/metrics, /epochz, /healthz, net/http/pprof) on this address for
-	// the duration of the run — the scenario is long enough to scrape
-	// mid-flight, which is exactly what the CI metrics-smoke step does.
-	DebugAddr string
-}
-
-// DefaultAdaptiveScenario returns the scenario the adaptive-pressure
-// experiment and the CI smoke run use: pokec on the NVM-DRAM testbed
-// with the reserve tightened until the two hot sets no longer fit side
-// by side.
-func DefaultAdaptiveScenario() AdaptiveScenario {
-	return AdaptiveScenario{
-		Dataset:      "pokec",
-		BFSEpochs:    3,
-		ShiftEpochs:  4,
-		HoldEpochs:   14,
-		ReserveStart: 92 << 20,
-		ReserveEnd:   94 << 20,
-		Governor: atmem.GovernorOptions{
-			Enabled:           true,
-			HighWatermark:     0.90,
-			LowWatermark:      0.70,
-			DemoteAfterEpochs: 2,
-			BreakerThreshold:  2,
-			BreakerCooldown:   1,
-			MaxCooldown:       4,
-		},
-	}
-}
+// This file holds the adaptive-pressure and overlap scripts: the
+// epoch-adaptive governor driven through a workload shift (BFS's hot
+// set → PageRank's hot set) on one runtime while the fast-tier budget
+// tightens underneath it, with and without injected migration faults,
+// stop-the-world or overlapped. It is the end-to-end exercise of the
+// governor's three mechanisms — residency deltas, watermark demotion,
+// and the circuit breaker — on real kernels.
 
 // adaptiveFaultEpochs bounds the fault storm of the faulted variant.
 // The breaker's trajectory under an every-reservation-fails storm is
@@ -97,409 +31,223 @@ func DefaultAdaptiveScenario() AdaptiveScenario {
 // interleaving (e.g. under -race).
 const adaptiveFaultEpochs = 11
 
-// AdaptiveFaultSchedule returns the fault schedule the faulted variant
-// uses: every staging reservation fails, for as long as the schedule
-// stays armed (the scenario disarms it after FaultEpochs). The breaker
-// must open under the failures and close again once probes start
-// succeeding.
-func AdaptiveFaultSchedule() *faultinject.Schedule {
-	return &faultinject.Schedule{Faults: []faultinject.Fault{
-		{Op: faultinject.OpReserve, Prob: 1, Err: memsim.ErrNoCapacity},
-	}}
+// adaptiveScript returns the adaptive-pressure scenario: pokec on the
+// NVM-DRAM testbed, three BFS epochs, four PR epochs during which the
+// reserve tightens until the two hot sets no longer fit side by side,
+// and fourteen PR epochs holding it (the convergence window). The
+// faulted variant fails every staging reservation through epoch
+// adaptiveFaultEpochs: the breaker must open under the failures and
+// close again once probes start succeeding.
+func adaptiveScript(faulted bool) Script {
+	sc := Script{
+		Name:    "adaptive-pressure",
+		Dataset: "pokec",
+		Governor: atmem.GovernorOptions{
+			HighWatermark:     0.90,
+			LowWatermark:      0.70,
+			DemoteAfterEpochs: 2,
+			BreakerThreshold:  2,
+			BreakerCooldown:   1,
+			MaxCooldown:       4,
+		},
+		Steps: []Step{
+			{App: "bfs", Epochs: 3, Reserve: 92 << 20},
+			{App: "pr", Epochs: 4, Reserve: 92 << 20, RampTo: 94 << 20},
+			{App: "pr", Epochs: 14, Reserve: 94 << 20},
+		},
+	}
+	if faulted {
+		sc.Name += "-faults"
+		sc.Faults = func(*atmem.Runtime) ([]faultinject.Fault, error) {
+			return []faultinject.Fault{{Op: faultinject.OpReserve, Prob: 1, Err: memsim.ErrNoCapacity}}, nil
+		}
+		sc.DisarmAfter = adaptiveFaultEpochs
+	}
+	return sc
 }
 
-// AdaptiveEpoch is one epoch of the scenario, for reports and asserts.
-type AdaptiveEpoch struct {
-	// Epoch is the runtime epoch number (1-based).
-	Epoch int
-	// Workload names the kernel the epoch ran ("bfs" or "pr").
-	Workload string
-	// Reserve is the capacity reserve in force during the epoch.
-	Reserve uint64
-	// Seconds is the simulated time of the epoch's iteration.
-	Seconds float64
-	// Samples counts the profiler samples the epoch attributed.
-	Samples int
-	// Migration is the epoch's governed migration report.
-	Migration atmem.MigrationReport
+// holdStart returns the index of the first PR epoch at the final
+// (largest) reserve: the start of the convergence window.
+func holdStart(eps []ScriptEpoch) int {
+	shift := slices.IndexFunc(eps, isPR)
+	final := eps[len(eps)-1].Reserve
+	return shift + slices.IndexFunc(eps[shift:], func(e ScriptEpoch) bool { return e.Reserve == final })
 }
 
-// AdaptiveResult is the outcome of one adaptive-pressure scenario.
-type AdaptiveResult struct {
-	Epochs []AdaptiveEpoch
-	// Transitions is the breaker's full transition log.
-	Transitions []governor.Transition
-	// FinalState is the breaker state after the last epoch.
-	FinalState governor.State
-	// ResidentBytes is the governed fast-resident footprint at the end.
-	ResidentBytes uint64
-	// FaultEvents counts injector fires over the whole scenario.
-	FaultEvents int
-	// TracePath is the written Chrome trace (empty without TraceDir).
-	TracePath string
-	// TotalSimSeconds is the runtime's final simulated clock — iteration
-	// time plus the charged share of every migration — the quantity the
-	// overlapped-vs-stop-the-world comparison ranks on.
-	TotalSimSeconds float64
-	// OverlapSeconds and StolenSeconds are the cumulative overlapped-
-	// placement accounting (zero without Async).
-	OverlapSeconds float64
-	StolenSeconds  float64
-	// DataCRC is the checksum of the immutable graph arrays after the
-	// last epoch; identical scenarios must produce identical values
-	// regardless of placement mode.
-	DataCRC uint32
-	// Scorecards are the per-epoch placement-quality scorecards, one per
-	// entry in Epochs (the epoch loop is governed throughout).
-	Scorecards []atmem.Scorecard
-}
+func isPR(e ScriptEpoch) bool { return e.App == "pr" }
 
-// ShiftStart returns the index into Epochs of the first PR epoch.
-func (r *AdaptiveResult) ShiftStart() int {
-	for i, e := range r.Epochs {
-		if e.Workload == "pr" {
-			return i
+// adaptiveBars are the adaptive-pressure acceptance bars. Fault-free,
+// the first BFS epoch promotes, the shift to PR needs pressure
+// demotion, every epoch from DemoteAfterEpochs+2 epochs after the
+// reserve settles (with at least 10 of them) is an empty delta, and the
+// breaker never moves. Faulted, the storm fires, the breaker opens,
+// skips epochs and closes again through a half-open probe, and the run
+// ends converged with the PR hot set resident.
+func adaptiveBars(sc Script, res *ScriptResult) error {
+	if len(res.Epochs) == 0 {
+		return fmt.Errorf("no epochs recorded")
+	}
+	last := res.Epochs[len(res.Epochs)-1].Migration
+	if sc.Faults != nil {
+		if res.FaultEvents == 0 {
+			return fmt.Errorf("fault schedule never fired")
 		}
-	}
-	return len(r.Epochs)
-}
-
-// HoldStart returns the index into Epochs of the first PR epoch at the
-// final (largest) reserve — the start of the convergence window.
-func (r *AdaptiveResult) HoldStart() int {
-	for i := r.ShiftStart(); i < len(r.Epochs); i++ {
-		if r.Epochs[i].Reserve == r.Epochs[len(r.Epochs)-1].Reserve {
-			return i
+		log := transitionSummary(res.Transitions)
+		if !strings.Contains(log, "closed→open") {
+			return fmt.Errorf("breaker never opened under the fault storm: %s", log)
 		}
-	}
-	return len(r.Epochs)
-}
-
-// RunAdaptivePressure executes the scenario on a fresh governed runtime:
-// both kernels set up side by side, BFS epochs, the shift to PR under a
-// tightening reserve, and the hold window. It verifies the scenario's
-// safety net itself — graph data bit-identical (CRC) across every epoch,
-// kernel results validated against their references, no leaked staging
-// reservation, and a consistent capacity ledger — and returns the
-// per-epoch reports for behavioural assertions.
-func RunAdaptivePressure(sc AdaptiveScenario) (*AdaptiveResult, error) {
-	if sc.ReserveEnd < sc.ReserveStart {
-		return nil, fmt.Errorf("harness: adaptive reserve must tighten: %d < %d", sc.ReserveEnd, sc.ReserveStart)
-	}
-	sc.Governor.Enabled = true
-	opts := []atmem.Option{
-		atmem.WithPlacementPolicy(atmem.PaperPolicy()),
-		atmem.WithGovernor(sc.Governor),
-		atmem.WithCapacityReserve(sc.ReserveStart),
-	}
-	if sc.FaultSchedule != nil {
-		opts = append(opts, atmem.WithFaultSchedule(*sc.FaultSchedule))
-	}
-	if sc.Async {
-		opts = append(opts, atmem.WithAsyncPlacement(atmem.AsyncOptions{
-			StealFraction: sc.StealFraction,
-		}))
-	}
-	if sc.TraceDir != "" {
-		opts = append(opts, atmem.WithTelemetry(telemetry.NewRecorder()))
-	}
-	if sc.DebugAddr != "" {
-		opts = append(opts, atmem.WithDebugAddr(sc.DebugAddr))
-	}
-	rt, err := atmem.New(atmem.NVMDRAM(), opts...)
-	if err != nil {
-		return nil, err
-	}
-	// Release the debug listener (if any) when the scenario ends so the
-	// next scenario can bind the same address. Close is nil-safe.
-	defer rt.Close()
-	bfs, err := apps.New("bfs")
-	if err != nil {
-		return nil, err
-	}
-	pr, err := apps.New("pr")
-	if err != nil {
-		return nil, err
-	}
-	// The kernels prefix their object names (bfs.*, pr.*), so they share
-	// the runtime without collisions.
-	if err := bfs.Setup(rt, sc.Dataset); err != nil {
-		return nil, fmt.Errorf("harness: adaptive bfs setup: %w", err)
-	}
-	if err := pr.Setup(rt, sc.Dataset); err != nil {
-		return nil, fmt.Errorf("harness: adaptive pr setup: %w", err)
-	}
-	crcBefore := graphDataCRC(rt)
-
-	res := &AdaptiveResult{}
-	ctx := context.Background()
-	runOne := func(workload string, kern apps.Kernel, reserve uint64) error {
-		rt.SetCapacityReserve(reserve)
-		var iter apps.IterationResult
-		name := fmt.Sprintf("%s-%d", workload, rt.Epoch()+1)
-		body := func() { iter = kern.RunIteration(rt) }
-		var er atmem.EpochReport
-		var err error
-		if sc.Async {
-			er, err = rt.RunEpochAsync(ctx, name, body)
-		} else {
-			er, err = rt.RunEpoch(name, body)
+		if !slices.ContainsFunc(res.Epochs, func(e ScriptEpoch) bool { return e.Migration.BreakerSkipped }) {
+			return fmt.Errorf("open breaker never skipped an epoch")
 		}
-		if err != nil {
-			return fmt.Errorf("harness: adaptive epoch %d (%s): %w", rt.Epoch(), workload, err)
+		if !strings.Contains(log, "half-open→closed") {
+			return fmt.Errorf("breaker never closed again after the faults stopped: %s", log)
 		}
-		if !sc.Async && !er.Optimized {
-			// The async pipeline's first epoch legitimately places
-			// nothing (no pending interval); the zero-sample check only
-			// holds for the stop-the-world loop.
-			return fmt.Errorf("harness: adaptive epoch %d (%s) attributed no samples", rt.Epoch(), workload)
+		if res.FinalState != governor.StateClosed {
+			return fmt.Errorf("final breaker state %s, want closed", res.FinalState)
 		}
-		res.Epochs = append(res.Epochs, AdaptiveEpoch{
-			Epoch:     er.Epoch,
-			Workload:  workload,
-			Reserve:   reserve,
-			Seconds:   iter.Seconds,
-			Samples:   er.Samples,
-			Migration: er.Migration,
-		})
-		if sc.FaultEpochs > 0 && rt.Epoch() == sc.FaultEpochs {
-			rt.DisarmFaults()
+		if !last.DeltaEmpty || last.ResidentBytes == 0 {
+			return fmt.Errorf("faulted run did not re-converge: empty=%t resident=%d", last.DeltaEmpty, last.ResidentBytes)
 		}
 		return nil
 	}
-
-	for i := 0; i < sc.BFSEpochs; i++ {
-		if err := runOne("bfs", bfs, sc.ReserveStart); err != nil {
-			return res, err
+	if res.Epochs[0].Migration.PromotedBytes == 0 {
+		return fmt.Errorf("first BFS epoch promoted nothing")
+	}
+	shift := slices.IndexFunc(res.Epochs, isPR)
+	if shift < 0 || !slices.ContainsFunc(res.Epochs[shift:], func(e ScriptEpoch) bool { return e.Migration.PressureDemotedBytes > 0 }) {
+		return fmt.Errorf("no epoch used pressure demotion: the shift never oversubscribed the watermarks")
+	}
+	settle := holdStart(res.Epochs) + sc.Governor.DemoteAfterEpochs + 2
+	if tail := len(res.Epochs) - settle; tail < 10 {
+		return fmt.Errorf("only %d epochs after the settle window, need >= 10", tail)
+	}
+	for i, e := range res.Epochs[settle:] {
+		if m := e.Migration; !m.DeltaEmpty || m.BytesMoved != 0 {
+			return fmt.Errorf("epoch %d after the settle window not converged: empty=%t moved=%d",
+				settle+i+1, m.DeltaEmpty, m.BytesMoved)
 		}
 	}
-	for i := 1; i <= sc.ShiftEpochs; i++ {
-		reserve := sc.ReserveStart +
-			(sc.ReserveEnd-sc.ReserveStart)*uint64(i)/uint64(sc.ShiftEpochs)
-		if err := runOne("pr", pr, reserve); err != nil {
-			return res, err
-		}
+	if len(res.Transitions) != 0 || res.FinalState != governor.StateClosed {
+		return fmt.Errorf("fault-free run moved the breaker: %s (final %s)",
+			transitionSummary(res.Transitions), res.FinalState)
 	}
-	for i := 0; i < sc.HoldEpochs; i++ {
-		if err := runOne("pr", pr, sc.ReserveEnd); err != nil {
-			return res, err
-		}
-	}
-	if sc.Async {
-		// Place the last interval's samples synchronously so the
-		// pipeline leaves nothing pending (and the final placement
-		// matches what the stop-the-world loop would have reached).
-		if _, err := rt.DrainAsync(ctx); err != nil {
-			return res, fmt.Errorf("harness: adaptive drain: %w", err)
-		}
-	}
-
-	res.Transitions = rt.BreakerTransitions()
-	res.FinalState = rt.BreakerState()
-	res.ResidentBytes = rt.ResidentBytes()
-	res.FaultEvents = len(rt.FaultEvents())
-	res.TotalSimSeconds = rt.SimSeconds()
-	res.OverlapSeconds = rt.OverlapSeconds()
-	res.StolenSeconds = rt.StolenSeconds()
-	res.Scorecards = rt.Scorecards()
-
-	// Safety net: whatever the governor did — including concurrently
-	// with running kernels — it must not have harmed the data or the
-	// simulator's books.
-	res.DataCRC = graphDataCRC(rt)
-	if res.DataCRC != crcBefore {
-		return res, fmt.Errorf("harness: adaptive graph data CRC changed: %08x -> %08x", crcBefore, res.DataCRC)
-	}
-	if err := bfs.Validate(); err != nil {
-		return res, fmt.Errorf("harness: adaptive: %w", err)
-	}
-	if err := pr.Validate(); err != nil {
-		return res, fmt.Errorf("harness: adaptive: %w", err)
-	}
-	for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
-		if leaked := rt.System().Reserved(t); leaked != 0 {
-			return res, fmt.Errorf("harness: adaptive leaked %d reserved bytes on %s", leaked, t)
-		}
-	}
-	if err := rt.System().CheckConsistency(); err != nil {
-		return res, fmt.Errorf("harness: adaptive: %w", err)
-	}
-
-	if sc.TraceDir != "" {
-		stem := fmt.Sprintf("nvm-adaptive-pressure-%s-%08x", sc.Dataset,
-			crc32.ChecksumIEEE([]byte(fmt.Sprintf("%+v", sc))))
-		path, err := writeTraceArtifactsStem(rt, sc.TraceDir, stem)
-		if err != nil {
-			return res, err
-		}
-		res.TracePath = path
-	}
-	return res, nil
+	return nil
 }
 
-// graphDataCRC checksums the immutable graph arrays (CSR offsets,
-// edges, weights) of every registered object. Kernel state arrays
-// (levels, ranks, frontiers) legitimately change each epoch and are
-// covered by kernel validation instead.
-func graphDataCRC(rt *atmem.Runtime) uint32 {
-	crc := crc32.NewIEEE()
-	for _, o := range rt.Objects() {
-		switch {
-		case strings.HasSuffix(o.Name(), ".offsets"),
-			strings.HasSuffix(o.Name(), ".edges"),
-			strings.HasSuffix(o.Name(), ".weights"):
-			crc.Write(o.Bytes())
-		}
-	}
-	return crc.Sum32()
-}
-
-// adaptivePressure is the experiment wrapper: the fault-free scenario
-// and the fault-injected one, each rendered as one row per epoch.
+// adaptivePressure is the experiment wrapper: the fault-free and the
+// faulted script, each judged by adaptiveBars and rendered as one row
+// per epoch.
 func adaptivePressure(s *Suite) ([]*Report, error) {
-	variants := []struct {
-		id    string
-		title string
-		sched *faultinject.Schedule
-	}{
-		{"adaptive-pressure", "Epoch-adaptive governor: BFS→PR hot-set shift under a tightening fast-tier reserve (NVM-DRAM)", nil},
-		{"adaptive-pressure-faults", "Same scenario with every staging reservation failing through epoch 11", AdaptiveFaultSchedule()},
+	titles := map[bool]string{
+		false: "Epoch-adaptive governor: BFS→PR hot-set shift under a tightening fast-tier reserve (NVM-DRAM)",
+		true:  "Same scenario with every staging reservation failing through epoch 11",
 	}
 	var out []*Report
-	for _, v := range variants {
-		sc := DefaultAdaptiveScenario()
-		sc.FaultSchedule = v.sched
-		if v.sched != nil {
-			sc.FaultEpochs = adaptiveFaultEpochs
+	for _, faulted := range []bool{false, true} {
+		sc := adaptiveScript(faulted)
+		sc.TraceDir, sc.DebugAddr = s.TraceDir, s.DebugAddr
+		res, err := runScript(sc)
+		if err == nil {
+			err = adaptiveBars(sc, res)
 		}
-		sc.TraceDir = s.TraceDir
-		sc.DebugAddr = s.DebugAddr
-		res, err := RunAdaptivePressure(sc)
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", v.id, err)
+			return nil, fmt.Errorf("harness: %s: %w", sc.Name, err)
 		}
 		rep := &Report{
-			ID:    v.id,
-			Title: v.title,
+			ID:    sc.Name,
+			Title: titles[faulted],
 			Columns: []string{"epoch", "workload", "reserve(MiB)", "iter(s)",
 				"promoted", "demoted", "pressure", "resident", "breaker", "outcome",
 				"fast-share", "ovh-tax"},
 		}
 		for i, e := range res.Epochs {
-			m := e.Migration
-			outcome := "moved"
-			switch {
-			case m.BreakerSkipped:
-				outcome = "skipped"
-			case m.DeltaEmpty:
-				outcome = "converged"
-			case m.RegionsSkipped > 0:
-				outcome = "degraded"
-			}
-			fastShare, ovhTax := "-", "-"
-			if i < len(res.Scorecards) {
-				card := res.Scorecards[i]
-				fastShare = fmt.Sprintf("%.3f", card.FastAccessShare)
-				ovhTax = fmt.Sprintf("%.4f", card.OverheadTax)
-			}
+			m, card := e.Migration, res.Scorecards[i]
 			rep.AddRow(
-				fmt.Sprintf("%d", e.Epoch), e.Workload,
+				fmt.Sprintf("%d", i+1), e.App,
 				fmt.Sprintf("%d", e.Reserve>>20),
-				secs(e.Seconds),
+				secs(card.PhaseSeconds),
 				fmt.Sprintf("%d", m.PromotedBytes),
 				fmt.Sprintf("%d", m.DemotedBytes),
 				fmt.Sprintf("%d", m.PressureDemotedBytes),
 				fmt.Sprintf("%d", m.ResidentBytes),
-				m.Breaker, outcome, fastShare, ovhTax)
+				m.Breaker, outcome(m),
+				fmt.Sprintf("%.3f", card.FastAccessShare),
+				fmt.Sprintf("%.4f", card.OverheadTax))
 		}
-		rep.AddNote("breaker transitions: %s; final state %s; %d fault fires; results validated and graph data CRC-identical across all %d epochs",
+		last := res.Scorecards[len(res.Scorecards)-1]
+		rep.AddNote("breaker transitions: %s; final state %s; %d fault fires; results validated across all %d epochs",
 			transitionSummary(res.Transitions), res.FinalState, res.FaultEvents, len(res.Epochs))
-		if n := len(res.Scorecards); n > 0 {
-			last := res.Scorecards[n-1]
-			rep.AddNote("steady-state scorecard: fast-access share %.3f, fast-residency efficiency %.3f, migration efficiency %.2f, overhead tax %.4f",
-				last.FastAccessShare, last.FastResidencyEfficiency, last.MigrationEfficiency, last.OverheadTax)
-		}
+		rep.AddNote("steady-state scorecard: fast-access share %.3f, fast-residency efficiency %.3f, migration efficiency %.2f, overhead tax %.4f",
+			last.FastAccessShare, last.FastResidencyEfficiency, last.MigrationEfficiency, last.OverheadTax)
 		out = append(out, rep)
 	}
 	return out, nil
 }
 
-// overlapComparison is the overlapped-vs-stop-the-world experiment: the
-// identical adaptive-pressure scenario (BFS→PR shift under a tightening
-// reserve) run once with stop-the-world epochs, once with overlapped
-// background placement, and once overlapped under the fault storm. The
-// async rows must finish in strictly fewer simulated seconds than the
-// stop-the-world row while the graph data CRC stays bit-identical
-// across all modes — migration concurrency must never change results.
-func overlapComparison(s *Suite) ([]*Report, error) {
-	modes := []struct {
-		id    string
-		async bool
-		sched *faultinject.Schedule
-	}{
-		{"stop-the-world", false, nil},
-		{"overlapped", true, nil},
-		{"overlapped-faults", true, AdaptiveFaultSchedule()},
+// overlapBars are the overlap experiment's bars against the
+// stop-the-world run: the fault-free overlapped run (when given)
+// finishes in strictly fewer simulated seconds, and every run computes
+// the same results.
+func overlapBars(sync, async, faulted *ScriptResult) error {
+	if async != nil {
+		if async.TotalSimSeconds >= sync.TotalSimSeconds {
+			return fmt.Errorf("overlapped placement (%.9fs) not faster than stop-the-world (%.9fs)",
+				async.TotalSimSeconds, sync.TotalSimSeconds)
+		}
+		if err := sameResults(sync, async); err != nil {
+			return fmt.Errorf("overlapped: %w", err)
+		}
 	}
+	if faulted != nil {
+		if err := sameResults(sync, faulted); err != nil {
+			return fmt.Errorf("overlapped under faults: %w", err)
+		}
+	}
+	return nil
+}
+
+// overlapScripts returns the overlap experiment's three modes: the
+// adaptive-pressure script stop-the-world, overlapped, and overlapped
+// under the fault storm.
+func overlapScripts() (sync, async, faulted Script) {
+	sync, async, faulted = adaptiveScript(false), adaptiveScript(false), adaptiveScript(true)
+	sync.Name, async.Name, faulted.Name = "overlap-stop-the-world", "overlap-overlapped", "overlap-overlapped-faults"
+	async.Async, faulted.Async = true, true
+	return sync, async, faulted
+}
+
+// overlapComparison is the overlapped-vs-stop-the-world experiment: the
+// three overlap modes, judged by overlapBars.
+func overlapComparison(s *Suite) ([]*Report, error) {
 	rep := &Report{
 		ID:    "overlap",
 		Title: "Overlapped background placement vs stop-the-world epochs (adaptive-pressure scenario, NVM-DRAM)",
 		Columns: []string{"mode", "epochs", "total-sim(s)", "overlap(s)",
 			"stolen(s)", "resident", "breaker", "data-crc"},
 	}
-	var crcs []uint32
-	var syncS, asyncS float64
-	for _, m := range modes {
-		sc := DefaultAdaptiveScenario()
-		sc.Async = m.async
-		sc.FaultSchedule = m.sched
-		if m.sched != nil {
-			sc.FaultEpochs = adaptiveFaultEpochs
-		}
-		sc.TraceDir = s.TraceDir
-		sc.DebugAddr = s.DebugAddr
-		res, err := RunAdaptivePressure(sc)
+	sync, async, faulted := overlapScripts()
+	var res [3]*ScriptResult
+	for i, sc := range []Script{sync, async, faulted} {
+		sc.TraceDir, sc.DebugAddr = s.TraceDir, s.DebugAddr
+		r, err := runScript(sc)
 		if err != nil {
-			return nil, fmt.Errorf("harness: overlap/%s: %w", m.id, err)
+			return nil, fmt.Errorf("harness: %s: %w", sc.Name, err)
 		}
-		crcs = append(crcs, res.DataCRC)
-		switch m.id {
-		case "stop-the-world":
-			syncS = res.TotalSimSeconds
-		case "overlapped":
-			asyncS = res.TotalSimSeconds
-		}
-		rep.AddRow(m.id,
-			fmt.Sprintf("%d", len(res.Epochs)),
-			secs(res.TotalSimSeconds),
-			secs(res.OverlapSeconds),
-			secs(res.StolenSeconds),
-			fmt.Sprintf("%d", res.ResidentBytes),
-			res.FinalState.String(),
-			fmt.Sprintf("%08x", res.DataCRC))
+		res[i] = r
+		rep.AddRow(strings.TrimPrefix(sc.Name, "overlap-"),
+			fmt.Sprintf("%d", len(r.Epochs)),
+			secs(r.TotalSimSeconds),
+			secs(r.OverlapSeconds),
+			secs(r.StolenSeconds),
+			fmt.Sprintf("%d", r.ResidentBytes),
+			r.FinalState.String(),
+			fmt.Sprintf("%08x", r.CRC))
 	}
-	for _, c := range crcs[1:] {
-		if c != crcs[0] {
-			return nil, fmt.Errorf("harness: overlap: graph data CRC diverged across modes: %08x vs %08x", crcs[0], c)
-		}
+	if err := overlapBars(res[0], res[1], res[2]); err != nil {
+		return nil, fmt.Errorf("harness: overlap: %w", err)
 	}
-	if asyncS >= syncS {
-		return nil, fmt.Errorf("harness: overlap: overlapped placement (%.6fs) not faster than stop-the-world (%.6fs)", asyncS, syncS)
-	}
-	rep.AddNote("overlapped placement hides migration under running kernels: %.6fs vs %.6fs stop-the-world (%.2f%% faster); graph data CRC bit-identical across all modes",
+	syncS, asyncS := res[0].TotalSimSeconds, res[1].TotalSimSeconds
+	rep.AddNote("overlapped placement hides migration under running kernels: %.6fs vs %.6fs stop-the-world (%.2f%% faster); results identical across all modes",
 		asyncS, syncS, 100*(syncS-asyncS)/syncS)
 	return []*Report{rep}, nil
-}
-
-// transitionSummary renders a breaker transition log as one cell-safe
-// string ("none" when the breaker never moved).
-func transitionSummary(trs []governor.Transition) string {
-	if len(trs) == 0 {
-		return "none"
-	}
-	parts := make([]string, len(trs))
-	for i, tr := range trs {
-		parts[i] = fmt.Sprintf("epoch %d %s→%s", tr.Epoch, tr.From, tr.To)
-	}
-	return strings.Join(parts, "; ")
 }

@@ -7,20 +7,37 @@ import (
 	"testing"
 
 	"atmem"
-	"atmem/internal/governor"
 	"atmem/internal/telemetry"
 )
 
-func logAdaptiveEpochs(t *testing.T, res *AdaptiveResult) {
+func logScriptEpochs(t *testing.T, res *ScriptResult) {
 	t.Helper()
-	for _, e := range res.Epochs {
+	if res == nil {
+		return
+	}
+	for i, e := range res.Epochs {
 		m := e.Migration
-		t.Logf("epoch %2d %-3s reserve=%dMiB samples=%d +%d/-%d pressure=%d resident=%d breaker=%s skipped=%t empty=%t regskip=%d",
-			e.Epoch, e.Workload, e.Reserve>>20, e.Samples,
+		t.Logf("epoch %2d %-3s reserve=%dMiB +%d/-%d pressure=%d resident=%d breaker=%s skipped=%t empty=%t regskip=%d",
+			i+1, e.App, e.Reserve>>20,
 			m.PromotedBytes, m.DemotedBytes, m.PressureDemotedBytes,
 			m.ResidentBytes, m.Breaker, m.BreakerSkipped, m.DeltaEmpty, m.RegionsSkipped)
 	}
 	t.Logf("transitions: %s; final=%s; faults=%d", transitionSummary(res.Transitions), res.FinalState, res.FaultEvents)
+}
+
+// runAdaptive runs an adaptive-pressure script and judges it by
+// adaptiveBars, as the experiment does.
+func runAdaptive(t *testing.T, sc Script) *ScriptResult {
+	t.Helper()
+	res, err := runScript(sc)
+	logScriptEpochs(t, res)
+	if err == nil {
+		err = adaptiveBars(sc, res)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestAdaptivePressureConvergence is the fault-free acceptance run: the
@@ -28,105 +45,30 @@ func logAdaptiveEpochs(t *testing.T, res *AdaptiveResult) {
 // reserve, funds the new hot set by demoting the old one, and converges
 // — empty deltas, nothing moving — within DemoteAfterEpochs+2 epochs of
 // the reserve settling, staying converged for the rest of the hold
-// window (no thrash). RunAdaptivePressure itself asserts CRC-identical
-// graph data, validated results, and a leak-free ledger.
+// window (no thrash), with the breaker never moving (adaptiveBars).
+// runScript itself asserts validated results, identical-result
+// checksums and a leak-free, consistent ledger.
 func TestAdaptivePressureConvergence(t *testing.T) {
-	sc := DefaultAdaptiveScenario()
-	res, err := RunAdaptivePressure(sc)
-	if err != nil {
-		logAdaptiveEpochs(t, res)
-		t.Fatal(err)
-	}
-	logAdaptiveEpochs(t, res)
-
-	// The first BFS epoch promotes the BFS hot set.
-	if res.Epochs[0].Migration.PromotedBytes == 0 {
-		t.Error("first BFS epoch promoted nothing")
-	}
-	// The shift runs under pressure: with both hot sets oversubscribing
-	// the tightened budget, the watermarks must force demotions ahead of
-	// hysteresis expiry in at least one PR epoch.
-	pressured := false
-	for _, e := range res.Epochs[res.ShiftStart():] {
-		if e.Migration.PressureDemotedBytes > 0 {
-			pressured = true
-		}
-	}
-	if !pressured {
-		t.Error("no epoch used pressure demotion: the shift never oversubscribed the watermarks (retune reserves)")
-	}
-	// Convergence: every epoch after the settle window is an empty delta.
-	settle := res.HoldStart() + sc.Governor.DemoteAfterEpochs + 2
-	if tail := len(res.Epochs) - settle; tail < 10 {
-		t.Fatalf("scenario leaves only %d epochs after the settle window, need >= 10", tail)
-	}
-	for _, e := range res.Epochs[settle:] {
-		m := e.Migration
-		if !m.DeltaEmpty || m.BytesMoved != 0 {
-			t.Errorf("epoch %d after settle window not converged: empty=%t moved=%d",
-				e.Epoch, m.DeltaEmpty, m.BytesMoved)
-		}
-	}
-	// The breaker never had a reason to move.
-	if len(res.Transitions) != 0 || res.FinalState != governor.StateClosed {
-		t.Errorf("fault-free run moved the breaker: %s (final %s)",
-			transitionSummary(res.Transitions), res.FinalState)
-	}
+	runAdaptive(t, adaptiveScript(false))
 }
+
+// adaptiveFaultTransitions is the faulted run's breaker log. The
+// trajectory is fixed by the governor config and the fault window
+// alone (see adaptiveFaultEpochs), not by how many faults fire.
+const adaptiveFaultTransitions = "epoch 2 closed→open; epoch 4 open→half-open; epoch 4 half-open→open; " +
+	"epoch 7 open→half-open; epoch 7 half-open→open; epoch 12 open→half-open; epoch 12 half-open→closed"
 
 // TestAdaptivePressureBreakerRideThrough is the faulted acceptance run:
 // a schedule that fails every staging reservation through epoch 11
 // would, without the governor, degrade every single epoch. The breaker
 // must open instead, skip epochs while the faults persist, and close
 // again via a half-open probe once the storm ends — with the kernels
-// running and validating throughout.
+// running and validating throughout, and the run re-converging
+// (adaptiveBars).
 func TestAdaptivePressureBreakerRideThrough(t *testing.T) {
-	sc := DefaultAdaptiveScenario()
-	sc.FaultSchedule = AdaptiveFaultSchedule()
-	sc.FaultEpochs = adaptiveFaultEpochs
-	res, err := RunAdaptivePressure(sc)
-	if err != nil {
-		logAdaptiveEpochs(t, res)
-		t.Fatal(err)
-	}
-	logAdaptiveEpochs(t, res)
-
-	if res.FaultEvents == 0 {
-		t.Fatal("fault schedule never fired")
-	}
-	var opened, reclosed bool
-	skipped := 0
-	for _, tr := range res.Transitions {
-		if tr.From == governor.StateClosed && tr.To == governor.StateOpen {
-			opened = true
-		}
-		if tr.From == governor.StateHalfOpen && tr.To == governor.StateClosed {
-			reclosed = true
-		}
-	}
-	for _, e := range res.Epochs {
-		if e.Migration.BreakerSkipped {
-			skipped++
-		}
-	}
-	if !opened {
-		t.Error("breaker never opened under the fault storm")
-	}
-	if skipped == 0 {
-		t.Error("open breaker never skipped an epoch")
-	}
-	if !reclosed {
-		t.Error("breaker never closed again after the faults stopped")
-	}
-	if res.FinalState != governor.StateClosed {
-		t.Errorf("final breaker state %s, want closed", res.FinalState)
-	}
-	// After recovery the run still converges: the last epoch is an empty
-	// delta with the PR hot set resident.
-	last := res.Epochs[len(res.Epochs)-1].Migration
-	if !last.DeltaEmpty || last.ResidentBytes == 0 {
-		t.Errorf("faulted run did not re-converge: empty=%t resident=%d",
-			last.DeltaEmpty, last.ResidentBytes)
+	res := runAdaptive(t, adaptiveScript(true))
+	if got := transitionSummary(res.Transitions); got != adaptiveFaultTransitions {
+		t.Errorf("breaker transitions\n got %s\nwant %s", got, adaptiveFaultTransitions)
 	}
 }
 
@@ -140,14 +82,9 @@ func TestAdaptivePressureSmoke(t *testing.T) {
 	if dir == "" {
 		dir = t.TempDir()
 	}
-	sc := DefaultAdaptiveScenario()
-	sc.FaultSchedule = AdaptiveFaultSchedule()
-	sc.FaultEpochs = adaptiveFaultEpochs
+	sc := adaptiveScript(true)
 	sc.TraceDir = dir
-	res, err := RunAdaptivePressure(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAdaptive(t, sc)
 	if res.TracePath == "" {
 		t.Fatal("no trace written")
 	}

@@ -6,50 +6,53 @@ import (
 	"atmem/internal/memsim"
 )
 
-// TestChaosSoak runs the default chaos-soak scenario end to end.
-// RunChaosSoak enforces the acceptance bars itself (quarantine volume,
-// corruption fully detected and demoted, ledger never re-hosted,
-// bit-identical results); the test pins the shape of the evidence on
-// top.
+// TestChaosSoak runs the chaos-soak scenario end to end: the
+// fault-free twin and the faulted run, judged by chaosBars (quarantine
+// volume crossed during the storm, corruption fully detected, repaired
+// and demoted, identical results), with runScript checking after every
+// epoch that the ledger is never re-hosted. The test pins the shape of
+// the evidence on top.
 func TestChaosSoak(t *testing.T) {
-	sc := DefaultChaosScenario()
-	res, err := RunChaosSoak(sc)
+	sc := chaosScript(true)
+	res, err := runChaosSoak("")
 	if err != nil {
+		logScriptEpochs(t, res)
 		t.Fatal(err)
 	}
-	want := sc.WarmEpochs + sc.StormEpochs + sc.CoolEpochs
+	want := 0
+	for _, st := range sc.Steps {
+		want += st.Epochs
+	}
 	if len(res.Epochs) != want {
 		t.Fatalf("recorded %d epochs, want %d", len(res.Epochs), want)
 	}
 
 	fastCap := memsim.NVMDRAMParams().Tiers[memsim.TierFast].CapacityBytes
-	if res.QuarantineTarget != fastCap/20 {
-		t.Errorf("quarantine bar %d, want 5%% of %d", res.QuarantineTarget, fastCap)
+	target := chaosQuarantineTarget()
+	if target != fastCap/20 {
+		t.Errorf("quarantine bar %d, want 5%% of %d", target, fastCap)
 	}
-	if res.Health.Quarantined < res.QuarantineTarget {
-		t.Errorf("quarantined %d < bar %d", res.Health.Quarantined, res.QuarantineTarget)
+	if res.Health.Quarantined < target {
+		t.Errorf("quarantined %d < bar %d", res.Health.Quarantined, target)
 	}
-	if res.TargetEpoch == 0 || res.TargetEpoch > sc.WarmEpochs+sc.StormEpochs {
-		t.Errorf("quarantine bar crossed at epoch %d, want during the storm", res.TargetEpoch)
-	}
-	if res.ChaosCRC != res.BaselineCRC {
-		t.Errorf("result CRC %08x != fault-free %08x", res.ChaosCRC, res.BaselineCRC)
+	if e := chaosTargetEpoch(res); e == 0 || e > sc.DisarmAfter {
+		t.Errorf("quarantine bar crossed at epoch %d, want during the storm", e)
 	}
 
 	// The warm (pre-arming) epochs must be clean, and the storm must
 	// leave visible per-epoch evidence.
-	for _, e := range res.Epochs[:sc.WarmEpochs] {
-		if e.Quarantined != 0 || e.Detections != 0 {
-			t.Errorf("warm epoch %d already shows damage: %+v", e.Epoch, e)
+	for i, e := range res.Epochs[:sc.ArmAfter] {
+		if e.Health.Quarantined != 0 || e.Health.Scrub.Detections != 0 {
+			t.Errorf("warm epoch %d already shows damage: %+v", i+1, e.Health)
 		}
 	}
-	last := res.Epochs[len(res.Epochs)-1]
+	last := res.Epochs[len(res.Epochs)-1].Health
 	if last.Quarantined != res.Health.Quarantined {
 		t.Errorf("last epoch quarantined %d != final stats %d", last.Quarantined, res.Health.Quarantined)
 	}
-	if last.Detections != res.Health.Scrub.Detections || last.Repairs != res.Health.Scrub.Repairs {
+	if last.Scrub.Detections != res.Health.Scrub.Detections || last.Scrub.Repairs != res.Health.Scrub.Repairs {
 		t.Errorf("last epoch scrub counters %d/%d != final %d/%d",
-			last.Detections, last.Repairs, res.Health.Scrub.Detections, res.Health.Scrub.Repairs)
+			last.Scrub.Detections, last.Scrub.Repairs, res.Health.Scrub.Detections, res.Health.Scrub.Repairs)
 	}
 	if res.Health.DegradedRanges == 0 {
 		t.Error("degrade order never applied")

@@ -298,7 +298,7 @@ func tab4(s *Suite) ([]*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			tlbRed := float64(mb.PostTLBMisses) / float64(max64(at.PostTLBMisses, 1))
+			tlbRed := float64(mb.PostTLBMisses) / float64(max(at.PostTLBMisses, 1))
 			timeRed := mb.Migration.Seconds / at.Migration.Seconds
 			row = append(row, ratio(tlbRed), ratio(timeRed))
 			sums[tb].tlb = append(sums[tb].tlb, tlbRed)
@@ -318,13 +318,6 @@ func tab4(s *Suite) ([]*Report, error) {
 		ratio(avg(sums[KNL].tlb)), ratio(avg(sums[KNL].t)))
 	rep.AddNote("paper Table 4 averages: NVM-DRAM 20.98x TLB / 2.07x time; MCDRAM-DRAM 1.72x TLB / 5.32x time")
 	return []*Report{rep}, nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // overhead reproduces the §7.4 analysis: profiling cost relative to an

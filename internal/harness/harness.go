@@ -12,11 +12,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"atmem"
-	"atmem/apps"
 	"atmem/internal/core"
 	"atmem/internal/faultinject"
 	"atmem/internal/telemetry"
@@ -61,11 +59,6 @@ const (
 	// measured one.
 	ATMem Policy = "atmem"
 )
-
-// runPolicies lists the policies in their historical order. The index
-// is the policy's field in RunConfig.key, which keeps memoization keys
-// and trace-artifact names stable.
-var runPolicies = []Policy{Baseline, AllFast, PreferFast, ATMem}
 
 // placement maps a run policy to the placement policy its runtime
 // installs. Baseline and ATMem both run the paper's analyzer; they
@@ -119,37 +112,22 @@ type RunConfig struct {
 	// migrates on a service goroutine while the next iteration runs.
 	// Implies the governor. Only meaningful with ATMem.
 	Async bool
-	// Context, when non-nil, is passed to the placement calls so a
-	// caller can cancel in-flight migration. It is deliberately not part
-	// of the memoization key.
-	Context context.Context
-	// Telemetry attaches a telemetry recorder to the run (see
-	// atmem.Options.Recorder). Implied by a non-empty TraceDir.
-	Telemetry bool
-	// TraceDir, when non-empty, writes the run's Chrome trace JSON, CSV
-	// timeline, and chunk-heat dump into this directory next to the
-	// report artifacts; RunResult.TracePath names the trace.
+	// TraceDir, when non-empty, records the run's telemetry and writes
+	// its Chrome trace JSON, CSV timeline, and chunk-heat dump into this
+	// directory next to the report artifacts; RunResult.TracePath names
+	// the trace.
 	TraceDir string
 }
 
 func (c RunConfig) key() string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d|%g|%d|%t|%t|%s|%t|%s|%t|%t",
-		c.Testbed, c.App, c.Dataset, slices.Index(runPolicies, c.Policy), c.Mechanism, c.Epsilon,
+	return fmt.Sprintf("%s|%s|%s|%s|%d|%g|%d|%t|%t|%s|%s|%t|%t",
+		c.Testbed, c.App, c.Dataset, c.Policy, c.Mechanism, c.Epsilon,
 		c.SamplePeriod, c.BandwidthAware, c.SkipValidate, c.FaultLabel,
-		c.Telemetry, c.TraceDir, c.Governed, c.Async)
-}
-
-// ctx resolves the run's context.
-func (c RunConfig) ctx() context.Context {
-	if c.Context != nil {
-		return c.Context
-	}
-	return context.Background()
+		c.TraceDir, c.Governed, c.Async)
 }
 
 // RunResult is the outcome of one benchmark run.
 type RunResult struct {
-	Config RunConfig
 	// FirstIterSeconds is the first (cold, profiled under ATMem)
 	// iteration time.
 	FirstIterSeconds float64
@@ -160,8 +138,6 @@ type RunResult struct {
 	Migration atmem.MigrationReport
 	// PostTLBMisses counts TLB misses during the measured iteration.
 	PostTLBMisses uint64
-	// PostLLCMisses counts LLC misses during the measured iteration.
-	PostLLCMisses uint64
 	// Samples is the number of attributed profiler samples.
 	Samples int
 	// DataRatio is the fraction of registered data on fast memory
@@ -208,9 +184,9 @@ func Run(cfg RunConfig) (RunResult, error) {
 		opts = append(opts, atmem.WithGovernor(atmem.GovernorOptions{}))
 	}
 	if cfg.Async && cfg.Policy == ATMem {
-		opts = append(opts, atmem.WithAsyncPlacement(atmem.AsyncOptions{}))
+		opts = append(opts, atmem.WithAsyncPlacement())
 	}
-	if cfg.Telemetry || cfg.TraceDir != "" {
+	if cfg.TraceDir != "" {
 		opts = append(opts, atmem.WithTelemetry(telemetry.NewRecorder()))
 	}
 	if cfg.Epsilon > 0 {
@@ -218,23 +194,17 @@ func Run(cfg RunConfig) (RunResult, error) {
 		ac.Epsilon = cfg.Epsilon
 		opts = append(opts, atmem.WithAnalyzer(ac))
 	}
-	rt, err := atmem.New(tb, opts...)
+	rt, kerns, err := newSession(tb, cfg.Dataset, []string{cfg.App}, opts...)
 	if err != nil {
-		return RunResult{}, err
+		return RunResult{}, fmt.Errorf("harness: %s: %w", cfg.Testbed, err)
 	}
-	kern, err := apps.New(cfg.App)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if err := kern.Setup(rt, cfg.Dataset); err != nil {
-		return RunResult{}, fmt.Errorf("harness: %s/%s/%s setup: %w", cfg.Testbed, cfg.App, cfg.Dataset, err)
-	}
+	kern := kerns[0]
 
-	res := RunResult{Config: cfg}
+	var res RunResult
 	warmed := false
 	switch {
 	case cfg.Policy == ATMem && cfg.Async:
-		ctx := cfg.ctx()
+		ctx := context.Background()
 		// Epoch 1 profiles the cold iteration; nothing is pending yet,
 		// so it overlaps no migration.
 		er, err := rt.RunEpochAsync(ctx, "profile", func() {
@@ -260,7 +230,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		res.StolenSeconds = rt.StolenSeconds()
 		warmed = true
 	case cfg.Policy == ATMem && cfg.Governed:
-		er, err := rt.RunEpochCtx(cfg.ctx(), "profile", func() {
+		er, err := rt.RunEpoch("profile", func() {
 			res.FirstIterSeconds = kern.RunIteration(rt).Seconds
 		})
 		if err != nil {
@@ -273,7 +243,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		first := kern.RunIteration(rt)
 		res.FirstIterSeconds = first.Seconds
 		res.Samples = rt.ProfilingStop()
-		rep, err := rt.OptimizeCtx(cfg.ctx())
+		rep, err := rt.Optimize()
 		if err != nil {
 			return res, fmt.Errorf("harness: %s optimize: %w", cfg.key(), err)
 		}
@@ -293,38 +263,32 @@ func Run(cfg RunConfig) (RunResult, error) {
 	second := kern.RunIteration(rt)
 	res.IterSeconds = second.Seconds
 	res.PostTLBMisses = second.TLBMisses()
-	res.PostLLCMisses = second.LLCMisses()
 	res.DataRatio = rt.FastDataRatio()
 	res.FaultEvents = len(rt.FaultEvents())
 	if !cfg.SkipValidate {
-		if err := kern.Validate(); err != nil {
-			return res, fmt.Errorf("harness: %s validation: %w", cfg.key(), err)
-		}
-		res.Validated = true
+		err = checkBooks(rt, kern)
+	} else {
+		err = checkBooks(rt)
 	}
+	if err != nil {
+		return res, fmt.Errorf("harness: %s: %w", cfg.key(), err)
+	}
+	res.Validated = !cfg.SkipValidate
 	if cfg.TraceDir != "" {
-		path, err := writeTraceArtifacts(rt, cfg)
-		if err != nil {
+		// The stem embeds the run coordinates plus a short hash of the
+		// full configuration key, so sweep variants never collide.
+		stem := fmt.Sprintf("%s-%s-%s-%s-%08x", cfg.Testbed, cfg.App, cfg.Dataset,
+			cfg.Policy, crc32.ChecksumIEEE([]byte(cfg.key())))
+		if res.TracePath, err = writeTraceArtifacts(rt, cfg.TraceDir, stem); err != nil {
 			return res, err
 		}
-		res.TracePath = path
 	}
 	return res, nil
 }
 
-// writeTraceArtifacts writes the run's trace JSON, CSV timeline, and
-// chunk-heat dump into cfg.TraceDir and returns the trace path. Names
-// embed the human-readable run coordinates plus a short hash of the full
-// configuration key, so sweep variants never collide.
-func writeTraceArtifacts(rt *atmem.Runtime, cfg RunConfig) (string, error) {
-	stem := fmt.Sprintf("%s-%s-%s-%s-%08x", cfg.Testbed, cfg.App, cfg.Dataset,
-		cfg.Policy, crc32.ChecksumIEEE([]byte(cfg.key())))
-	return writeTraceArtifactsStem(rt, cfg.TraceDir, stem)
-}
-
-// writeTraceArtifactsStem writes a runtime's trace JSON, CSV timeline,
-// and chunk-heat dump as <dir>/<stem>.* and returns the trace path.
-func writeTraceArtifactsStem(rt *atmem.Runtime, dir, stem string) (string, error) {
+// writeTraceArtifacts writes a runtime's trace JSON, CSV timeline, and
+// chunk-heat dump as <dir>/<stem>.* and returns the trace path.
+func writeTraceArtifacts(rt *atmem.Runtime, dir, stem string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("harness: trace dir: %w", err)
 	}
@@ -391,10 +355,6 @@ type Suite struct {
 	// their runtime when done, so one fixed address serves them all; the
 	// short memoized Run configurations never bind it.
 	DebugAddr string
-	// ServingTenants, when > 0, trims the serving experiment's cast to
-	// the first N tenants of the default scenario (minimum 2 so the
-	// storm victim stays in) — atmem-bench -serving-tenants.
-	ServingTenants int
 }
 
 // NewSuite builds an empty suite.
@@ -406,7 +366,6 @@ func NewSuite() *Suite {
 func (s *Suite) Run(cfg RunConfig) (RunResult, error) {
 	if s.TraceDir != "" && cfg.TraceDir == "" {
 		cfg.TraceDir = s.TraceDir
-		cfg.Telemetry = true
 	}
 	if s.Async && cfg.Policy == ATMem {
 		cfg.Async = true

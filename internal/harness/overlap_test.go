@@ -6,42 +6,36 @@ import (
 	"atmem/internal/governor"
 )
 
-// reducedScenario shrinks the adaptive-pressure scenario to a test-sized
-// epoch sequence; it keeps the reserve trajectory (and therefore the
+// reduced shrinks an adaptive-pressure script to a test-sized epoch
+// sequence; it keeps the reserve trajectory (and therefore the
 // migration pressure) of the full experiment.
-func reducedScenario() AdaptiveScenario {
-	sc := DefaultAdaptiveScenario()
-	sc.BFSEpochs = 2
-	sc.ShiftEpochs = 2
-	sc.HoldEpochs = 4
+func reduced(sc Script) Script {
+	sc.Steps[0].Epochs, sc.Steps[1].Epochs, sc.Steps[2].Epochs = 2, 2, 4
 	return sc
 }
 
-// TestOverlapBeatsStopTheWorld guards the overlap experiment's
-// acceptance property at test cost: the identical reduced scenario must
-// finish in strictly fewer simulated seconds overlapped than
-// stop-the-world, with bit-identical graph data. RunAdaptivePressure
-// itself additionally verifies kernel validation and ledger consistency
-// in both modes.
-func TestOverlapBeatsStopTheWorld(t *testing.T) {
-	sync, err := RunAdaptivePressure(reducedScenario())
+func runReduced(t *testing.T, sc Script) *ScriptResult {
+	t.Helper()
+	res, err := runScript(reduced(sc))
 	if err != nil {
+		logScriptEpochs(t, res)
 		t.Fatal(err)
 	}
-	async := reducedScenario()
-	async.Async = true
-	over, err := RunAdaptivePressure(async)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return res
+}
 
-	if over.TotalSimSeconds >= sync.TotalSimSeconds {
-		t.Errorf("overlapped %.9fs not faster than stop-the-world %.9fs",
-			over.TotalSimSeconds, sync.TotalSimSeconds)
-	}
-	if over.DataCRC != sync.DataCRC {
-		t.Errorf("graph data diverged: overlapped %08x vs stop-the-world %08x",
-			over.DataCRC, sync.DataCRC)
+// TestOverlapBeatsStopTheWorld guards the overlap experiment's
+// acceptance property at test cost: the identical reduced script must
+// finish in strictly fewer simulated seconds overlapped than
+// stop-the-world with identical results (overlapBars), hiding
+// migration time. runScript itself additionally verifies kernel
+// validation and ledger consistency in both modes.
+func TestOverlapBeatsStopTheWorld(t *testing.T) {
+	syncSc, asyncSc, _ := overlapScripts()
+	sync := runReduced(t, syncSc)
+	over := runReduced(t, asyncSc)
+	if err := overlapBars(sync, over, nil); err != nil {
+		t.Fatal(err)
 	}
 	if over.OverlapSeconds <= 0 || over.StolenSeconds <= 0 {
 		t.Errorf("overlapped run hid no migration time: overlap=%.9f stolen=%.9f",
@@ -59,29 +53,21 @@ func TestOverlapBeatsStopTheWorld(t *testing.T) {
 	}
 }
 
-// TestOverlapSurvivesFaultStorm runs the reduced scenario overlapped
+// TestOverlapSurvivesFaultStorm runs the reduced script overlapped
 // with every staging reservation failing through epoch 5: placement
-// degrades (breaker opens, regions skip) but data stays CRC-identical to
-// the fault-free modes and the breaker recovers once the storm lifts.
+// degrades (breaker opens, regions skip) but the results stay identical
+// to the fault-free stop-the-world run (overlapBars) and the breaker
+// recovers once the storm lifts.
 func TestOverlapSurvivesFaultStorm(t *testing.T) {
-	clean, err := RunAdaptivePressure(reducedScenario())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := reducedScenario()
-	sc.Async = true
-	sc.FaultSchedule = AdaptiveFaultSchedule()
-	sc.FaultEpochs = 5
-	res, err := RunAdaptivePressure(sc)
-	if err != nil {
+	syncSc, _, faultedSc := overlapScripts()
+	clean := runReduced(t, syncSc)
+	faultedSc.DisarmAfter = 5
+	res := runReduced(t, faultedSc)
+	if err := overlapBars(clean, nil, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.FaultEvents == 0 {
 		t.Error("fault storm never fired")
-	}
-	if res.DataCRC != clean.DataCRC {
-		t.Errorf("faulted overlapped run changed graph data: %08x vs %08x",
-			res.DataCRC, clean.DataCRC)
 	}
 	if res.FinalState != governor.StateClosed {
 		t.Errorf("breaker did not recover after the storm: %s", res.FinalState)

@@ -72,19 +72,12 @@ func scale24(s *Suite) ([]*Report, error) {
 	expStart := time.Now()
 	for _, app := range []string{"bfs", "pr"} {
 		runStart := time.Now()
-		kern, err := apps.New(app)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := atmem.New(paperScaleTestbed(),
-			atmem.WithPlacementPolicy(atmem.PaperPolicy()),
+		rt, kerns, err := newSession(paperScaleTestbed(), "rmat24-paper", []string{app},
 			atmem.WithGovernor(atmem.GovernorOptions{}))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: scale24: %w", err)
 		}
-		if err := kern.Setup(rt, "rmat24-paper"); err != nil {
-			return nil, fmt.Errorf("harness: scale24 %s setup: %w", app, err)
-		}
+		kern := kerns[0]
 		setup := time.Since(runStart)
 		g, err := graph.Load("rmat24-paper")
 		if err != nil {
@@ -96,9 +89,8 @@ func scale24(s *Suite) ([]*Report, error) {
 			return nil, fmt.Errorf("harness: scale24 %s epoch: %w", app, err)
 		}
 		second := kern.RunIteration(rt)
-		validated := "true"
-		if err := kern.Validate(); err != nil {
-			return nil, fmt.Errorf("harness: scale24 %s validation: %w", app, err)
+		if err := checkBooks(rt, kern); err != nil {
+			return nil, fmt.Errorf("harness: scale24 %s: %w", app, err)
 		}
 		rep.AddRow(app,
 			fmt.Sprintf("%d", g.NumVertices()),
@@ -108,7 +100,7 @@ func scale24(s *Suite) ([]*Report, error) {
 			pct(rt.FastDataRatio()),
 			fmt.Sprintf("%d", rt.ResidentBytes()>>20),
 			secs(time.Since(runStart).Seconds()),
-			validated)
+			"true")
 		if s.Verbose {
 			fmt.Printf("  [scale24] %s done in %.1fs\n", app, time.Since(runStart).Seconds())
 		}
@@ -144,21 +136,14 @@ func runPlanSession(pc *core.PlanCache, app, ds string, epochs int) (planSession
 		return out, err
 	}
 	out.GraphCRC = g.CRC()
-	kern, err := apps.New(app)
-	if err != nil {
-		return out, err
-	}
-	rt, err := atmem.New(atmem.NVMDRAM(),
-		atmem.WithPlacementPolicy(atmem.PaperPolicy()),
+	runStart := time.Now()
+	rt, kerns, err := newSession(atmem.NVMDRAM(), ds, []string{app},
 		atmem.WithGovernor(atmem.GovernorOptions{}),
 		atmem.WithPlanCache(pc))
 	if err != nil {
 		return out, err
 	}
-	runStart := time.Now()
-	if err := kern.Setup(rt, ds); err != nil {
-		return out, err
-	}
+	kern := kerns[0]
 	sig := rt.BuildSignature(ds, out.GraphCRC, []string{app})
 	verdict, err := rt.ArmPlan(sig)
 	if err != nil {
@@ -193,8 +178,8 @@ func runPlanSession(pc *core.PlanCache, app, ds string, epochs int) (planSession
 	for _, o := range rt.Objects() {
 		out.Layout[o.Name()] = rt.System().BytesOnTier(o.Base(), o.Size())
 	}
-	if err := kern.Validate(); err != nil {
-		return out, fmt.Errorf("harness: plan session validation: %w", err)
+	if err := checkBooks(rt, kern); err != nil {
+		return out, fmt.Errorf("harness: plan session: %w", err)
 	}
 	return out, nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
 	"atmem"
@@ -71,12 +70,10 @@ type ServingScenario struct {
 	// floor, and the paper's methodology likewise measures warm
 	// iterations only.
 	WarmupEpochs int
-	// FastTierBytes shrinks the NVM-DRAM fast tier (0 keeps 96 MiB).
+	// FastTierBytes is the NVM-DRAM testbed's fast-tier capacity.
 	FastTierBytes uint64
 	// Tenants are the cast; exactly one must be the Victim.
 	Tenants []ServingTenant
-	// Broker configures the arbiter and broker breaker.
-	Broker atmem.BrokerConfig
 	// Health is the per-tenant scoreboard policy (the scrubber is
 	// always on — serving tenants must self-heal corruption).
 	Health health.Policy
@@ -87,7 +84,7 @@ type ServingScenario struct {
 	// ShareTolerance is the isolation bar: a non-victim's mean
 	// fast-access share over the storm-and-after rounds must not fall
 	// more than this fraction below its own settled pre-storm mean
-	// (absolute floor 0.05). Default 0.10.
+	// (absolute floor 0.05).
 	ShareTolerance float64
 	// RejectSpec, when non-empty-named, is admitted at StormStart and
 	// must be rejected with ErrAdmission (the oversubscription probe).
@@ -158,10 +155,9 @@ type ServingEpoch struct {
 // servingSolo is one tenant's solo baseline: the identical spec and
 // epoch count on its own broker over an identically-sized system.
 type servingSolo struct {
-	shares  []float64 // per-epoch fast-access share
-	seconds []float64 // per-epoch simulated phase seconds
-	slo     float64   // 1.25 × slowest solo phase (or Spec.SLOSeconds)
-	crc     uint32
+	shares []float64 // per-epoch fast-access share
+	slo    float64   // 1.25 × slowest solo phase (or Spec.SLOSeconds)
+	crc    uint32
 }
 
 // ServingResult is the outcome of one serving scenario.
@@ -187,7 +183,6 @@ type servingMember struct {
 	tenant *atmem.Tenant
 	rt     *atmem.Runtime
 	kern   apps.Kernel
-	solo   *servingSolo
 	epoch  int // epochs run so far
 }
 
@@ -196,9 +191,6 @@ type servingMember struct {
 // violation is an error — the experiment's value is that these cannot
 // rot.
 func RunServing(sc ServingScenario) (*ServingResult, error) {
-	if sc.ShareTolerance == 0 {
-		sc.ShareTolerance = 0.10
-	}
 	victims := 0
 	for _, tc := range sc.Tenants {
 		if tc.Victim {
@@ -246,9 +238,7 @@ func (sc ServingScenario) tenantRounds(tc ServingTenant) int {
 
 func (sc ServingScenario) testbed() atmem.Testbed {
 	p := memsim.NVMDRAMParams()
-	if sc.FastTierBytes != 0 {
-		p.Tiers[memsim.TierFast].CapacityBytes = sc.FastTierBytes
-	}
+	p.Tiers[memsim.TierFast].CapacityBytes = sc.FastTierBytes
 	return atmem.CustomTestbed(p)
 }
 
@@ -267,18 +257,11 @@ func (sc ServingScenario) newMember(bk *atmem.Broker, tc ServingTenant, rec *tel
 	if rec != nil {
 		opts = append(opts, atmem.WithTelemetry(rec))
 	}
-	rt, err := atmem.New(sc.testbed(), opts...)
+	rt, kerns, err := newSession(sc.testbed(), sc.Dataset, []string{tc.App}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	kern, err := apps.New(tc.App)
-	if err != nil {
-		return nil, err
-	}
-	if err := kern.Setup(rt, sc.Dataset); err != nil {
-		return nil, fmt.Errorf("%s setup: %w", tc.App, err)
-	}
-	return &servingMember{cfg: tc, tenant: tn, rt: rt, kern: kern}, nil
+	return &servingMember{cfg: tc, tenant: tn, rt: rt, kern: kerns[0]}, nil
 }
 
 // epochSeconds is the scorecard's end-to-end simulated epoch time.
@@ -289,7 +272,7 @@ func epochSeconds(card atmem.Scorecard) float64 {
 // runSolo runs one tenant alone — same spec, broker config, system
 // size, and epoch count as its shared-run life — and derives its SLO.
 func (sc ServingScenario) runSolo(tc ServingTenant) (*servingSolo, error) {
-	bk := atmem.NewBroker(sc.testbed(), sc.Broker)
+	bk := atmem.NewBroker(sc.testbed(), atmem.BrokerConfig{})
 	m, err := sc.newMember(bk, tc, nil)
 	if err != nil {
 		return nil, err
@@ -305,7 +288,6 @@ func (sc ServingScenario) runSolo(tc ServingTenant) (*servingSolo, error) {
 	cards := m.rt.Scorecards()
 	for _, card := range cards {
 		solo.shares = append(solo.shares, card.FastAccessShare)
-		solo.seconds = append(solo.seconds, card.PhaseSeconds)
 		if card.PhaseSeconds > solo.slo {
 			solo.slo = card.PhaseSeconds
 		}
@@ -314,7 +296,7 @@ func (sc ServingScenario) runSolo(tc ServingTenant) (*servingSolo, error) {
 	if tc.Spec.SLOSeconds > 0 {
 		solo.slo = tc.Spec.SLOSeconds
 	}
-	if err := m.kern.Validate(); err != nil {
+	if err := checkBooks(m.rt, m.kern); err != nil {
 		return nil, err
 	}
 	solo.crc = resultCRC(m.rt)
@@ -373,7 +355,7 @@ func armServingStorm(m *servingMember) error {
 
 // runShared executes the multi-tenant run round by round.
 func (sc ServingScenario) runShared(solos map[string]*servingSolo) (*ServingResult, error) {
-	bk := atmem.NewBroker(sc.testbed(), sc.Broker)
+	bk := atmem.NewBroker(sc.testbed(), atmem.BrokerConfig{})
 	res := &ServingResult{CRCs: make(map[string]uint32)}
 	var members []*servingMember
 	var victim *servingMember
@@ -392,7 +374,7 @@ func (sc ServingScenario) runShared(solos map[string]*servingSolo) (*ServingResu
 		// The admission invariant, checked at the only moments it can
 		// change in the broker's favour: promised floors never exceed
 		// what the tier actually still has.
-		if avail := bk.Capacity() - min64(bk.Capacity(), bk.System().Quarantined()); floorsPromised > avail {
+		if avail := bk.Capacity() - min(bk.Capacity(), bk.System().Quarantined()); floorsPromised > avail {
 			return fmt.Errorf("harness: serving: admission oversubscribed — %d promised floor bytes > %d available",
 				floorsPromised, avail)
 		}
@@ -404,7 +386,7 @@ func (sc ServingScenario) runShared(solos map[string]*servingSolo) (*ServingResu
 	}
 
 	finishMember := func(m *servingMember) error {
-		if err := m.kern.Validate(); err != nil {
+		if err := checkBooks(m.rt, m.kern); err != nil {
 			return fmt.Errorf("harness: serving %s: %w", m.cfg.Spec.Name, err)
 		}
 		crc := resultCRC(m.rt)
@@ -525,9 +507,7 @@ func (sc ServingScenario) runShared(solos map[string]*servingSolo) (*ServingResu
 	if victim != nil {
 		res.VictimQuarantined = bk.System().TenantUsage(victim.tenant.ID()).QuarantinedBytes
 		if sc.TraceDir != "" {
-			stem := fmt.Sprintf("nvm-serving-%s-%08x", sc.Dataset,
-				crc32.ChecksumIEEE([]byte(fmt.Sprintf("%+v", sc))))
-			path, err := writeTraceArtifactsStem(victim.rt, sc.TraceDir, stem)
+			path, err := writeTraceArtifacts(victim.rt, sc.TraceDir, "nvm-serving-"+sc.Dataset)
 			if err != nil {
 				return res, err
 			}
@@ -658,24 +638,11 @@ func (sc ServingScenario) checkBars(res *ServingResult, solos map[string]*servin
 	return nil
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // serving is the experiment wrapper: the shared run rendered one row
 // per tenant-epoch, with the rebalance trail in the note.
 func serving(s *Suite) ([]*Report, error) {
 	sc := DefaultServingScenario()
 	sc.TraceDir = s.TraceDir
-	if n := s.ServingTenants; n > 0 && n < len(sc.Tenants) {
-		if n < 2 {
-			n = 2 // the guaranteed anchor and the storm victim stay in
-		}
-		sc.Tenants = sc.Tenants[:n]
-	}
 	res, err := RunServing(sc)
 	if err != nil {
 		return nil, err

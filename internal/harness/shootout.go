@@ -62,17 +62,12 @@ type ShootoutScenario struct {
 	// comparison would measure ε's conservatism, not ranking quality.
 	// Default 0.01.
 	Epsilon float64
-	// Train tunes the in-process pairwise trainer; the zero value
-	// takes the core defaults.
-	Train core.TrainConfig
 	// GapBarKernels is the minimum number of kernels on which the
 	// learned policy must close at least half of the paper→oracle
-	// fast-access-share gap for Assert to pass (0 skips that bar).
+	// fast-access-share gap (0 skips that bar). The run fails when it,
+	// or the ordering bar (oracle ≥ paper ≥ static on every kernel),
+	// breaks.
 	GapBarKernels int
-	// Assert enforces the ordering bars (oracle ≥ paper ≥ static on
-	// every kernel, plus GapBarKernels) and fails the run when they
-	// break.
-	Assert bool
 	// TraceDir, when non-empty, writes the machine-readable
 	// policy-shootout.json artifact there (atmem-report -shootout
 	// renders it).
@@ -93,7 +88,6 @@ func DefaultShootoutScenario() ShootoutScenario {
 		SamplePeriod:   5,
 		Epsilon:        0.01,
 		GapBarKernels:  3,
-		Assert:         true,
 	}
 }
 
@@ -164,37 +158,22 @@ type kernelData struct {
 // samples the second iteration at the deployed period — exactly the
 // position and density of the signal a deployed policy ranks on.
 func collectKernelData(tb atmem.Testbed, app, dataset string, period uint64) (*kernelData, error) {
-	label, err := atmem.New(tb,
-		atmem.WithPlacementPolicy(atmem.PaperPolicy()))
+	label, kerns, err := newSession(tb, dataset, []string{app})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: shootout label pass: %w", err)
 	}
-	kern, err := apps.New(app)
-	if err != nil {
-		return nil, err
-	}
-	if err := kern.Setup(label, dataset); err != nil {
-		return nil, fmt.Errorf("harness: shootout %s label setup: %w", app, err)
-	}
+	kern := kerns[0]
 	kern.RunIteration(label)
 	kern.RunIteration(label)
 	kern.RunIteration(label)
 	trace := label.TrafficTrace(func() { kern.RunIteration(label) })
 	kd := &kernelData{app: app, trace: trace}
 
-	feat, err := atmem.New(tb,
-		atmem.WithPlacementPolicy(atmem.PaperPolicy()),
-		atmem.WithSamplePeriod(period))
+	feat, kerns, err := newSession(tb, dataset, []string{app}, atmem.WithSamplePeriod(period))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: shootout feature pass: %w", err)
 	}
-	kernF, err := apps.New(app)
-	if err != nil {
-		return nil, err
-	}
-	if err := kernF.Setup(feat, dataset); err != nil {
-		return nil, fmt.Errorf("harness: shootout %s feature setup: %w", app, err)
-	}
+	kernF := kerns[0]
 	kernF.RunIteration(feat)
 	feat.ProfilingStart()
 	kernF.RunIteration(feat)
@@ -221,41 +200,31 @@ func (kd *kernelData) trainingSamples() []core.TrainSample {
 // kernels and returns the joined training set — the same data the
 // shootout trains on in-process, exported for cmd/atmem-train.
 func ShootoutTrainingData(scn ShootoutScenario) ([]core.TrainSample, error) {
-	scn = scn.withDefaults()
+	_, samples, err := prepareShootout(scn)
+	return samples, err
+}
+
+// prepareShootout runs the preparation passes for every kernel of the
+// scenario and joins their training samples.
+func prepareShootout(scn ShootoutScenario) ([]*kernelData, []core.TrainSample, error) {
 	tb, err := shootoutTestbed(scn)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	data := make([]*kernelData, 0, len(scn.Apps))
 	var samples []core.TrainSample
 	for _, app := range scn.Apps {
 		kd, err := collectKernelData(tb, app, scn.Dataset, scn.SamplePeriod)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		data = append(data, kd)
 		samples = append(samples, kd.trainingSamples()...)
+		if scn.Verbose {
+			fmt.Printf("  [shootout] %-5s prepared: %d labeled chunks\n", app, len(kd.feats))
+		}
 	}
-	return samples, nil
-}
-
-// withDefaults fills unset scenario knobs with the CI defaults.
-func (scn ShootoutScenario) withDefaults() ShootoutScenario {
-	def := DefaultShootoutScenario()
-	if len(scn.Apps) == 0 {
-		scn.Apps = def.Apps
-	}
-	if scn.Dataset == "" {
-		scn.Dataset = def.Dataset
-	}
-	if scn.BudgetFraction <= 0 || scn.BudgetFraction >= 1 {
-		scn.BudgetFraction = def.BudgetFraction
-	}
-	if scn.SamplePeriod == 0 {
-		scn.SamplePeriod = def.SamplePeriod
-	}
-	if scn.Epsilon <= 0 {
-		scn.Epsilon = def.Epsilon
-	}
-	return scn
+	return data, samples, nil
 }
 
 // shootoutTestbed resolves the scenario's platform with the thread pin
@@ -313,20 +282,14 @@ func optimizeShootoutCell(tb atmem.Testbed, scn ShootoutScenario, app string, po
 	var rep atmem.MigrationReport
 	ac := core.DefaultConfig()
 	ac.Epsilon = scn.Epsilon
-	rt, err := atmem.New(tb, append([]atmem.Option{
+	rt, kerns, err := newSession(tb, scn.Dataset, []string{app}, append([]atmem.Option{
 		atmem.WithPlacementPolicy(pol),
 		atmem.WithSamplePeriod(scn.SamplePeriod),
 		atmem.WithAnalyzer(ac)}, extra...)...)
 	if err != nil {
-		return nil, nil, rep, err
+		return nil, nil, rep, fmt.Errorf("harness: shootout %s: %w", pol.Name(), err)
 	}
-	kern, err := apps.New(app)
-	if err != nil {
-		return nil, nil, rep, err
-	}
-	if err := kern.Setup(rt, scn.Dataset); err != nil {
-		return nil, nil, rep, fmt.Errorf("harness: shootout %s/%s setup: %w", app, pol.Name(), err)
-	}
+	kern := kerns[0]
 	// Constrain the budget to BudgetFraction of the footprint via the
 	// capacity reserve, so the policies compete for a binding budget
 	// even on datasets that would fit the fast tier whole.
@@ -365,8 +328,8 @@ func runShootoutPolicy(tb atmem.Testbed, scn ShootoutScenario, app string, pol a
 	} else {
 		meas = kern.RunIteration(rt)
 	}
-	if err := kern.Validate(); err != nil {
-		return cell, nil, fmt.Errorf("harness: shootout %s/%s validation: %w", app, pol.Name(), err)
+	if err := checkBooks(rt, kern); err != nil {
+		return cell, nil, fmt.Errorf("harness: shootout %s/%s: %w", app, pol.Name(), err)
 	}
 	cell.Validated = true
 	cell.FastAccessShare = fastShareOf(meas.Phases)
@@ -380,28 +343,17 @@ func runShootoutPolicy(tb atmem.Testbed, scn ShootoutScenario, app string, pol a
 // RunPolicyShootout executes the full shootout: per-kernel preparation
 // passes, one in-process training run over the union of all kernels'
 // labeled chunks, then every kernel under every policy, with the
-// ordering bars checked at the end when the scenario asserts.
+// bars checked at the end.
 func RunPolicyShootout(scn ShootoutScenario) (*ShootoutResult, error) {
-	scn = scn.withDefaults()
 	tb, err := shootoutTestbed(scn)
 	if err != nil {
 		return nil, err
 	}
-
-	data := make([]*kernelData, 0, len(scn.Apps))
-	var samples []core.TrainSample
-	for _, app := range scn.Apps {
-		kd, err := collectKernelData(tb, app, scn.Dataset, scn.SamplePeriod)
-		if err != nil {
-			return nil, err
-		}
-		data = append(data, kd)
-		samples = append(samples, kd.trainingSamples()...)
-		if scn.Verbose {
-			fmt.Printf("  [shootout] %-5s prepared: %d labeled chunks\n", app, len(kd.feats))
-		}
+	data, samples, err := prepareShootout(scn)
+	if err != nil {
+		return nil, err
 	}
-	weights, tstats, err := core.TrainPairwise(samples, scn.Train)
+	weights, tstats, err := core.TrainPairwise(samples, core.TrainConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("harness: shootout training: %w", err)
 	}
@@ -475,10 +427,8 @@ func RunPolicyShootout(scn ShootoutScenario) (*ShootoutResult, error) {
 			return nil, err
 		}
 	}
-	if scn.Assert {
-		if err := res.checkBars(scn.GapBarKernels); err != nil {
-			return res, err
-		}
+	if err := res.checkBars(scn.GapBarKernels); err != nil {
+		return res, err
 	}
 	return res, nil
 }

@@ -48,7 +48,7 @@ func TestCheckBars(t *testing.T) {
 // acceptance bars hold: oracle >= paper >= static on every kernel, and
 // the learned policy closes at least half the paper->oracle gap on at
 // least GapBarKernels kernels. RunPolicyShootout enforces the bars
-// itself (Assert); the test additionally pins the result's shape and
+// itself; the test additionally pins the result's shape and
 // the artifact/report plumbing.
 func TestPolicyShootout(t *testing.T) {
 	if testing.Short() {

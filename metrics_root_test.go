@@ -127,7 +127,7 @@ func TestScorecardReconciliation(t *testing.T) {
 // runtime produces none (but still records metrics).
 func TestScorecardAsyncAndUngoverned(t *testing.T) {
 	rt, err := New(govTestbed(8<<20),
-		WithAsyncPlacement(AsyncOptions{}),
+		WithAsyncPlacement(),
 		WithMetrics(NewMetricsRegistry()),
 	)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"atmem/internal/faultinject"
 	"atmem/internal/health"
 	"atmem/internal/metrics"
-	"atmem/internal/migrate"
 	"atmem/internal/telemetry"
 )
 
@@ -21,7 +20,7 @@ type Option func(*Options)
 //	rt, err := atmem.New(atmem.NVMDRAM(),
 //		atmem.WithThreads(16),
 //		atmem.WithTelemetry(rec),
-//		atmem.WithAsyncPlacement(atmem.AsyncOptions{Enabled: true}),
+//		atmem.WithAsyncPlacement(),
 //	)
 //
 // Options apply in order; later options override earlier ones. The
@@ -67,11 +66,6 @@ func WithSamplePeriod(period uint64) Option {
 	return func(o *Options) { o.SamplePeriod = period }
 }
 
-// WithSampleOverheadNS overrides the per-sample capture cost.
-func WithSampleOverheadNS(ns float64) Option {
-	return func(o *Options) { o.SampleOverheadNS = ns }
-}
-
 // WithCapacityReserve holds back bytes of fast memory from the placement
 // budget (see Options.CapacityReserve).
 func WithCapacityReserve(bytes uint64) Option {
@@ -106,13 +100,10 @@ func WithBandwidthAware(on bool) Option {
 
 // WithAsyncPlacement enables overlapped background placement: governed
 // epochs driven via RunEpochAsync migrate the previous interval's plan
-// concurrently with the next interval's phases. The Enabled field is
-// forced on, and the governor is implied (see AsyncOptions).
-func WithAsyncPlacement(a AsyncOptions) Option {
-	return func(o *Options) {
-		a.Enabled = true
-		o.Async = a
-	}
+// concurrently with the next interval's phases. The governor is
+// implied (see Options.Async).
+func WithAsyncPlacement() Option {
+	return func(o *Options) { o.Async = true }
 }
 
 // WithPlanCache attaches a compiled-plan cache, enabling record/replay
@@ -147,13 +138,6 @@ func WithScrubber() Option {
 		o.Health.Enabled = true
 		o.Health.Scrub = true
 	}
-}
-
-// WithRetryPolicy overrides the per-region degradation ladder shared by
-// both migration engines and the scrubber's emergency demotion (see
-// Options.Retry).
-func WithRetryPolicy(rp migrate.RetryPolicy) Option {
-	return func(o *Options) { o.Retry = rp }
 }
 
 // WithMetrics attaches a live metrics registry (see Options.Metrics).

@@ -104,7 +104,7 @@ func (r *Runtime) ArmPlan(sig core.Signature) (core.LookupVerdict, error) {
 	if !r.opts.Governor.Enabled {
 		return core.LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.Governor.Enabled")
 	}
-	if r.opts.Async.Enabled {
+	if r.opts.Async {
 		return core.LookupMiss, fmt.Errorf("atmem: plan record/replay requires the synchronous RunEpoch loop (Options.Async must be off)")
 	}
 	if r.tenant != nil {

@@ -356,7 +356,7 @@ func TestArmPlanRequirements(t *testing.T) {
 	}{
 		{"without a plan cache", []Option{WithGovernor(GovernorOptions{})}},
 		{"without the governor", []Option{WithPlanCache(core.NewPlanCache())}},
-		{"under async placement", []Option{WithPlanCache(core.NewPlanCache()), WithAsyncPlacement(AsyncOptions{})}},
+		{"under async placement", []Option{WithPlanCache(core.NewPlanCache()), WithAsyncPlacement()}},
 		// Replayed promotions would bypass the tenant's share cap.
 		{"on a broker tenant", []Option{WithPlanCache(core.NewPlanCache()), WithTenant(tn)}},
 	} {

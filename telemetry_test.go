@@ -246,7 +246,7 @@ func TestObservationsAgreeAcrossEpochShapes(t *testing.T) {
 			opts := []Option{WithTelemetry(rec), WithMetrics(NewMetricsRegistry())}
 			switch {
 			case tc.async:
-				opts = append(opts, WithAsyncPlacement(AsyncOptions{}))
+				opts = append(opts, WithAsyncPlacement())
 			case tc.replay:
 				opts = append(opts, WithPlanCache(pc))
 			}
