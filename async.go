@@ -1,18 +1,16 @@
 package atmem
 
-// This file is the overlapped background placement pipeline: the
-// runtime analogue of the paper's service threads, which profile and
-// migrate while the application keeps computing. RunEpochAsync drives a
+// This file is the overlapped placement pipeline: the runtime analogue
+// of the paper's service threads, which profile and migrate while the
+// application keeps computing. RunEpochAsync drives a
 // one-interval-deep pipeline — the placement computed from epoch N's
-// samples executes on a background goroutine while epoch N+1's phases
-// run — and reconciles the simulated clock at the join so only the
-// non-hidden share of the migration (plus the bandwidth it steals from
-// the kernels) is charged. Safety against the concurrently-running
-// kernels comes from the memory simulator: per-page seqlock
-// generations make translations self-consistent under remap, quiesce
-// gates block writers for exactly the remap window, and the shootdown
-// log invalidates stale TLB entries lazily at each accessor's next
-// access.
+// samples overlaps epoch N+1's phases — and reconciles the simulated
+// clock at the join so only the non-hidden share of the migration (plus
+// the bandwidth it steals from the kernels) is charged. The overlap is
+// modelled in simulated time, not run on a second host thread: the
+// placement lands on the caller's goroutine at the epoch's start, before
+// the phases, and only its clock charge waits for the join. So an
+// overlapped epoch is as deterministic as a stop-the-world one.
 
 import (
 	"context"
@@ -22,18 +20,18 @@ import (
 )
 
 // RunEpochAsync is RunEpochCtx with overlapped placement: instead of
-// stopping the world after the body to analyze and migrate, it launches
-// the governed Optimize for the *previous* epoch's samples on a
-// background service goroutine, runs the body concurrently, and joins
-// before attributing this epoch's samples. The epoch's health passes
-// run before the launch and after the join, as on every epoch. The
-// first epoch of a run (nothing pending) overlaps nothing and just
-// profiles; call DrainAsync after the last epoch to place the final
-// interval's samples. Requires Options.Async.
+// stopping the world after the body to analyze and migrate, it runs
+// the governed Optimize for the *previous* epoch's samples at the
+// epoch's start, then the body, and at the join charges the clock only
+// for what the body's phases could not hide (reconcileOverlap). The
+// epoch's health passes run before the placement and after the join, as
+// on every epoch. The first epoch of a run (nothing pending) overlaps
+// nothing and just profiles; call DrainAsync after the last epoch to
+// place the final interval's samples. Requires Options.Async.
 //
-// Cancelling ctx stops the in-flight background plan at the next
-// region or staging-slice boundary (rolled back, reported skipped); the
-// epoch itself still completes and attributes its samples.
+// A cancelled ctx stops the placement at the next region or
+// staging-slice boundary (rolled back, reported skipped); the epoch
+// itself still completes and attributes its samples.
 func (r *Runtime) RunEpochAsync(ctx context.Context, name string, body func()) (EpochReport, error) {
 	if !r.opts.Governor.Enabled || !r.opts.Async {
 		return EpochReport{}, fmt.Errorf("atmem: RunEpochAsync requires Options.Async")
@@ -43,8 +41,8 @@ func (r *Runtime) RunEpochAsync(ctx context.Context, name string, body func()) (
 
 // reconcileOverlap settles the simulated clock at the epoch join. The
 // body's phases already advanced the clock by their wall time; the
-// background migration's modelled seconds were deliberately not added
-// by commitSchedule (asyncActive was set). Whatever part of the
+// overlapped migration's modelled seconds were deliberately not added
+// by commitSchedule (it ran on the overlap track). Whatever part of the
 // migration fits under the phases is hidden — that is the point of
 // overlapping — except for stealFraction of it, charged
 // back as the copy bandwidth stolen from the kernels; any excess beyond
@@ -100,10 +98,10 @@ func (r *Runtime) DrainAsync(ctx context.Context) (MigrationReport, error) {
 	return r.optimizeGoverned(ctx, period, 0)
 }
 
-// OverlapSeconds returns the cumulative background-migration seconds
-// hidden under concurrently-running phases so far.
+// OverlapSeconds returns the cumulative overlapped-migration seconds
+// hidden under the phases so far.
 func (r *Runtime) OverlapSeconds() float64 { return r.overlapTotalS }
 
 // StolenSeconds returns the cumulative seconds charged to the simulated
-// clock as bandwidth the background copies stole from running kernels.
+// clock as bandwidth the overlapped copies stole from the kernels.
 func (r *Runtime) StolenSeconds() float64 { return r.stolenTotalS }

@@ -3,6 +3,7 @@ package atmem
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -275,52 +276,75 @@ func TestAsyncCancellationSkipsAndRollsBack(t *testing.T) {
 	}
 }
 
-// TestAsyncShootdownReconciliation checks the lazy-invalidation ledger:
-// every shootdown the background placements published must be applied by
-// every simulated thread exactly once — the per-phase applied counters,
-// plus a final flush phase, sum to threads x ShootdownGen.
-func TestAsyncShootdownReconciliation(t *testing.T) {
-	rt := asyncRuntime(t)
-	ctx := context.Background()
-	hot, err := NewArray[uint64](rt, "hot", 32<<10)
-	if err != nil {
-		t.Fatal(err)
+// TestOverlappedEpochsAreDeterministic pins that an overlapped run is
+// reproducible: the placement lands on the caller's goroutine, so two
+// runs of one single-threaded epoch sequence under a fault storm, with
+// scrubbing on, give identical epoch reports, phase statistics and
+// simulated clocks, at GOMAXPROCS 1 and 2.
+func TestOverlappedEpochsAreDeterministic(t *testing.T) {
+	type outcome struct {
+		Epochs []EpochReport
+		Drain  MigrationReport
+		Phases []PhaseResult
+		SimS   float64
 	}
-	if _, err := NewArray[uint64](rt, "cold", 128<<10); err != nil {
-		t.Fatal(err)
+	run := func(procs int) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sched := faultinject.Schedule{Seed: 9, Faults: []faultinject.Fault{
+			{Op: faultinject.OpReserve, Prob: 0.3, Err: memsim.ErrNoCapacity},
+			{Kind: faultinject.Corrupt, Nth: 3},
+		}}
+		rt := asyncRuntime(t, WithThreads(1), WithScrubber(), WithFaultSchedule(sched))
+		hot, err := NewArray[uint64](rt, "hot", 32<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := NewArray[uint64](rt, "warm", 48<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillDeterministic(hot, 3)
+		fillDeterministic(warm, 5)
+		ctx := context.Background()
+		var out outcome
+		for i := 0; i < 6; i++ {
+			arrays := []*Array[uint64]{hot}
+			if i%3 == 2 {
+				arrays = []*Array[uint64]{warm}
+			}
+			out.Epochs = append(out.Epochs, asyncEpoch(t, rt, ctx, fmt.Sprintf("e%d", i+1), arrays...))
+		}
+		if out.Drain, err = rt.DrainAsync(ctx); err != nil {
+			t.Fatal(err)
+		}
+		out.Phases, out.SimS = rt.Phases(), rt.SimSeconds()
+		if rt.HealthStats().CorruptedChunks == 0 || len(rt.FaultEvents()) == 0 {
+			t.Fatalf("the fault storm never fired: %+v", rt.HealthStats())
+		}
+		return out
 	}
-	for i := 0; i < 3; i++ {
-		asyncEpoch(t, rt, ctx, fmt.Sprintf("e%d", i+1), hot)
+	want := run(1)
+	var moved uint64
+	for _, e := range want.Epochs {
+		if e.Overlapped {
+			moved += e.Migration.BytesMoved
+		}
 	}
-	// A trivial flush phase: RunPhase drains pending shootdowns on every
-	// accessor at entry, so ranges published after the last scan still
-	// get applied and counted.
-	rt.RunPhase("flush", func(c *Ctx) {})
-
-	gen := rt.System().ShootdownGen()
-	if gen == 0 {
-		t.Fatal("overlapped placements published no shootdowns")
+	if moved == 0 {
+		t.Fatal("no overlapped placement moved a byte")
 	}
-	var applied uint64
-	for _, pr := range rt.Phases() {
-		applied += pr.Stats.ShootdownsApplied
-	}
-	want := gen * uint64(rt.Threads())
-	if applied != want {
-		t.Errorf("shootdown reconciliation: applied %d, want threads(%d) x gen(%d) = %d",
-			applied, rt.Threads(), gen, want)
-	}
-	if _, err := rt.DrainAsync(ctx); err != nil {
-		t.Fatal(err)
+	for _, procs := range []int{1, 2} {
+		if got := run(procs); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS %d: overlapped run differs from the first run:\n got %+v\nwant %+v", procs, got, want)
+		}
 	}
 }
 
-// TestAsyncStressFaultStorm soaks the overlapped pipeline under -race:
-// epochs run kernels concurrently with background migration while an
-// epoch-windowed fault storm fails half the staging reservations, then
-// lifts. Data must stay bit-identical and the books consistent. A
-// watchdog converts a pipeline deadlock into a stack dump instead of a
-// test-suite timeout.
+// TestAsyncStressFaultStorm soaks the overlapped pipeline: overlapped
+// placements run while an epoch-windowed fault storm fails half the
+// staging reservations, then lifts. Data must stay bit-identical and the
+// books consistent. A watchdog converts a pipeline deadlock into a stack
+// dump instead of a test-suite timeout.
 func TestAsyncStressFaultStorm(t *testing.T) {
 	sched := faultinject.Schedule{
 		Seed: 42,

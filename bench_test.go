@@ -239,7 +239,6 @@ func BenchmarkAccessorGather(b *testing.B) {
 		b.Fatal(err)
 	}
 	acc := sys.NewAccessor()
-	acc.SetSealed(true)
 	const list = 64
 	idx := make([]uint32, 1<<16)
 	for i := range idx {

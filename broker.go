@@ -4,8 +4,8 @@ package atmem
 // for internal/broker, the broker constructor over a shared simulated
 // HMS, and the runtime-side hooks — per-epoch budget enforcement lives
 // in governor.go, the scorecard→arbiter signal below, and the
-// cross-tenant placement lock that serializes migrations and health
-// passes against every co-tenant.
+// cross-tenant placement lock that serializes phases, allocations,
+// migrations and health passes against every co-tenant.
 
 import (
 	"atmem/internal/broker"
@@ -64,10 +64,11 @@ func NewBroker(tb Testbed, cfg BrokerConfig) *Broker {
 // a solo runtime).
 func (r *Runtime) BrokerTenant() *Tenant { return r.tenant }
 
-// lockPlacement serializes this runtime's migrations and health passes
-// against every co-tenant's: the migration engines' staging
-// reservations and the post-migration invariant checker assume no
-// foreign migration is in flight. No-op on a solo runtime.
+// lockPlacement serializes this runtime's phases, allocations,
+// migrations and health passes against every co-tenant's: a phase must
+// see one mapping, and the migration engines' staging reservations and
+// the post-migration invariant checker assume no foreign migration is
+// in flight. No-op on a solo runtime.
 func (r *Runtime) lockPlacement() {
 	if r.tenant != nil {
 		r.tenant.Broker().LockPlacement()

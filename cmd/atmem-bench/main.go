@@ -27,7 +27,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print each underlying run")
 	list := flag.Bool("list", false, "list experiments and exit")
 	traceDir := flag.String("trace", "", "record telemetry and write per-run trace artifacts into this directory")
-	async := flag.Bool("async", false, "drive every ATMem-policy run through overlapped background placement (migration concurrent with kernels)")
+	async := flag.Bool("async", false, "drive every ATMem-policy run through overlapped placement (migration hidden under the kernels in simulated time)")
 	faults := flag.String("faults", "", "arm a fault-injection schedule on every run (DSL, e.g. 'retier:nth=3;reserve:p=0.01,seed=7,max=5')")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment runs to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile (taken after the runs) to this file")

@@ -152,10 +152,11 @@ type Options struct {
 	// and analysis entirely. A shared cache lets many runtimes in one
 	// process (e.g. a benchmark suite) reuse each other's plans.
 	PlanCache *core.PlanCache
-	// Async configures overlapped background placement: RunEpochAsync
-	// migrates the previous interval's plan on a service goroutine while
-	// the next interval's phases run, the way the paper's service
-	// threads overlap the application. Async implies Governor.Enabled
+	// Async configures overlapped placement: RunEpochAsync places the
+	// previous interval's plan at the start of the next interval and
+	// hides its modelled time under that interval's phases, the way the
+	// paper's service threads overlap the application. Async implies
+	// Governor.Enabled
 	// (the pipeline is built on the governed delta planner). A quarter
 	// of the hidden migration time is still charged to the clock as
 	// the copy bandwidth stolen from the kernels (stealFraction).
@@ -281,8 +282,8 @@ func (o *Options) withDefaults() Options {
 const defaultStagingBytes = 2 << 20
 
 // stealFraction is the share of overlapped migration seconds still
-// charged to the simulated clock: the bandwidth the background copy
-// steals from the concurrent phases (see Options.Async).
+// charged to the simulated clock: the bandwidth the overlapped copy
+// steals from the phases (see Options.Async).
 const stealFraction = 0.25
 
 // newEngine builds the configured migration engine with its default

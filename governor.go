@@ -38,14 +38,14 @@ type EpochReport struct {
 	Migration MigrationReport
 	// Phases are the phases the epoch body ran, in order.
 	Phases []PhaseResult
-	// Overlapped reports whether a background placement ran concurrently
-	// with this epoch's phases (RunEpochAsync only).
+	// Overlapped reports whether a placement overlapped this epoch's
+	// phases (RunEpochAsync only).
 	Overlapped bool
 	// PlacedFromEpoch is the epoch whose samples the overlapped
-	// placement used (0 when no background placement ran — the pipeline's
+	// placement used (0 when no placement overlapped — the pipeline's
 	// first epoch has nothing pending).
 	PlacedFromEpoch int
-	// OverlapSeconds is how much of the background migration's modelled
+	// OverlapSeconds is how much of the overlapped migration's modelled
 	// time was hidden under the epoch's phases.
 	OverlapSeconds float64
 	// StolenSeconds is the share of the overlapped time charged back to
@@ -114,7 +114,7 @@ type epochSource int
 
 const (
 	sourceOnline     epochSource = iota // profile the body, place its samples
-	sourceOverlapped                    // place the previous interval's samples concurrently
+	sourceOverlapped                    // place the previous interval's samples under the body
 	sourceReplay                        // apply an armed plan's recorded schedule
 )
 
@@ -141,7 +141,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 	// Epoch-start health pass: fire the fault schedule's epoch-driven
 	// orders and scrub the fast-tier residency, so injected corruption is
 	// detected and repaired before any kernel consumes it and before an
-	// overlapped placement launches (see health.go). On a broker tenant
+	// overlapped placement lands (see health.go). On a broker tenant
 	// the pass may migrate (emergency demotions), so it takes the
 	// cross-tenant placement lock.
 	r.lockPlacement()
@@ -154,9 +154,6 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 		return rep, err
 	}
 
-	var done chan struct{} // closed when an overlapped placement finishes
-	var placed MigrationReport
-	var placeErr error
 	switch src {
 	case sourceOnline:
 		// Each epoch ranks on its own interval's heat: stale samples from
@@ -164,27 +161,21 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 		r.reg.ResetSamples()
 		r.ProfilingStart()
 	case sourceOverlapped:
-		// Launch the background placement on the pending interval's
-		// samples. Their heat stays in the registry until the join,
-		// because the worker's analyzer is reading it, and their period
-		// rides along as a value, because the profiler is about to be
-		// reconfigured for this window.
+		// Place the pending interval's samples on the overlap track.
+		// The placement lands before the body's phases, and the join
+		// charges its modelled seconds as if the paper's service
+		// threads had migrated while the phases ran (reconcileOverlap).
 		if r.pendingSamples > 0 {
-			rep.Overlapped = true
+			rep.Overlapped, rep.Optimized = true, true
 			rep.PlacedFromEpoch = r.epoch - 1
-			period := r.pendingPeriod
-			done = make(chan struct{})
-			r.asyncActive.Store(true)
 			r.rec.Begin(r.placeTID, "placement", "overlap", telemetry.Args{
 				"from_epoch": rep.PlacedFromEpoch,
 				"samples":    r.pendingSamples,
 			})
-			go func() {
-				placed, placeErr = r.optimizeGoverned(ctx, period, r.placeTID)
-				close(done)
-			}()
+			rep.Migration, err = r.optimizeGoverned(ctx, r.pendingPeriod, r.placeTID)
 		}
 		r.pendingSamples, r.pendingPeriod = 0, 0
+		r.reg.ResetSamples()
 		r.ProfilingStart()
 	case sourceReplay:
 		r.planEpoch++
@@ -209,10 +200,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 			r.recordCommitted(nil, nil)
 		}
 	case sourceOverlapped:
-		if done != nil {
-			<-done
-			r.asyncActive.Store(false)
-			rep.Optimized, rep.Migration, err = true, placed, placeErr
+		if rep.Overlapped {
 			r.reconcileOverlap(&rep)
 			r.rec.End(r.placeTID, "placement", "overlap", telemetry.Args{
 				"migration_s": rep.Migration.Seconds,
@@ -221,10 +209,9 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 				"bytes_moved": rep.Migration.BytesMoved,
 			})
 		}
-		// Attribute this interval onto the reset registry and stash it
-		// for the next epoch's placement; a zero-sample interval carries
-		// no signal, so the next epoch overlaps nothing.
-		r.reg.ResetSamples()
+		// Stash this interval's samples for the next epoch's placement;
+		// a zero-sample interval carries no signal, so the next epoch
+		// overlaps nothing.
 		if rep.Samples = r.ProfilingStop(); rep.Samples > 0 {
 			r.pendingSamples, r.pendingPeriod = rep.Samples, r.prof.Config().Period
 		}
@@ -265,10 +252,10 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 // breaker and makes no hysteresis or pressure demotions, so it only
 // promotes what the plan lacks, and its report carries no governed
 // fields. The sampling period is a parameter (not read from the
-// profiler) so the async pipeline can analyze a previous interval's
-// samples while the profiler is already reconfigured for the next; tid
-// selects the telemetry track (the placement track when running on the
-// background service goroutine).
+// profiler) so the overlapped pipeline places a previous interval's
+// samples at the period they were captured at; tid selects the telemetry
+// track (the overlap track for an overlapped placement, whose modelled
+// seconds commitSchedule leaves to the epoch join).
 func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) (rep MigrationReport, err error) {
 	if !r.profiled {
 		return rep, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")

@@ -5,8 +5,8 @@ package atmem
 // internal/memsim). Every governed epoch — synchronous, overlapped or
 // replayed — runs through the one epoch bracket (runEpoch in
 // governor.go), which surrounds the body with two health passes; on an
-// overlapped epoch the start pass runs before the background placement
-// launches and the end pass after the join:
+// overlapped epoch the start pass runs before the overlapped placement
+// and the end pass after the join:
 //
 //   - epoch start, before any kernel runs: fire the fault schedule's
 //     data-plane orders (corruption byte-flips, latency degradation),
@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"atmem/internal/faultinject"
 	"atmem/internal/health"
@@ -44,12 +45,11 @@ import (
 // healthCounters accumulates the runtime's self-healing activity, the
 // source of MigrationReport.Health.
 type healthCounters struct {
-	corruptedChunks    int    // chunks hit by injected corruption orders
-	emergencyDemotions int    // chunks demoted by the scrub repair path
-	promotionsVetoed   int    // promotion regions dropped by trust checks
-	vetoedBytes        uint64 // bytes those regions held
-	retiredRanges      int    // successful RetirePages calls
-	degradeOrders      int    // latency-degradation orders applied
+	corruptedChunks    int // chunks hit by injected corruption orders
+	emergencyDemotions int // chunks demoted by the scrub repair path
+	promotionsVetoed   int // promotion stretches clipped out by trust checks
+	retiredRanges      int // successful RetirePages calls
+	degradeOrders      int // latency-degradation orders applied
 	// pendingRetire holds ranges whose retirement failed (the evacuation
 	// was skipped, e.g. under an active fault storm): the epoch-end heal
 	// retries them until the pages can be evacuated and retired.
@@ -77,8 +77,8 @@ type HealthStats struct {
 	CorruptedChunks int
 	// EmergencyDemotions counts chunks the scrub repair path demoted.
 	EmergencyDemotions int
-	// PromotionsVetoed counts promotion regions dropped because they
-	// overlapped quarantined or distrusted granules.
+	// PromotionsVetoed counts promotion stretches clipped out because
+	// they lay on quarantined pages or distrusted granules.
 	PromotionsVetoed int
 	// RetiredRanges counts successful page retirements.
 	RetiredRanges int
@@ -489,24 +489,72 @@ func (r *Runtime) trustedForPromotion(base, size uint64) bool {
 	return true
 }
 
-// filterPromotions drops promotion regions that target quarantined or
-// distrusted granules, counting and tracing each veto. The dropped
-// ranges stay on the slow tier; the scoreboard's backoff decides when
+// filterPromotions clips promotion regions to their trusted parts: each
+// stretch on quarantined pages or distrusted granules is vetoed, counted
+// and traced, and the rest of the region is still promoted. The vetoed
+// stretches stay on the slow tier; the scoreboard's backoff decides when
 // they may be retried.
 func (r *Runtime) filterPromotions(tid int, promos []migrate.Region) []migrate.Region {
-	out := promos[:0]
+	var out []migrate.Region
 	for _, rg := range promos {
 		if r.trustedForPromotion(rg.Base, rg.Size) {
 			out = append(out, rg)
 			continue
 		}
-		r.heal.promotionsVetoed++
-		r.heal.vetoedBytes += rg.Size
-		r.rec.Instant(tid, "health", "promotion-vetoed", telemetry.Args{
-			"base": rg.Base, "bytes": rg.Size,
-		})
+		next := rg.Base // first byte neither kept nor vetoed yet
+		for _, bad := range r.untrustedStretches(rg.Base, rg.Size) {
+			if bad.base > next {
+				out = append(out, migrate.Region{Base: next, Size: bad.base - next})
+			}
+			r.heal.promotionsVetoed++
+			r.rec.Instant(tid, "health", "promotion-vetoed", telemetry.Args{
+				"base": bad.base, "bytes": bad.size,
+			})
+			next = bad.base + bad.size
+		}
+		if end := rg.Base + rg.Size; next < end {
+			out = append(out, migrate.Region{Base: next, Size: end - next})
+		}
 	}
 	return out
+}
+
+// untrustedStretches returns the parts of [base, base+size) on
+// quarantined pages or distrusted granules, merged and in address order.
+// Each stretch is widened to whole pages, so what is left of a
+// page-aligned region stays page-aligned.
+func (r *Runtime) untrustedStretches(base, size uint64) []addrInterval {
+	end := base + size
+	var bad []addrInterval
+	add := func(lo, hi uint64) {
+		lo = max64(lo&^(memsim.SmallPage-1), base)
+		hi = min64(memsim.RoundUp(hi, memsim.SmallPage), end)
+		if lo < hi {
+			bad = append(bad, addrInterval{base: lo, size: hi - lo})
+		}
+	}
+	for _, q := range r.sys.QuarantinedRanges() {
+		add(q.Base, q.Base+q.Size)
+	}
+	if r.board != nil {
+		g := r.board.Policy().GranuleBytes
+		for key := base &^ (g - 1); key < end; key += g {
+			if !r.board.Trusted(key, g) {
+				add(key, key+g)
+			}
+		}
+	}
+	sort.Slice(bad, func(i, j int) bool { return bad[i].base < bad[j].base })
+	merged := bad[:0]
+	for _, iv := range bad {
+		if n := len(merged); n > 0 && iv.base <= merged[n-1].base+merged[n-1].size {
+			last := &merged[n-1]
+			last.size = max64(last.size, iv.base+iv.size-last.base)
+			continue
+		}
+		merged = append(merged, iv)
+	}
+	return merged
 }
 
 // observeMigrationHealth feeds one epoch's promotion outcomes to the

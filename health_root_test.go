@@ -167,3 +167,31 @@ func TestHealthVetoSurvivesTrustWindow(t *testing.T) {
 		t.Error("hot array reached the fast tier through a suspect granule")
 	}
 }
+
+// TestHealthVetoClipsToTrustedGranules pins that the health veto clips a
+// promotion instead of dropping it: with one distrusted granule in the
+// middle of the hot array, the rest of the array is still promoted, and
+// only the distrusted granule's bytes are vetoed.
+func TestHealthVetoClipsToTrustedGranules(t *testing.T) {
+	const granule = 64 << 10
+	rt, hot, _ := healthFixture(t, WithHealthPolicy(health.Policy{
+		GranuleBytes: granule, Window: 8, PersistentThreshold: 8, BackoffEpochs: 4, MaxBackoff: 8,
+	}))
+	base, size := hot.Object().Base(), hot.Object().Size()
+	if size < 3*granule {
+		t.Fatalf("hot array spans %d bytes, want at least three granules", size)
+	}
+	bad := base + granule
+	rt.Scoreboard().ObserveFailure(bad, granule, "crc")
+
+	rep := epochOn(t, rt, "e1", hot)
+	if got := rep.Migration.Health.PromotionsVetoed; got != 1 {
+		t.Errorf("PromotionsVetoed = %d, want 1 (the one distrusted granule)", got)
+	}
+	if got := rt.System().BytesOnTier(bad, granule)[memsim.TierFast]; got != 0 {
+		t.Errorf("%d bytes of the distrusted granule reached the fast tier", got)
+	}
+	if got, want := hot.Object().FastBytes(), size-granule; got != want {
+		t.Errorf("hot array fast bytes = %d, want %d (all but the distrusted granule)", got, want)
+	}
+}

@@ -273,10 +273,11 @@ type Broker struct {
 	sys *memsim.System
 	cfg Config
 
-	// placeMu serializes cross-tenant migrations and health passes:
-	// the migration engines' staging reservations and the runtimes'
+	// placeMu serializes the tenants' phases, allocations, migrations
+	// and health passes: a phase must see one mapping, and the
+	// migration engines' staging reservations and the runtimes'
 	// post-migration invariants assume no foreign migration is in
-	// flight. Kernel phases do not take it.
+	// flight.
 	placeMu sync.Mutex
 
 	mu       sync.Mutex
@@ -303,8 +304,8 @@ func New(sys *memsim.System, cfg Config) *Broker {
 // System returns the shared memory system.
 func (b *Broker) System() *memsim.System { return b.sys }
 
-// LockPlacement serializes a migration or health pass against every
-// other tenant's; pair with UnlockPlacement.
+// LockPlacement serializes a phase, allocation, migration or health
+// pass against every other tenant's; pair with UnlockPlacement.
 func (b *Broker) LockPlacement() { b.placeMu.Lock() }
 
 // UnlockPlacement releases LockPlacement.

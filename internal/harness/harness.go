@@ -107,9 +107,9 @@ type RunConfig struct {
 	// the governor's delta/demotion/breaker fields. Only meaningful
 	// with ATMem.
 	Governed bool
-	// Async drives the run through overlapped background placement
+	// Async drives the run through overlapped placement
 	// (Runtime.RunEpochAsync + DrainAsync): the profiled interval's plan
-	// migrates on a service goroutine while the next iteration runs.
+	// migrates in simulated time under the next iteration.
 	// Implies the governor. Only meaningful with ATMem.
 	Async bool
 	// TraceDir, when non-empty, records the run's telemetry and writes
@@ -153,8 +153,7 @@ type RunResult struct {
 	TracePath string
 	// OverlapSeconds and StolenSeconds report the overlapped-placement
 	// clock accounting (zero unless Async): migration time hidden under
-	// concurrently-running kernels, and the share charged back as stolen
-	// copy bandwidth.
+	// the kernels, and the share charged back as stolen copy bandwidth.
 	OverlapSeconds float64
 	StolenSeconds  float64
 }
@@ -215,7 +214,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		}
 		res.Samples = er.Samples
 		// Epoch 2 doubles as the warm-up iteration: the profiled plan
-		// migrates on the background service goroutine underneath it.
+		// migrates at its start, hidden under it in simulated time.
 		er2, err := rt.RunEpochAsync(ctx, "overlap", func() { kern.RunIteration(rt) })
 		if err != nil {
 			return res, fmt.Errorf("harness: %s overlap epoch: %w", cfg.key(), err)

@@ -11,6 +11,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,13 +118,16 @@ func scale24(s *Suite) ([]*Report, error) {
 type planSession struct {
 	Verdict          core.LookupVerdict
 	Replayed         bool
-	GraphCRC         uint32
 	WallSeconds      float64
 	BodySeconds      float64
 	PlacementSeconds float64
 	ResidentBytes    uint64
 	Layout           map[string][memsim.NumTiers]uint64
 	Plan             *core.CompiledPlan
+	// CRC and Ranks are resultCRC and the PR ranks after the epochs,
+	// which sameResults compares.
+	CRC   uint32
+	Ranks []float64
 }
 
 // runPlanSession executes one governed run of app on dataset ds for the
@@ -135,7 +139,6 @@ func runPlanSession(pc *core.PlanCache, app, ds string, epochs int) (planSession
 	if err != nil {
 		return out, err
 	}
-	out.GraphCRC = g.CRC()
 	runStart := time.Now()
 	rt, kerns, err := newSession(atmem.NVMDRAM(), ds, []string{app},
 		atmem.WithGovernor(atmem.GovernorOptions{}),
@@ -144,7 +147,7 @@ func runPlanSession(pc *core.PlanCache, app, ds string, epochs int) (planSession
 		return out, err
 	}
 	kern := kerns[0]
-	sig := rt.BuildSignature(ds, out.GraphCRC, []string{app})
+	sig := rt.BuildSignature(ds, g.CRC(), []string{app})
 	verdict, err := rt.ArmPlan(sig)
 	if err != nil {
 		return out, err
@@ -181,12 +184,16 @@ func runPlanSession(pc *core.PlanCache, app, ds string, epochs int) (planSession
 	if err := checkBooks(rt, kern); err != nil {
 		return out, fmt.Errorf("harness: plan session: %w", err)
 	}
+	out.CRC = resultCRC(rt)
+	if pr, ok := kern.(*apps.PageRank); ok {
+		out.Ranks = slices.Clone(pr.Ranks())
+	}
 	return out, nil
 }
 
 // comparePlanSessions runs the online (recording) and replay runs and
-// checks the equivalence contract: bit-identical graph CRCs, identical
-// final residency and per-object tier layout.
+// checks the equivalence contract: the same results (sameResults),
+// identical final residency and per-object tier layout.
 func comparePlanSessions(app, ds string, epochs int) (online, replay planSession, err error) {
 	pc := core.NewPlanCache()
 	online, err = runPlanSession(pc, app, ds, epochs)
@@ -205,8 +212,9 @@ func comparePlanSessions(app, ds string, epochs int) (online, replay planSession
 		err = fmt.Errorf("harness: second session did not replay (verdict %v)", replay.Verdict)
 		return
 	}
-	if online.GraphCRC != replay.GraphCRC {
-		err = fmt.Errorf("harness: graph CRC diverged: %#x vs %#x", online.GraphCRC, replay.GraphCRC)
+	if err = sameResults(&ScriptResult{CRC: online.CRC, Ranks: online.Ranks},
+		&ScriptResult{CRC: replay.CRC, Ranks: replay.Ranks}); err != nil {
+		err = fmt.Errorf("harness: plan replay: %w", err)
 		return
 	}
 	if online.ResidentBytes != replay.ResidentBytes {
@@ -237,18 +245,18 @@ func planReplay(s *Suite) ([]*Report, error) {
 		ID:    "plan-replay",
 		Title: fmt.Sprintf("Online vs compiled-plan replay: %s on %s, %d epochs (NVM-DRAM)", app, ds, epochs),
 		Columns: []string{"mode", "verdict", "wall(s)", "kernels(s)", "placement(s)",
-			"resident-B", "graph-crc"},
+			"resident-B", "result-crc"},
 	}
 	row := func(label string, ps planSession) {
 		rep.AddRow(label, ps.Verdict.String(),
 			secs(ps.WallSeconds), secs(ps.BodySeconds), secs(ps.PlacementSeconds),
 			fmt.Sprintf("%d", ps.ResidentBytes),
-			fmt.Sprintf("%08x", ps.GraphCRC))
+			fmt.Sprintf("%08x", ps.CRC))
 	}
 	row("online", online)
 	row("replay", replay)
 	rep.AddNote("placement-loop speedup %.1fx (replay skips profiling, attribution, analysis, and scheduling; only the recorded migrations execute); plan: %d epochs, %d steps",
 		online.PlacementSeconds/replay.PlacementSeconds, online.Plan.Epochs, len(online.Plan.Steps))
-	rep.AddNote("equivalence held: bit-identical graph CRCs, identical final residency and per-object tier layout")
+	rep.AddNote("equivalence held: identical results (result CRCs, PR ranks), final residency and per-object tier layout")
 	return []*Report{rep}, nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"atmem"
 	"atmem/apps"
@@ -62,7 +61,7 @@ type ServingScenario struct {
 	// Dataset names the input graph every tenant loads its own copy of.
 	Dataset string
 	// Rounds is the number of epoch rounds (each live tenant runs one
-	// governed epoch per round, concurrently, then the broker
+	// governed epoch per round, in member order, then the broker
 	// rebalances).
 	Rounds int
 	// WarmupEpochs is the per-tenant epoch count excluded from the
@@ -442,24 +441,14 @@ func (sc ServingScenario) runShared(solos map[string]*servingSolo) (*ServingResu
 			victim.rt.DisarmFaults()
 		}
 
-		// Every live tenant runs one governed epoch, concurrently: the
-		// broker serving shape. Kernels interleave freely on the shared
-		// system; the placement lock serializes migrations and health.
-		errs := make([]error, len(members))
-		var wg sync.WaitGroup
-		for i, m := range members {
-			wg.Add(1)
-			go func(i int, m *servingMember) {
-				defer wg.Done()
-				name := fmt.Sprintf("%s-%d", m.cfg.App, m.epoch+1)
-				_, errs[i] = m.rt.RunEpoch(name, func() { m.kern.RunIteration(m.rt) })
-			}(i, m)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
+		// Every live tenant runs one governed epoch, in turn and in
+		// member order, so a round is reproducible: no tenant's
+		// placement lands during another tenant's phase.
+		for _, m := range members {
+			name := fmt.Sprintf("%s-%d", m.cfg.App, m.epoch+1)
+			if _, err := m.rt.RunEpoch(name, func() { m.kern.RunIteration(m.rt) }); err != nil {
 				return res, fmt.Errorf("harness: serving round %d tenant %s: %w",
-					round, members[i].cfg.Spec.Name, err)
+					round, m.cfg.Spec.Name, err)
 			}
 		}
 		rr := bk.Rebalance()

@@ -34,32 +34,14 @@ type MissHook func(addr uint64, write bool) float64
 // access and Compute for ALU work.
 //
 // Accessors are not safe for concurrent use; each simulated thread owns
-// one. Accessors do tolerate a concurrent migration retiering mapped
-// pages: translation reads a seqlock-stable page-table word, cached
-// translations are dropped via the system's shootdown log (drained at
-// each access), and stores into a range mid-remap wait on its quiesce
-// gate. Only Alloc/Free must not overlap a running phase.
+// one. The mapping must not change while an accessor runs: a migration
+// runs between phases and then invalidates the moved ranges in every
+// accessor (InvalidateTLBRange, InvalidateCacheRange).
 type Accessor struct {
 	sys   *System
 	llc   *cache.Cache
 	tlb4k *TLB
 	tlb2m *TLB
-
-	// syncSeen caches the last system sync word this accessor acted on,
-	// always with a zero gate field: matching the live word means no
-	// shootdown has been published since the last drain AND no quiesce
-	// gate is installed, so the whole cross-thread protocol collapses to
-	// one atomic load per Load/Store call. The low bits double as the
-	// shootdown-log generation this accessor has applied.
-	syncSeen uint64
-
-	// sealed declares a phase-stability contract: no concurrent
-	// migration (shootdown publish or quiesce gate) can occur until the
-	// accessor is unsealed, so the access path skips even the one-load
-	// sync check. The runtime seals accessors for phases that run with
-	// no background placement worker; direct users leave it false and
-	// get the full protocol.
-	sealed bool
 
 	// l1 is a small 4-way first-level filter; hits cost almost
 	// nothing and never reach the LLC model.
@@ -87,14 +69,13 @@ type Accessor struct {
 	lastWb uint64
 
 	// cost constants in cycles, precomputed from SystemParams
-	l1HitCycles        float64
-	llcHitCycles       float64
-	pageWalkCycles     float64
-	loadMissCycles     [NumTiers]float64 // exposed latency per random miss
-	storeMissCycles    [NumTiers]float64
-	prefetchedCycles   [NumTiers]float64 // exposed latency per sequential miss
-	grain              [NumTiers]uint64
-	quiesceStallCycles float64 // charge per quiesce-gate wait
+	l1HitCycles      float64
+	llcHitCycles     float64
+	pageWalkCycles   float64
+	loadMissCycles   [NumTiers]float64 // exposed latency per random miss
+	storeMissCycles  [NumTiers]float64
+	prefetchedCycles [NumTiers]float64 // exposed latency per sequential miss
+	grain            [NumTiers]uint64
 
 	// Cycles is the accumulated simulated time of this thread, in core
 	// cycles (compute + exposed memory latency + profiling overhead).
@@ -117,13 +98,6 @@ type Accessor struct {
 	LLCMisses       uint64
 	PrefetchedLines uint64
 	TLBMisses       uint64
-
-	// Concurrent-migration counters: translation retries against a
-	// mid-remap page, stores that waited out a quiesce gate, and
-	// shootdown-log ranges this accessor has applied.
-	SeqlockRetries    uint64
-	QuiesceStalls     uint64
-	ShootdownsApplied uint64
 }
 
 // NewAccessor creates the access path for one simulated thread. Each
@@ -144,9 +118,6 @@ func (s *System) NewAccessor() *Accessor {
 		l1HitCycles:    p.L1HitCycles,
 		llcHitCycles:   p.LLCHitNS * p.ClockGHz,
 		pageWalkCycles: p.PageWalkNS * p.ClockGHz,
-		// A store that catches a region mid-remap stalls for roughly one
-		// remote-invalidation round trip, the same scale as a shootdown.
-		quiesceStallCycles: p.TLBShootdownNS * p.ClockGHz,
 	}
 	for t := Tier(0); t < NumTiers; t++ {
 		tp := p.Tiers[t]
@@ -217,84 +188,11 @@ func (a *Accessor) StoreRange(addr uint64, elemSize uint32, count int) {
 	a.accessRange(addr, elemSize, count, true)
 }
 
-// syncCheck is the per-call cross-thread protocol: one atomic load of
-// the system sync word covers both the shootdown-log drain (any
-// generation advance since the last drain) and the store quiesce barrier
-// (any installed gate). The fast path — word unchanged, gate field
-// zero — is the overwhelmingly common case and branches straight back to
-// the caller; syncSlow handles the rest.
-func (a *Accessor) syncCheck(addr uint64, write bool) {
-	if w := a.sys.sync.Load(); w != a.syncSeen {
-		a.syncSlow(w, addr, write)
-	}
-}
-
-// syncSlow drains newly published shootdowns and, for stores, waits out
-// any quiesce gate covering addr. It records syncSeen with a zero gate
-// field, so every access while gates are installed re-enters this slow
-// path — exactly the window in which stores must keep checking.
-func (a *Accessor) syncSlow(w, addr uint64, write bool) {
-	if gen := w & syncGenMask; gen != a.syncSeen {
-		a.applyShootdowns()
-	}
-	if write && w>>syncGenBits != 0 {
-		if waited := a.sys.quiesceWait(addr); waited > 0 {
-			a.QuiesceStalls += uint64(waited)
-			a.Cycles += float64(waited) * a.quiesceStallCycles
-			// The gate lifted because a remap committed; pick up its
-			// shootdown before translating.
-			a.applyShootdowns()
-		}
-	}
-}
-
-// applyShootdowns applies every shootdown-log range published since this
-// accessor last drained: cached translations and cache lines of each
-// range are dropped, exactly as the stop-the-world invalidation broadcast
-// would have done at the phase barrier.
-func (a *Accessor) applyShootdowns() {
-	ranges, gen := a.sys.shootdownsSince(a.syncSeen & syncGenMask)
-	for _, r := range ranges {
-		a.InvalidateTLBRange(r.Base, r.Size)
-		a.InvalidateCacheRange(r.Base, r.Size)
-		a.ShootdownsApplied++
-	}
-	a.syncSeen = gen
-}
-
-// DrainShootdowns applies pending shootdowns immediately — the runtime
-// calls it at phase boundaries so an idle thread does not carry stale
-// translations into the next phase.
-func (a *Accessor) DrainShootdowns() {
-	if a.sys.sync.Load()&syncGenMask != a.syncSeen&syncGenMask {
-		a.applyShootdowns()
-	}
-}
-
-// SetSealed toggles the phase-stability contract: while sealed, the
-// accessor trusts that no shootdown will be published and no quiesce
-// gate installed, and skips the per-access sync check entirely — the
-// cross-thread protocol costs literally zero loads. Sealing drains any
-// already-pending shootdowns first, so the accessor enters the sealed
-// window with clean translations. The caller (the runtime's RunPhase)
-// guarantees stability by only sealing phases that run with no
-// background placement worker; sealing during concurrent migration
-// would let accessors run on stale translations.
-func (a *Accessor) SetSealed(sealed bool) {
-	if sealed {
-		a.DrainShootdowns()
-	}
-	a.sealed = sealed
-}
-
 // Elem simulates one access of an aligned element of at most a cache
 // line (a load, or a store if write): exactly Load/Store of the
 // element, minus the split into lines, which an aligned power-of-two
 // element never needs.
 func (a *Accessor) Elem(addr uint64, write bool) {
-	if !a.sealed {
-		a.syncCheck(addr, write)
-	}
 	a.Accesses++
 	a.accessLine(addr>>a.lineShift, write)
 }
@@ -302,26 +200,12 @@ func (a *Accessor) Elem(addr uint64, write bool) {
 // Gather simulates, for each index i in idx, an access of the aligned
 // element at base + i<<elemShift: a load if load, a store if store, and
 // a load then a store if both. It is bit-identical in every observable
-// to the same sequence of Elem calls, but a sealed accessor charges the
-// whole list in one loop that holds the same-line register and the L1
-// counters in locals and leaves the loop only on an L1 miss. Elements
-// must not straddle a line (see Elem).
+// to the same sequence of Elem calls, but it charges the whole list in
+// one loop that holds the same-line register and the L1 counters in
+// locals and leaves the loop only on an L1 miss. Elements must not
+// straddle a line (see Elem).
 func (a *Accessor) Gather(base uint64, elemShift uint, idx []uint32, load, store bool) {
 	if !load && !store {
-		return
-	}
-	if !a.sealed {
-		// The unsealed protocol checks the sync word per access, in the
-		// element path's order.
-		for _, i := range idx {
-			addr := base + uint64(i)<<elemShift
-			if load {
-				a.Elem(addr, false)
-			}
-			if store {
-				a.Elem(addr, true)
-			}
-		}
 		return
 	}
 	if load && store {
@@ -371,9 +255,6 @@ func (a *Accessor) Gather(base uint64, elemShift uint, idx []uint32, load, store
 }
 
 func (a *Accessor) access(addr uint64, size uint32, write bool) {
-	if !a.sealed {
-		a.syncCheck(addr, write)
-	}
 	a.Accesses++
 	line := addr >> a.lineShift
 	lastTouched := (addr + uint64(size) - 1) >> a.lineShift
@@ -395,14 +276,6 @@ func (a *Accessor) access(addr uint64, size uint32, write bool) {
 func (a *Accessor) accessRange(addr uint64, elemSize uint32, count int, write bool) {
 	if count <= 0 {
 		return
-	}
-	// One sync check covers the whole range: the reference path checks
-	// per element, but all checks after the first are no-ops unless a
-	// migration intervenes mid-range, which the unsealed contract already
-	// tolerates at the next call (stale translations are bounded by one
-	// bulk call, same as one store's gate window).
-	if !a.sealed {
-		a.syncCheck(addr, write)
 	}
 	es := uint64(elemSize)
 	if es == 0 {
@@ -519,18 +392,7 @@ func (a *Accessor) l1Miss(line uint64, write, dirty bool) {
 	sequential := line != 0 && a.l1.Contains(line-1)
 	a.llc.Fill(line, sequential, dirty)
 	addr := line << a.lineShift
-	pi, retries := a.sys.pt.TranslateStable(addr)
-	if retries > 0 {
-		// The page committed a remap while we spun; our cached
-		// translation (if any) is stale. Apply the shootdown eagerly
-		// rather than waiting for the log to reach us.
-		a.SeqlockRetries += uint64(retries)
-		tlb := a.tlb4k
-		if pi.Huge {
-			tlb = a.tlb2m
-		}
-		tlb.InvalidateRange(addr, 1)
-	}
+	pi := a.sys.pt.Translate(addr)
 
 	// Translation: consult the TLB matching the mapping's page size.
 	tlb := a.tlb4k
@@ -638,9 +500,6 @@ func (a *Accessor) ResetCounters() {
 	a.LLCMisses = 0
 	a.PrefetchedLines = 0
 	a.TLBMisses = 0
-	a.SeqlockRetries = 0
-	a.QuiesceStalls = 0
-	a.ShootdownsApplied = 0
 	// A new phase starts a new writeback stream: do not let the last
 	// phase's final eviction coalesce across the barrier.
 	a.lastWb = ^uint64(0)
@@ -666,12 +525,6 @@ type PhaseStats struct {
 	LLCMisses       uint64
 	PrefetchedLines uint64
 	TLBMisses       uint64
-
-	// Concurrent-migration totals (always zero under stop-the-world
-	// placement).
-	SeqlockRetries    uint64
-	QuiesceStalls     uint64
-	ShootdownsApplied uint64
 }
 
 // ReducePhase folds per-thread accessor state into PhaseStats. Simulated
@@ -696,9 +549,6 @@ func (s *System) ReducePhase(accs []*Accessor) PhaseStats {
 		ps.LLCMisses += a.LLCMisses
 		ps.PrefetchedLines += a.PrefetchedLines
 		ps.TLBMisses += a.TLBMisses
-		ps.SeqlockRetries += a.SeqlockRetries
-		ps.QuiesceStalls += a.QuiesceStalls
-		ps.ShootdownsApplied += a.ShootdownsApplied
 	}
 	ps.LatencySeconds = maxCycles / (s.P.ClockGHz * 1e9 * float64(s.P.GangSize))
 

@@ -279,91 +279,6 @@ func TestSameLineRegisterSkipsCacheWalk(t *testing.T) {
 	}
 }
 
-// TestSealedEquivalence proves the sealed fast path is free: with no
-// concurrent migration, a sealed accessor must produce bit-identical
-// counters, cycles, and PhaseStats to an unsealed one over the same
-// workload — sealing only removes the sync-word check, never simulation
-// state.
-func TestSealedEquivalence(t *testing.T) {
-	_, _, _, _, fb, sb := equivFixture(t)
-	rng := rand.New(rand.NewSource(99))
-	var ops []rangeOp
-	span := uint64(1*MiB - 64*KiB)
-	for i := 0; i < 4096; i++ {
-		base := fb
-		if rng.Intn(2) == 0 {
-			base = sb
-		}
-		ops = append(ops, rangeOp{
-			addr:     base + uint64(rng.Int63())%span,
-			elemSize: uint32(1 + rng.Intn(16)),
-			count:    1 + rng.Intn(64),
-			write:    rng.Intn(3) == 0,
-		})
-	}
-	sysRef, sysFast, ref, sealed, _, _ := equivFixture(t)
-	sealed.SetSealed(true)
-	runBulk(ref, ops)
-	runBulk(sealed, ops)
-	sealed.SetSealed(false)
-	compareAccessors(t, ref, sealed, sysRef, sysFast)
-}
-
-// TestSealedAppliesPendingShootdownsOnSeal pins the seal-entry contract:
-// a shootdown published before sealing is applied by SetSealed(true)
-// itself, so the sealed window never runs on stale translations.
-func TestSealedAppliesPendingShootdownsOnSeal(t *testing.T) {
-	s := NewSystem(testParams())
-	base, err := s.Alloc(1*MiB, TierSlow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := s.NewAccessor()
-	a.Load(base, 8)
-	s.Shootdown(base, 64*KiB)
-	a.SetSealed(true)
-	if a.ShootdownsApplied != 1 {
-		t.Fatalf("ShootdownsApplied = %d, want 1 (seal must drain)", a.ShootdownsApplied)
-	}
-	// Sealed accesses must not observe anything published afterwards…
-	s.Shootdown(base, 64*KiB)
-	a.Load(base, 8)
-	if a.ShootdownsApplied != 1 {
-		t.Fatalf("sealed access drained the log (applied=%d)", a.ShootdownsApplied)
-	}
-	// …until unsealed, when the next access picks it up.
-	a.SetSealed(false)
-	a.Load(base+128, 8)
-	if a.ShootdownsApplied != 2 {
-		t.Fatalf("unsealed access did not drain (applied=%d)", a.ShootdownsApplied)
-	}
-}
-
-// TestSyncWordHoisting verifies the once-per-range sync check of the bulk
-// path observes a shootdown at the range boundary exactly like the
-// element path does at its first element: a log published between two
-// bulk calls lands before the second call's first access in both paths,
-// keeping PhaseStats bit-identical.
-func TestSyncWordHoisting(t *testing.T) {
-	sysRef, sysFast, ref, fast, fb, _ := equivFixture(t)
-	pre := []rangeOp{{addr: fb, elemSize: 8, count: 8192, write: true}}
-	runElementwise(ref, pre)
-	runBulk(fast, pre)
-	sysRef.Shootdown(fb, 128*KiB)
-	sysFast.Shootdown(fb, 128*KiB)
-	post := []rangeOp{
-		{addr: fb, elemSize: 8, count: 4096, write: false},
-		{addr: fb + 256*KiB, elemSize: 8, count: 1024, write: true},
-	}
-	runElementwise(ref, post)
-	runBulk(fast, post)
-	compareAccessors(t, ref, fast, sysRef, sysFast)
-	if ref.ShootdownsApplied != 1 || fast.ShootdownsApplied != 1 {
-		t.Fatalf("ShootdownsApplied: ref %d fast %d, want 1/1",
-			ref.ShootdownsApplied, fast.ShootdownsApplied)
-	}
-}
-
 // TestBulkEquivalenceSingleLine pins accessRange's one-line fast path:
 // ranges that start and end in one line (an offsets pair, a short edge
 // list), aligned or not, including a lone element and a full line.
@@ -443,31 +358,20 @@ func gatherWorkload(seed int64, fb, sb uint64, n int) []gatherOp {
 
 // TestGatherEquivalence holds Accessor.Gather to the element path on twin
 // systems: every counter, Cycles and the reduced PhaseStats must match
-// exactly, sealed and unsealed, across an InvalidateCacheRange between
-// gathers. Unsealed, a shootdown is also published from the miss hook in
-// the middle of a gather, and one between gathers.
+// exactly, across an InvalidateCacheRange between gathers, with and
+// without a miss hook charging cycles from inside a gather.
 func TestGatherEquivalence(t *testing.T) {
-	for _, sealed := range []bool{true, false} {
-		name := "unsealed"
-		if sealed {
-			name = "sealed"
+	for _, hooked := range []bool{false, true} {
+		name := "plain"
+		if hooked {
+			name = "miss-hook"
 		}
 		t.Run(name, func(t *testing.T) {
 			sysRef, sysFast, ref, fast, fb, sb := equivFixture(t)
-			ref.SetSealed(sealed)
-			fast.SetSealed(sealed)
-			if !sealed {
-				shootAt := func(s *System) MissHook {
-					misses := 0
-					return func(addr uint64, write bool) float64 {
-						if misses++; misses == 500 {
-							s.Shootdown(fb, 128*KiB)
-						}
-						return 17
-					}
-				}
-				ref.SetMissHook(shootAt(sysRef))
-				fast.SetMissHook(shootAt(sysFast))
+			if hooked {
+				hook := func(addr uint64, write bool) float64 { return 17 }
+				ref.SetMissHook(hook)
+				fast.SetMissHook(hook)
 			}
 			pre := gatherWorkload(11, fb, sb, 400)
 			runGatherElementwise(ref, pre)
@@ -477,20 +381,10 @@ func TestGatherEquivalence(t *testing.T) {
 			mid := gatherWorkload(12, fb, sb, 400)
 			runGatherElementwise(ref, mid)
 			runGather(fast, mid)
-			if !sealed {
-				sysRef.Shootdown(sb, 256*KiB)
-				sysFast.Shootdown(sb, 256*KiB)
-			}
 			post := gatherWorkload(13, fb, sb, 400)
 			runGatherElementwise(ref, post)
 			runGather(fast, post)
-			ref.SetSealed(false)
-			fast.SetSealed(false)
 			compareAccessors(t, ref, fast, sysRef, sysFast)
-			if !sealed && (ref.ShootdownsApplied != 2 || fast.ShootdownsApplied != 2) {
-				t.Fatalf("ShootdownsApplied: ref %d fast %d, want 2/2",
-					ref.ShootdownsApplied, fast.ShootdownsApplied)
-			}
 		})
 	}
 }

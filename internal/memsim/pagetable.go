@@ -2,7 +2,6 @@ package memsim
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 )
 
@@ -16,26 +15,19 @@ type PageInfo struct {
 	Tier Tier
 }
 
-// Each page-table entry packs into one atomic 64-bit word so a single
-// load observes a self-consistent mapping while a remap runs on another
-// goroutine. The layout is a per-page seqlock: the busy bit is the
-// writer's lock (translation spins while it is set), and the generation
-// counter advances on every committed change, so a stable word is always
-// either the pre-remap or the post-remap mapping — never a torn mix.
+// Each page-table entry packs into one atomic 64-bit word, so a reader
+// racing a mutator sees either the old or the new mapping of a page,
+// never a torn mix.
 const (
 	pteMapped uint64 = 1 << 0
 	pteHuge   uint64 = 1 << 1
-	// pteBusy marks a page mid-remap: the stored tier is the last
-	// committed one, and translation retries until the writer commits.
-	pteBusy uint64 = 1 << 2
 
 	pteTierShift = 8
 	pteTierMask  = uint64(0xff) << pteTierShift
-	pteGenShift  = 16
 )
 
-// packPTE encodes pi with the given generation (busy clear).
-func packPTE(pi PageInfo, gen uint64) uint64 {
+// packPTE encodes pi.
+func packPTE(pi PageInfo) uint64 {
 	var w uint64
 	if pi.Mapped {
 		w |= pteMapped
@@ -43,13 +35,10 @@ func packPTE(pi PageInfo, gen uint64) uint64 {
 	if pi.Huge {
 		w |= pteHuge
 	}
-	w |= uint64(pi.Tier) << pteTierShift
-	w |= gen << pteGenShift
-	return w
+	return w | uint64(pi.Tier)<<pteTierShift
 }
 
-// unpackPTE decodes the mapping bits of a word (the busy bit and
-// generation are protocol state, not part of the mapping).
+// unpackPTE decodes a word.
 func unpackPTE(w uint64) PageInfo {
 	return PageInfo{
 		Mapped: w&pteMapped != 0,
@@ -58,8 +47,6 @@ func unpackPTE(w uint64) PageInfo {
 	}
 }
 
-func pteGen(w uint64) uint64 { return w >> pteGenShift }
-
 // PageTable maps a flat virtual address space to memory tiers at 4 KiB
 // granularity, with huge-page (2 MiB) mappings represented as 512
 // consecutive entries flagged Huge. It is the substrate both migration
@@ -67,14 +54,12 @@ func pteGen(w uint64) uint64 { return w >> pteGenShift }
 // huge mappings, while the mbind-style engine splinters them into 4 KiB
 // pages (§2.3, §7.3).
 //
-// Entries are packed atomic words (see packPTE), so the accessor
-// translation path is safe against a concurrent remap: mutators are
-// serialized by the owning System's lock, while readers take no locks
-// and spin only across a remap's brief busy window. The entry slice
-// itself grows only at Alloc time, which the runtime never overlaps
-// with running kernels; the atomic.Pointer swap keeps even that case
-// well-defined for a racing reader (it sees the pre-grow entries, all
-// of which were copied verbatim).
+// Entries are packed atomic words (see packPTE): mutators are
+// serialized by the owning System's lock, while readers take no locks.
+// The runtime never remaps or allocates while a phase runs, so a
+// phase's translations all see one mapping; the atomic words and the
+// atomic.Pointer swap of a grown entry slice only keep a racing reader
+// outside the runtime well-defined.
 type PageTable struct {
 	pages atomic.Pointer[[]atomic.Uint64] // indexed by vaddr >> 12
 }
@@ -124,28 +109,10 @@ func (pt *PageTable) word(vpage uint64) uint64 {
 	return p[vpage].Load()
 }
 
-// set commits a new mapping for vpage, bumping its generation and
-// clearing any busy bit. Callers are serialized by the System's lock.
+// set commits a new mapping for vpage. Callers are serialized by the
+// System's lock.
 func (pt *PageTable) set(vpage uint64, pi PageInfo) {
-	p := pt.slice()
-	old := p[vpage].Load()
-	p[vpage].Store(packPTE(pi, pteGen(old)+1))
-}
-
-// markBusy opens the seqlock write window of vpage: the committed
-// mapping stays readable in the word, but TranslateStable spins until
-// the writer commits via set. Callers are serialized by the System's
-// lock.
-func (pt *PageTable) markBusy(vpage uint64) {
-	p := pt.slice()
-	p[vpage].Store(p[vpage].Load() | pteBusy)
-}
-
-// clearBusy closes a busy window without changing the mapping (used
-// when a validated range turns out to need no change).
-func (pt *PageTable) clearBusy(vpage uint64) {
-	p := pt.slice()
-	p[vpage].Store(p[vpage].Load() &^ pteBusy)
+	pt.slice()[vpage].Store(packPTE(pi))
 }
 
 // Map establishes a mapping for [base, base+size) on the given tier. base
@@ -207,47 +174,17 @@ func (pt *PageTable) lookup(vpage uint64) (PageInfo, error) {
 // an unmapped address: a simulated segfault, which always indicates a bug
 // in the runtime or a kernel accessing unregistered memory.
 func (pt *PageTable) Translate(addr uint64) PageInfo {
-	pi, _ := pt.TranslateStable(addr)
-	return pi
-}
-
-// TranslateStable returns the mapping of the page containing addr along
-// with the number of seqlock retries taken: if the page is mid-remap
-// (busy bit set), the read spins until the writer commits, so the
-// returned mapping is always a committed one — either the pre-remap or
-// the post-remap tier, never a transitional state. Like Translate it
-// panics on an unmapped address (a simulated segfault).
-func (pt *PageTable) TranslateStable(addr uint64) (PageInfo, int) {
-	vpage := addr >> smallShift
-	retries := 0
-	for {
-		w := pt.word(vpage)
-		if w&pteMapped == 0 {
-			panic(fmt.Sprintf("memsim: simulated segfault at %#x", addr))
-		}
-		if w&pteBusy == 0 {
-			return unpackPTE(w), retries
-		}
-		retries++
-		if retries&15 == 0 {
-			// The remap writer holds no lock the reader could wait on;
-			// yield so a single-P test run cannot live-lock the spin.
-			runtime.Gosched()
-		}
+	w := pt.word(addr >> smallShift)
+	if w&pteMapped == 0 {
+		panic(fmt.Sprintf("memsim: simulated segfault at %#x", addr))
 	}
-}
-
-// Generation returns the seqlock generation of the page containing addr.
-// It advances on every committed mapping change; tests use it to assert
-// that a remap was (or was not) observed.
-func (pt *PageTable) Generation(addr uint64) uint64 {
-	return pteGen(pt.word(addr >> smallShift))
+	return unpackPTE(w)
 }
 
 // TierOf returns the tier of the page containing addr and whether the page
-// is mapped at all. Unlike TranslateStable it does not wait out a busy
-// window: mid-remap it reports the last committed tier, which is what the
-// writeback path (cache evictions racing a migration) wants.
+// is mapped at all; unlike Translate it does not panic on an unmapped
+// page, which is what the writeback path (evictions of freed lines)
+// wants.
 func (pt *PageTable) TierOf(addr uint64) (Tier, bool) {
 	w := pt.word(addr >> smallShift)
 	if w&pteMapped == 0 {
@@ -259,9 +196,7 @@ func (pt *PageTable) TierOf(addr uint64) (Tier, bool) {
 // Retier moves every page of [base, base+size) to tier t, preserving the
 // page granularity (huge mappings stay huge). This models the ATMem remap
 // step: the virtual addresses are untouched, only the physical backing
-// changes (§4.4). The range transitions through the seqlock busy window
-// as a unit: readers that land inside the window retry until the new
-// tiers commit.
+// changes (§4.4).
 func (pt *PageTable) Retier(base, size uint64, t Tier) error {
 	if base%SmallPage != 0 || size%SmallPage != 0 {
 		return fmt.Errorf("memsim: Retier [%#x,+%#x) not page-aligned", base, size)
@@ -271,9 +206,6 @@ func (pt *PageTable) Retier(base, size uint64, t Tier) error {
 		if _, err := pt.lookup(i); err != nil {
 			return err
 		}
-	}
-	for i := first; i < first+n; i++ {
-		pt.markBusy(i)
 	}
 	for i := first; i < first+n; i++ {
 		pi := unpackPTE(pt.word(i))
@@ -287,8 +219,6 @@ func (pt *PageTable) Retier(base, size uint64, t Tier) error {
 // 4 KiB mappings (whole huge pages are split, as the kernel does when
 // migrate_pages touches part of a THP). This models the mbind engine's
 // side effect that inflates post-migration TLB misses (§2.3, Table 4).
-// Each page flips in one atomic commit — a huge→small transition needs no
-// busy window because either word is a valid committed mapping.
 func (pt *PageTable) Splinter(base, size uint64) error {
 	if size == 0 {
 		return nil

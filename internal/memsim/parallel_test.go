@@ -10,14 +10,13 @@ import (
 
 // The sharded hot path exists so simulation throughput scales with host
 // cores: every per-access touch is accessor-private (counters, caches,
-// TLBs, sample buffers) and the only shared state — the sync word — is
-// skipped entirely by sealed phases. BenchmarkAccessorParallel sweeps
+// TLBs, sample buffers), and nothing shared is touched per access.
+// BenchmarkAccessorParallel sweeps
 // GOMAXPROCS to expose the scaling curve, and the efficiency test holds
 // the floor on machines with enough cores.
 
 // parallelWorkers builds one shared system with a 4 MiB slow-tier object
-// and one sealed accessor per worker — the shape of a governed phase
-// with no background placement.
+// and one accessor per worker — the shape of a governed phase.
 func parallelWorkers(tb testing.TB, workers int) (*System, []*Accessor, []uint64) {
 	tb.Helper()
 	s := NewSystem(testParams())
@@ -29,7 +28,6 @@ func parallelWorkers(tb testing.TB, workers int) (*System, []*Accessor, []uint64
 			tb.Fatal(err)
 		}
 		accs[i] = s.NewAccessor()
-		accs[i].SetSealed(true)
 		bases[i] = base
 	}
 	return s, accs, bases

@@ -56,26 +56,17 @@ type DegradedRange struct {
 	Factor     float64
 }
 
-// ShootdownRange is one pending TLB-invalidation request: a migration
-// committed a remap of [Base, Base+Size) and every accessor must drop its
-// cached translations of the range before trusting them again.
-type ShootdownRange struct {
-	Base, Size uint64
-}
-
 // System is one simulated heterogeneous memory machine: a virtual address
 // space backed by two memory tiers.
 //
 // Concurrency contract: mutating operations are serialized by an internal
 // lock; the hot read path used by accessors (Translate/TierOf and the
-// capacity getters) takes no locks. Translation is safe against a
-// concurrent Retier/RestoreTiers through the page table's per-page
-// seqlock (see PageTable), tier ledgers are atomic counters, and remap
-// visibility reaches accessors through the shootdown log: a committed
-// remap appends a ShootdownRange, and each accessor drains the log at its
-// next access. Alloc/Free still must not overlap running kernels — the
-// runtime never allocates mid-phase — because growing the page table
-// swaps the entry slice.
+// capacity getters) takes no locks, and tier ledgers are atomic counters
+// that metrics scrapes may read at any time. No mapping changes while a
+// phase runs: the runtime places, heals and allocates only between
+// phases (a broker serializes its tenants' phases and placements), so
+// every access of a phase translates against one page table, and a
+// migration's invalidations are broadcast to the accessors directly.
 type System struct {
 	P SystemParams
 
@@ -85,30 +76,6 @@ type System struct {
 	used     [NumTiers]atomic.Uint64 // bytes mapped in the page table
 	reserved [NumTiers]atomic.Uint64 // bytes held by Reserve (staging buffers)
 	faults   FaultHook
-
-	// Shootdown log: every committed remap appends its range and bumps
-	// the sync word's generation field, so an accessor whose
-	// seen-generation trails can replay exactly the ranges it missed.
-	// Appends happen under shootMu; the generation is atomic so the
-	// accessor fast path (gen unchanged → nothing to drain) stays
-	// lock-free.
-	shootMu  sync.Mutex
-	shootLog []ShootdownRange
-
-	// sync packs the two cross-thread signals the access fast path must
-	// observe — the shootdown-log generation (low 48 bits) and the count
-	// of active quiesce gates (high 16 bits) — into one word, so the
-	// per-access check is a single uncontended atomic load instead of
-	// two. An accessor caches the last word it acted on; an unchanged
-	// word with a zero gate field means there is nothing to drain and no
-	// store can be gated (see Accessor.syncCheck).
-	sync atomic.Uint64
-
-	// Quiesce gates: writers to a gated range block until the gate
-	// lifts. The sync word's gate count is the lock-free fast path (no
-	// gates → no check).
-	quiesceMu sync.Mutex
-	gates     []*QuiesceGate
 
 	// Quarantine ledger: retired fast-tier ranges. The byte total is
 	// atomic so the lock-free capacity getters can charge it; the range
@@ -129,16 +96,6 @@ type System struct {
 	owners  []ownerRange
 	tenants map[int]*tenantUsage
 }
-
-// sync word layout: shootdown generation in the low syncGenBits bits,
-// quiesce-gate count above. 48 bits of generation cannot wrap in any
-// feasible run (one remap per published range), and 16 bits of gates far
-// exceeds the engines' bounded staging concurrency.
-const (
-	syncGenBits = 48
-	syncGenMask = uint64(1)<<syncGenBits - 1
-	syncGateOne = uint64(1) << syncGenBits
-)
 
 // NewSystem builds a System from params. It panics if params are invalid,
 // since every preset in this module must validate.
@@ -381,10 +338,6 @@ func (s *System) retierLocked(base, size uint64, t Tier) error {
 		if pi.Tier == t {
 			continue
 		}
-		// Seqlock write window per page: readers that catch the busy
-		// bit retry; the ledger moves with the commit so the lock-free
-		// capacity getters never see the page double-counted.
-		s.pt.markBusy(i)
 		ledgerSub(&s.used[pi.Tier], SmallPage)
 		ledgerAdd(&s.used[t], SmallPage)
 		s.tenantRetierLocked(i<<smallShift, pi.Tier, t)
@@ -444,7 +397,7 @@ func (s *System) Unreserve(size uint64, t Tier) {
 }
 
 // Used returns the bytes currently mapped or reserved on tier t. It is a
-// lock-free atomic read, safe from kernel threads while a migration runs.
+// lock-free atomic read, safe from any goroutine.
 func (s *System) Used(t Tier) uint64 {
 	return s.used[t].Load() + s.reserved[t].Load()
 }
@@ -497,8 +450,7 @@ func (s *System) EffectiveOccupancy(t Tier, holdback uint64) float64 {
 	return float64(committed) / float64(cap-holdback)
 }
 
-// TierOf returns the tier currently backing addr. Lock-free; mid-remap it
-// reports the last committed tier.
+// TierOf returns the tier currently backing addr. Lock-free.
 func (s *System) TierOf(addr uint64) (Tier, bool) {
 	return s.pt.TierOf(addr)
 }
@@ -579,7 +531,6 @@ func (s *System) RestoreTiers(base uint64, tiers []Tier) error {
 		if pi.Tier == t {
 			continue
 		}
-		s.pt.markBusy(vpage)
 		ledgerSub(&s.used[pi.Tier], SmallPage)
 		ledgerAdd(&s.used[t], SmallPage)
 		s.tenantRetierLocked(vpage<<smallShift, pi.Tier, t)
@@ -587,101 +538,6 @@ func (s *System) RestoreTiers(base uint64, tiers []Tier) error {
 		s.pt.set(vpage, pi)
 	}
 	return nil
-}
-
-// Shootdown publishes a TLB-invalidation request for [base, base+size):
-// the range is appended to the shootdown log and the generation advances,
-// so every accessor drops its cached translations of the range at its
-// next access (see Accessor.drainShootdowns). This is the lazy, epoch-
-// based equivalent of the direct InvalidateTLBRange broadcast the
-// stop-the-world path uses.
-func (s *System) Shootdown(base, size uint64) {
-	s.shootMu.Lock()
-	s.shootLog = append(s.shootLog, ShootdownRange{Base: base, Size: size})
-	// Bump inside the lock so log length == generation always holds for
-	// a drainer that reads the generation first.
-	s.sync.Add(1)
-	s.shootMu.Unlock()
-}
-
-// ShootdownGen returns the current shootdown generation — the total
-// number of ranges ever published. Lock-free.
-func (s *System) ShootdownGen() uint64 { return s.sync.Load() & syncGenMask }
-
-// shootdownsSince returns the log entries after generation seen, along
-// with the new generation. The log only grows, so the copy is stable.
-func (s *System) shootdownsSince(seen uint64) ([]ShootdownRange, uint64) {
-	gen := s.sync.Load() & syncGenMask
-	if gen == seen {
-		return nil, seen
-	}
-	s.shootMu.Lock()
-	out := make([]ShootdownRange, gen-seen)
-	copy(out, s.shootLog[seen:gen])
-	s.shootMu.Unlock()
-	return out, gen
-}
-
-// QuiesceGate write-blocks a virtual address range while a migration
-// remaps it: kernel threads that try to store into the range wait on the
-// gate's channel until QuiesceEnd. Reads are never blocked (the staging
-// protocol keeps a valid copy readable throughout); only stores must not
-// land between the copy and the remap commit.
-type QuiesceGate struct {
-	base, size uint64
-	done       chan struct{}
-}
-
-// QuiesceBegin installs a write gate over [base, base+size) and returns
-// it. The caller must QuiesceEnd the gate; typically both calls bracket
-// only the Retier step of a staged region copy.
-func (s *System) QuiesceBegin(base, size uint64) *QuiesceGate {
-	g := &QuiesceGate{base: base, size: size, done: make(chan struct{})}
-	s.quiesceMu.Lock()
-	s.gates = append(s.gates, g)
-	s.quiesceMu.Unlock()
-	s.sync.Add(syncGateOne)
-	return g
-}
-
-// QuiesceEnd lifts the gate and wakes every blocked writer.
-func (s *System) QuiesceEnd(g *QuiesceGate) {
-	s.quiesceMu.Lock()
-	for i, cur := range s.gates {
-		if cur == g {
-			s.gates = append(s.gates[:i], s.gates[i+1:]...)
-			break
-		}
-	}
-	s.quiesceMu.Unlock()
-	// Drop the fast-path count before closing so a writer re-scanning
-	// the gate list cannot find the gate again after waking.
-	s.sync.Add(^(syncGateOne - 1))
-	close(g.done)
-}
-
-// quiesceWait blocks until no installed gate covers addr, returning how
-// many gates the caller waited out. The sync word's gate field keeps the
-// no-migration case a single atomic load.
-func (s *System) quiesceWait(addr uint64) int {
-	waited := 0
-	for s.sync.Load()>>syncGenBits > 0 {
-		var blocking *QuiesceGate
-		s.quiesceMu.Lock()
-		for _, g := range s.gates {
-			if addr >= g.base && addr < g.base+g.size {
-				blocking = g
-				break
-			}
-		}
-		s.quiesceMu.Unlock()
-		if blocking == nil {
-			return waited
-		}
-		waited++
-		<-blocking.done
-	}
-	return waited
 }
 
 // quarOverlapLocked reports whether [base, base+size) intersects any

@@ -6,9 +6,9 @@
 //
 // The design mirrors the telemetry recorder's single-writer shard
 // discipline (internal/telemetry): a Counter owns one 64-byte-padded
-// cell per shard, each written by exactly one goroutine (shard 0 is the
-// runtime's control plane, shard 1 the background placement worker), so
-// recording never contends on a cache line. Reads sum the cells with
+// cell per shard, each written by exactly one goroutine (the runtime
+// writes shard 0 from its control goroutine), so recording never
+// contends on a cache line. Reads sum the cells with
 // atomic loads, which is why a scrape is safe at any time without
 // stopping the writers.
 //
@@ -153,9 +153,8 @@ type Registry struct {
 }
 
 // New builds a registry whose counters carry one padded cell per
-// shard. Shard 0 is conventionally the control plane; the runtime uses
-// shard 1 for the background placement worker. shards < 1 is clamped
-// to 1.
+// shard. Shard 0 is conventionally the control plane. shards < 1 is
+// clamped to 1.
 func New(shards int) *Registry {
 	if shards < 1 {
 		shards = 1

@@ -169,19 +169,13 @@ func (e *ATMemEngine) attemptRegion(ctx context.Context, sys *memsim.System, r R
 
 	// rollback restores the already-remapped prefix [r.Base, r.Base+done)
 	// to its snapshot and returns cause; the restore is one batched
-	// remap plus one shootdown. Like the forward remap it runs under a
-	// quiesce gate: concurrent stores must not land between the restore
-	// decision and the committed tiers. A failed restore is
-	// unrecoverable.
+	// remap plus one shootdown. A failed restore is unrecoverable.
 	rollback := func(done uint64, cause error) error {
 		if done == 0 {
 			return cause
 		}
-		g := sys.QuiesceBegin(r.Base, done)
-		rerr := sys.RestoreTiers(r.Base, snap[:done/memsim.SmallPage])
-		sys.QuiesceEnd(g)
-		if rerr != nil {
-			return fmt.Errorf("%w: %v (while handling: %v)", ErrRollback, rerr, cause)
+		if err := sys.RestoreTiers(r.Base, snap[:done/memsim.SmallPage]); err != nil {
+			return fmt.Errorf("%w: %v (while handling: %v)", ErrRollback, err, cause)
 		}
 		st.Seconds += p.RemapNSPerRegion * 1e-9
 		st.Seconds += p.TLBShootdownNS * 1e-9
@@ -213,15 +207,8 @@ func (e *ATMemEngine) attemptRegion(ctx context.Context, sys *memsim.System, r R
 		// (staging lives on the target memory, Figure 4a).
 		st.Seconds += copySeconds(p, slice, src, target, threads)
 		// Stage 2: remap the virtual pages onto empty target pages (no
-		// data moves, Figure 4b). Only this step write-blocks the slice:
-		// a store landing after the stage-1 copy but before the remap
-		// commit would be lost on the staged copy-back, so writers wait
-		// at the gate while readers continue against the committed
-		// mapping (the seqlock keeps their view consistent).
-		g := sys.QuiesceBegin(r.Base+off, slice)
-		err := sys.Retier(r.Base+off, slice, target)
-		sys.QuiesceEnd(g)
-		if err != nil {
+		// data moves, Figure 4b).
+		if err := sys.Retier(r.Base+off, slice, target); err != nil {
 			sys.Unreserve(slice, target)
 			return rollback(off, fmt.Errorf("migrate/atmem: remap: %w", err))
 		}

@@ -129,13 +129,8 @@ func (e *MbindEngine) Migrate(ctx context.Context, sys *memsim.System, regions [
 
 // attemptRegion is one kernel-style migration attempt: splinter every
 // huge mapping the range touches (the kernel path cannot migrate a THP
-// as a unit), then retier the whole region atomically. The kernel
-// service has no staging copy, so the whole splinter+retier runs under
-// one region-wide quiesce gate — the longer write-block window is part
-// of why the paper's application-level mechanism wins.
+// as a unit), then retier the whole region atomically.
 func (e *MbindEngine) attemptRegion(sys *memsim.System, r Region, target memsim.Tier, st *Stats) error {
-	g := sys.QuiesceBegin(r.Base, r.Size)
-	defer sys.QuiesceEnd(g)
 	hugeBefore, _ := sys.PageTable().HugePages(r.Base, r.Size)
 	if err := sys.Splinter(r.Base, r.Size); err != nil {
 		return err

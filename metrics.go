@@ -6,23 +6,20 @@ package atmem
 // observe.go record into both, from the same record that feeds the
 // trace (never on the simulated-access hot path). Everything is
 // nil-safe: with Options.Metrics and Options.DebugAddr unset each
-// record point costs one pointer test.
-//
-// Shard discipline (see internal/metrics): counter shard 0 is the
-// runtime's control plane, shard 1 the background placement worker —
-// the same single-writer split as the telemetry tracks.
+// record point costs one pointer test. Every record point runs on the
+// runtime's control goroutine, so all counters write shard 0.
 
 import (
 	"atmem/internal/memsim"
 	"atmem/internal/metrics"
 )
 
-// metricsShards is the counter shard count a runtime needs: control
-// plane + background placement worker.
-const metricsShards = 2
+// metricsShards is the counter shard count a runtime needs: its
+// control goroutine's.
+const metricsShards = 1
 
 // NewMetricsRegistry returns a metrics registry sized for one runtime
-// (control-plane and background-placement counter shards). Pass it to
+// (one counter shard). Pass it to
 // WithMetrics; scrape it via Registry.WritePrometheus or the debug
 // listener's /metrics endpoint.
 func NewMetricsRegistry() *metrics.Registry { return metrics.New(metricsShards) }
@@ -34,14 +31,13 @@ type metricsSet struct {
 	reg *metrics.Registry
 
 	// Phase-boundary instruments (RunPhase, shard = caller).
-	phases            *metrics.Counter
-	tierRead          [memsim.NumTiers]*metrics.Counter
-	tierWrite         [memsim.NumTiers]*metrics.Counter
-	tierWriteback     [memsim.NumTiers]*metrics.Counter
-	tierMapped        [memsim.NumTiers]*metrics.Gauge
-	tierReserved      [memsim.NumTiers]*metrics.Gauge
-	shootdownsApplied *metrics.Counter
-	phaseNS           *metrics.Histogram
+	phases        *metrics.Counter
+	tierRead      [memsim.NumTiers]*metrics.Counter
+	tierWrite     [memsim.NumTiers]*metrics.Counter
+	tierWriteback [memsim.NumTiers]*metrics.Counter
+	tierMapped    [memsim.NumTiers]*metrics.Gauge
+	tierReserved  [memsim.NumTiers]*metrics.Gauge
+	phaseNS       *metrics.Histogram
 
 	// Optimize-boundary instruments.
 	analyzeNS       *metrics.Histogram
@@ -108,7 +104,6 @@ func newMetricsSet(reg *metrics.Registry, tenant string) *metricsSet {
 		m.tierMapped[t] = reg.Gauge("atmem_tier_mapped_bytes", "Mapped bytes on the tier.", tl)
 		m.tierReserved[t] = reg.Gauge("atmem_tier_reserved_bytes", "Staging-reserved bytes on the tier.", tl)
 	}
-	m.shootdownsApplied = reg.Counter("atmem_tlb_shootdowns_applied_total", "Published TLB shootdowns applied by accessors.", lbl(nil))
 	m.phaseNS = reg.Histogram("atmem_phase_duration_ns", "Simulated wall time per kernel phase (ns).", lbl(nil))
 
 	m.analyzeNS = reg.Histogram("atmem_optimize_analyze_ns", "Host wall time of the two-stage analyzer per Optimize (ns; analysis has no modelled cost).", lbl(nil))
@@ -130,7 +125,7 @@ func newMetricsSet(reg *metrics.Registry, tenant string) *metricsSet {
 	m.crcDetected = reg.Counter("atmem_health_corruptions_detected_total", "Scrubber CRC mismatches.", lbl(nil))
 	m.crcRepaired = reg.Counter("atmem_health_corruptions_repaired_total", "Corruptions repaired from the scrub backup.", lbl(nil))
 	m.emergDemotions = reg.Counter("atmem_health_emergency_demotions_total", "Chunks demoted off failing fast pages.", lbl(nil))
-	m.promosVetoed = reg.Counter("atmem_health_promotions_vetoed_total", "Promotion regions dropped by the health veto.", lbl(nil))
+	m.promosVetoed = reg.Counter("atmem_health_promotions_vetoed_total", "Promotion stretches clipped out by the health veto.", lbl(nil))
 
 	m.epochs = reg.Counter("atmem_epochs_total", "Governed epochs completed.", lbl(nil))
 	m.epochsSkipped = reg.Counter("atmem_epochs_breaker_skipped_total", "Epochs the open breaker skipped migration for.", lbl(nil))
@@ -151,16 +146,6 @@ func (r *Runtime) Metrics() *metrics.Registry {
 		return nil
 	}
 	return r.met.reg
-}
-
-// metShard maps a telemetry track id onto the counter shard writing it:
-// the background placement worker's track gets shard 1, everything else
-// the control-plane shard 0.
-func (r *Runtime) metShard(tid int) int {
-	if tid == r.placeTID {
-		return 1
-	}
-	return 0
 }
 
 // Scorecard is the per-epoch placement-quality summary a governed epoch

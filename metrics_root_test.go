@@ -372,7 +372,6 @@ func TestMetricFamiliesPinned(t *testing.T) {
 		"atmem_tier_reserved_bytes{tenant,tier}",
 		"atmem_tier_write_bytes_total{tenant,tier}",
 		"atmem_tier_writeback_bytes_total{tenant,tier}",
-		"atmem_tlb_shootdowns_applied_total{tenant}",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("metric families changed:\n got %q\nwant %q", got, want)

@@ -7,8 +7,7 @@ package atmem
 // trace recorder, the metrics registry, the scorecards. One drain
 // mirrors the transition logs (fault events, breaker and granule-state
 // changes) into the trace at every placement and epoch end, so the
-// trace never lags behind the logs it mirrors. Metrics shards follow
-// metrics.go's discipline.
+// trace never lags behind the logs it mirrors.
 
 import (
 	"atmem/internal/governor"
@@ -116,7 +115,6 @@ func (r *Runtime) endPhase(pr *PhaseResult) {
 			m.tierMapped[t].SetUint(mapped[t])
 			m.tierReserved[t].SetUint(reserved[t])
 		}
-		m.shootdownsApplied.Add(0, st.ShootdownsApplied)
 		m.phaseNS.ObserveSeconds(st.WallSeconds)
 	}
 }
@@ -129,9 +127,7 @@ func (r *Runtime) endPhase(pr *PhaseResult) {
 // snapshot — drains the transition logs, closes the placement's span
 // with arguments read off rep, records the metrics (the health counters
 // as the delta from the previous placement's report) and stores rep as
-// the last placement. The caller's track selects the counter shard,
-// keeping the single-writer discipline when the placement runs on the
-// background worker.
+// the last placement.
 func (r *Runtime) endPlacement(tid int, rep *MigrationReport, replayed bool, decision governor.Decision, analyzeNS uint64) {
 	governed := r.breaker != nil
 	if governed {
@@ -175,31 +171,30 @@ func (r *Runtime) endPlacement(tid int, rep *MigrationReport, replayed bool, dec
 		r.rec.End(tid, "optimize", "optimize", args)
 	}
 	if m := r.met; m != nil {
-		shard := r.metShard(tid)
 		if analyzeNS > 0 {
 			m.analyzeNS.Observe(analyzeNS)
 		}
 		m.migrateNS.ObserveSeconds(rep.Seconds)
-		m.movedBytes.Add(shard, rep.BytesMoved)
-		m.pagesMoved.Add(shard, uint64(rep.PagesMoved))
-		m.hugeSplits.Add(shard, uint64(rep.HugePagesSplit))
-		m.tlbShootdowns.Add(shard, uint64(rep.TLBShootdowns))
-		m.regionsMigrated.Add(shard, uint64(rep.RegionsMigrated))
-		m.regionsRetried.Add(shard, uint64(rep.RegionsRetried))
-		m.regionsSkipped.Add(shard, uint64(rep.RegionsSkipped))
+		m.movedBytes.Add(0, rep.BytesMoved)
+		m.pagesMoved.Add(0, uint64(rep.PagesMoved))
+		m.hugeSplits.Add(0, uint64(rep.HugePagesSplit))
+		m.tlbShootdowns.Add(0, uint64(rep.TLBShootdowns))
+		m.regionsMigrated.Add(0, uint64(rep.RegionsMigrated))
+		m.regionsRetried.Add(0, uint64(rep.RegionsRetried))
+		m.regionsSkipped.Add(0, uint64(rep.RegionsSkipped))
 		if governed {
-			m.promotedBytes.Add(shard, rep.PromotedBytes)
-			m.demotedBytes.Add(shard, rep.DemotedBytes)
+			m.promotedBytes.Add(0, rep.PromotedBytes)
+			m.demotedBytes.Add(0, rep.DemotedBytes)
 			m.breakerState.Set(float64(r.breaker.State()))
 			m.residentBytes.SetUint(rep.ResidentBytes)
 		}
 		h, prev := rep.Health, r.lastMig.Health
 		m.quarantinedBytes.SetUint(h.QuarantinedBytes)
-		m.scrubbedBytes.Add(shard, h.ScrubbedBytes-prev.ScrubbedBytes)
-		m.crcDetected.Add(shard, uint64(h.CorruptionsDetected-prev.CorruptionsDetected))
-		m.crcRepaired.Add(shard, uint64(h.CorruptionsRepaired-prev.CorruptionsRepaired))
-		m.emergDemotions.Add(shard, uint64(h.EmergencyDemotions-prev.EmergencyDemotions))
-		m.promosVetoed.Add(shard, uint64(h.PromotionsVetoed-prev.PromotionsVetoed))
+		m.scrubbedBytes.Add(0, h.ScrubbedBytes-prev.ScrubbedBytes)
+		m.crcDetected.Add(0, uint64(h.CorruptionsDetected-prev.CorruptionsDetected))
+		m.crcRepaired.Add(0, uint64(h.CorruptionsRepaired-prev.CorruptionsRepaired))
+		m.emergDemotions.Add(0, uint64(h.EmergencyDemotions-prev.EmergencyDemotions))
+		m.promosVetoed.Add(0, uint64(h.PromotionsVetoed-prev.PromotionsVetoed))
 	}
 	r.lastMig = *rep
 }

@@ -98,9 +98,9 @@ func WithBandwidthAware(on bool) Option {
 	return func(o *Options) { o.BandwidthAware = on }
 }
 
-// WithAsyncPlacement enables overlapped background placement: governed
-// epochs driven via RunEpochAsync migrate the previous interval's plan
-// concurrently with the next interval's phases. The governor is
+// WithAsyncPlacement enables overlapped placement: governed epochs
+// driven via RunEpochAsync overlap the previous interval's migration
+// with the next interval's phases in simulated time. The governor is
 // implied (see Options.Async).
 func WithAsyncPlacement() Option {
 	return func(o *Options) { o.Async = true }

@@ -121,8 +121,8 @@ type HealthReport struct {
 	// EmergencyDemotions counts chunks the scrub repair path demoted off
 	// failing fast pages.
 	EmergencyDemotions int
-	// PromotionsVetoed counts promotion regions dropped because their
-	// target granules were quarantined or distrusted.
+	// PromotionsVetoed counts promotion stretches clipped out because
+	// they lay on quarantined pages or distrusted granules.
 	PromotionsVetoed int
 	// RetiredRanges counts successful page retirements.
 	RetiredRanges int

@@ -106,15 +106,11 @@ type Runtime struct {
 	tenant       *Tenant
 	breakerOpenA atomic.Bool
 
-	// Overlapped-placement state (see async.go). asyncActive is true
-	// while a background placement worker may run concurrently with
-	// kernels: migration then publishes invalidations through the
-	// system's shootdown log instead of broadcasting directly, skips
-	// the mid-kernel CRC check, and leaves the sim-clock reconciliation
-	// to the epoch join. placeTID is the worker's telemetry track.
-	asyncActive    atomic.Bool
+	// Overlapped-placement state (see async.go). placeTID is the
+	// telemetry track of overlapped placements; a schedule committed on
+	// it leaves its modelled seconds to the epoch join.
 	placeTID       int
-	pendingSamples int     // attributed samples awaiting background placement
+	pendingSamples int     // attributed samples awaiting overlapped placement
 	pendingPeriod  uint64  // profiler period those samples were captured at
 	overlapTotalS  float64 // cumulative overlapped migration seconds
 	stolenTotalS   float64 // cumulative stolen-bandwidth seconds
@@ -198,9 +194,9 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 	r.planCache = o.PlanCache
 	r.rec = o.Recorder
 	r.rec.SetSimClock(r.simNS.Load)
-	// One extra track past the simulated threads for the background
-	// placement worker, so its spans never share a shard (single-writer
-	// discipline) or a nesting level with the control track.
+	// One extra track past the simulated threads for overlapped
+	// placements, so their spans never share a nesting level with the
+	// control track.
 	r.placeTID = p.Threads
 	r.rec.EnsureThreads(p.Threads + 1)
 	tenantLabel := ""
@@ -294,8 +290,12 @@ func (r *Runtime) allocTier(size uint64) memsim.Tier {
 
 // Malloc is atmem_malloc (Listing 1): it allocates size bytes of
 // simulated memory according to the placement policy and registers the
-// object with the profiler/analyzer under the given name.
+// object with the profiler/analyzer under the given name. On a broker
+// tenant it holds the broker's placement lock, so it never lands in a
+// co-tenant's phase.
 func (r *Runtime) Malloc(name string, size uint64) (*Object, error) {
+	r.lockPlacement()
+	defer r.unlockPlacement()
 	var base uint64
 	var err error
 	if r.allocMode() == AllocPrefer {
@@ -338,8 +338,11 @@ func (r *Runtime) Malloc(name string, size uint64) (*Object, error) {
 	return o, nil
 }
 
-// Free is atmem_free (Listing 1).
+// Free is atmem_free (Listing 1). Like Malloc it holds a broker
+// tenant's placement lock.
 func (r *Runtime) Free(o *Object) error {
+	r.lockPlacement()
+	defer r.unlockPlacement()
 	if o == nil || o.rt != r {
 		return fmt.Errorf("atmem: free of foreign object")
 	}
@@ -500,12 +503,12 @@ func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 
 // commitSchedule is the one migration-commit path. It runs sched
 // (demotions first) through the transactional engine, charges the
-// modelled time to the simulated clock — unless a background placement
-// overlaps running kernels, in which case the epoch join reconciles the
-// clock — and commits what moved: the stale TLB and cache entries of
-// exactly the committed slices are invalidated. Residency needs no
-// update here, because the page table is its only record. An error is
-// an unrecoverable failed rollback; nothing is committed then.
+// modelled time to the simulated clock — unless it runs on the overlap
+// track, whose time the epoch join reconciles (reconcileOverlap) — and
+// commits what moved: the stale TLB and cache entries of exactly the
+// committed slices are invalidated. Residency needs no update here,
+// because the page table is its only record. An error is an
+// unrecoverable failed rollback; nothing is committed then.
 func (r *Runtime) commitSchedule(ctx context.Context, tid int, sched migrate.Schedule) (migrate.ScheduleResult, error) {
 	startNS := r.simNS.Load()
 	var sink migrate.EventSink
@@ -513,7 +516,7 @@ func (r *Runtime) commitSchedule(ctx context.Context, tid int, sched migrate.Sch
 		sink = func(ev migrate.Event) { r.emitMigrationEvent(tid, startNS, ev) }
 	}
 	res, err := migrate.RunSchedule(ctx, r.engine, r.sys, sched, sink)
-	if !r.asyncActive.Load() {
+	if tid != r.placeTID {
 		r.simNS.Add(uint64(res.Merged.Seconds * 1e9))
 	}
 	if err != nil {
@@ -525,18 +528,9 @@ func (r *Runtime) commitSchedule(ctx context.Context, tid int, sched migrate.Sch
 
 // invalidateMoved drops the stale TLB and cache entries of exactly the
 // committed migration slices (rolled-back and skipped regions kept their
-// placement, so their translations stay valid). Stop-the-world callers
-// broadcast directly into every accessor; while a background placement
-// worker runs, accessors are live on other goroutines, so the ranges go
-// through the system's shootdown log and each accessor drains them at
-// its next access.
+// placement, so their translations stay valid). No phase runs during a
+// placement, so the invalidation goes straight into every accessor.
 func (r *Runtime) invalidateMoved(moved []migrate.Region) {
-	if r.asyncActive.Load() {
-		for _, rg := range moved {
-			r.sys.Shootdown(rg.Base, rg.Size)
-		}
-		return
-	}
 	for _, a := range r.accessors {
 		for _, rg := range moved {
 			a.InvalidateTLBRange(rg.Base, rg.Size)
@@ -550,15 +544,7 @@ func (r *Runtime) invalidateMoved(moved []migrate.Region) {
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // objectChecksums fingerprints every registered object's byte backing.
-// It returns nil while a background placement worker overlaps running
-// kernels: the kernels are mutating object bytes concurrently, so a
-// checksum would race; migration itself never touches object data
-// (virtual addresses are stable), and the end-to-end CRC comparison
-// runs at epoch boundaries instead.
 func (r *Runtime) objectChecksums() map[uint64]uint32 {
-	if r.asyncActive.Load() {
-		return nil
-	}
 	out := make(map[uint64]uint32, len(r.objects))
 	for base, o := range r.objects {
 		if o.data != nil {
@@ -649,24 +635,17 @@ func (c *Ctx) Range(n int) (lo, hi int) {
 // counters reset at phase entry and cache/TLB state carried over from
 // previous phases (the paper measures the warm second iteration, §6). It
 // returns the phase's simulated time and event statistics.
+//
+// No placement, health pass or allocation runs while a phase does, so
+// every access of the phase sees one mapping. On a broker tenant the
+// phase holds the broker's placement lock, which keeps co-tenants'
+// placements and allocations out of it.
 func (r *Runtime) RunPhase(name string, kernel func(c *Ctx)) PhaseResult {
+	r.lockPlacement()
+	defer r.unlockPlacement()
 	r.rec.Begin(0, "phase", name, nil)
-	// With no background placement worker, nothing can publish a
-	// shootdown or install a quiesce gate while the phase runs, so the
-	// accessors are sealed for the duration: the per-access cross-thread
-	// check disappears entirely and every hot-path touch is
-	// accessor-private. Under async placement the full one-load protocol
-	// stays on — and likewise on a broker tenant, whose co-tenants may
-	// migrate their own ranges on the shared system while this phase
-	// runs.
-	sealed := !r.asyncActive.Load() && r.tenant == nil
 	for _, a := range r.accessors {
 		a.ResetCounters()
-		// Apply shootdowns published since the thread's last access, so
-		// an idle thread does not carry stale translations into the
-		// phase (its applied count lands in this phase's counters).
-		a.DrainShootdowns()
-		a.SetSealed(sealed)
 	}
 	var wg sync.WaitGroup
 	for i := range r.accessors {
@@ -677,9 +656,6 @@ func (r *Runtime) RunPhase(name string, kernel func(c *Ctx)) PhaseResult {
 		}(i)
 	}
 	wg.Wait()
-	for _, a := range r.accessors {
-		a.SetSealed(false)
-	}
 	pr := PhaseResult{
 		Name:  name,
 		Stats: r.sys.ReducePhase(r.accessors),

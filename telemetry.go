@@ -22,9 +22,8 @@ import (
 func (r *Runtime) Telemetry() *telemetry.Recorder { return r.rec }
 
 // stageObserver adapts the recorder to the analyzer's stage hooks,
-// recording onto the given track (the placement track when the analyzer
-// runs on the background service goroutine); it returns nil (no
-// observation) when telemetry is off.
+// recording onto the given track (the overlap track for an overlapped
+// placement); it returns nil (no observation) when telemetry is off.
 func (r *Runtime) stageObserver(tid int) core.StageObserver {
 	if !r.rec.Enabled() {
 		return nil
