@@ -151,7 +151,7 @@ type Options struct {
 	// matching signature replay the cached schedule, skipping profiling
 	// and analysis entirely. A shared cache lets many runtimes in one
 	// process (e.g. a benchmark suite) reuse each other's plans.
-	PlanCache *core.PlanCache
+	PlanCache *PlanCache
 	// Async configures overlapped placement: RunEpochAsync places the
 	// previous interval's plan at the start of the next interval and
 	// hides its modelled time under that interval's phases, the way the

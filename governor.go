@@ -160,6 +160,14 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 		// previous intervals would anchor the old hot set and mask drift.
 		r.reg.ResetSamples()
 		r.ProfilingStart()
+		// While a recorder is armed, every epoch opens a schedule in the
+		// plan, which the commit path fills (recordCommitted). An epoch
+		// that never reaches the commit point (zero samples, open
+		// breaker, empty budget) keeps it empty, so the replayed epoch
+		// numbering stays aligned with the bodies the caller runs.
+		if r.recording != nil {
+			r.recording.Epochs = append(r.recording.Epochs, migrate.Schedule{})
+		}
 	case sourceOverlapped:
 		// Place the pending interval's samples on the overlap track.
 		// The placement lands before the body's phases, and the join
@@ -184,20 +192,9 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 	rep.Phases = append(rep.Phases, r.phases[phaseStart:]...)
 	switch src {
 	case sourceOnline:
-		// While a recorder is armed, every epoch must land in the plan —
-		// including ones that never reach the commit point (zero samples,
-		// open breaker, empty budget) — so the replayed epoch numbering
-		// stays aligned with the bodies the caller runs.
-		recBase := -1
-		if r.planRec != nil {
-			recBase = r.planRec.Epochs()
-		}
 		if rep.Samples = r.ProfilingStop(); rep.Samples > 0 {
 			rep.Optimized = true
 			rep.Migration, err = r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
-		}
-		if r.planRec != nil && r.planRec.Epochs() == recBase {
-			r.recordCommitted(nil, nil)
 		}
 	case sourceOverlapped:
 		if rep.Overlapped {
@@ -218,7 +215,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 	case sourceReplay:
 		// Epochs past the end of the recording run on the final placement
 		// and migrate nothing: the recorded run had converged by then.
-		if r.planEpoch <= r.armedPlan.Epochs {
+		if r.planEpoch <= len(r.armedPlan.Epochs) {
 			rep.Optimized = true
 			rep.Migration, err = r.applyPlanEpoch(ctx, r.planEpoch)
 		}
@@ -396,7 +393,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	r.observeMigrationHealth(res)
 	// Plan recording captures exactly what committed this epoch — the
 	// decisions a replay must reproduce (see replay.go).
-	r.recordCommitted(res.Promotions.Moved, res.Demotions.Moved)
+	r.recordCommitted(res)
 
 	// A cancelled plan skips regions deliberately; that is the caller's
 	// choice, not a failing migration path, so it must not trip the

@@ -18,7 +18,6 @@ import (
 	"atmem"
 	"atmem/apps"
 	"atmem/graph"
-	"atmem/internal/core"
 	"atmem/internal/memsim"
 )
 
@@ -116,14 +115,14 @@ func scale24(s *Suite) ([]*Report, error) {
 // else RunEpoch does (profiling, attribution, analysis, scheduling,
 // migration — the placement loop replay is meant to collapse).
 type planSession struct {
-	Verdict          core.LookupVerdict
+	Verdict          atmem.LookupVerdict
 	Replayed         bool
 	WallSeconds      float64
 	BodySeconds      float64
 	PlacementSeconds float64
 	ResidentBytes    uint64
 	Layout           map[string][memsim.NumTiers]uint64
-	Plan             *core.CompiledPlan
+	Plan             *atmem.CompiledPlan
 	// CRC and Ranks are resultCRC and the PR ranks after the epochs,
 	// which sameResults compares.
 	CRC   uint32
@@ -133,7 +132,7 @@ type planSession struct {
 // runPlanSession executes one governed run of app on dataset ds for the
 // given number of epochs against the shared plan cache: the first call
 // records (miss), an identical second call replays (hit).
-func runPlanSession(pc *core.PlanCache, app, ds string, epochs int) (planSession, error) {
+func runPlanSession(pc *atmem.PlanCache, app, ds string, epochs int) (planSession, error) {
 	var out planSession
 	g, err := graph.Load(ds)
 	if err != nil {
@@ -191,43 +190,46 @@ func runPlanSession(pc *core.PlanCache, app, ds string, epochs int) (planSession
 	return out, nil
 }
 
-// comparePlanSessions runs the online (recording) and replay runs and
-// checks the equivalence contract: the same results (sameResults),
-// identical final residency and per-object tier layout.
+// comparePlanSessions records app on ds for the given epochs into a
+// fresh plan cache, replays the recording, and checks the pair
+// (checkPlanReplay).
 func comparePlanSessions(app, ds string, epochs int) (online, replay planSession, err error) {
-	pc := core.NewPlanCache()
-	online, err = runPlanSession(pc, app, ds, epochs)
-	if err != nil {
+	pc := atmem.NewPlanCache()
+	if online, err = runPlanSession(pc, app, ds, epochs); err != nil {
 		return
 	}
-	if online.Verdict != core.LookupMiss || online.Replayed {
-		err = fmt.Errorf("harness: first session did not record (verdict %v)", online.Verdict)
+	if replay, err = runPlanSession(pc, app, ds, epochs); err != nil {
 		return
 	}
-	replay, err = runPlanSession(pc, app, ds, epochs)
-	if err != nil {
-		return
+	err = checkPlanReplay(online, replay)
+	return
+}
+
+// checkPlanReplay checks the equivalence contract between a recording
+// session and a replay of its plan: the first recorded (miss), the
+// second replayed (hit), and both computed the same results
+// (sameResults) and ended on identical final residency and per-object
+// tier layout.
+func checkPlanReplay(online, replay planSession) error {
+	if online.Verdict != atmem.LookupMiss || online.Replayed {
+		return fmt.Errorf("harness: first session did not record (verdict %v)", online.Verdict)
 	}
-	if replay.Verdict != core.LookupHit || !replay.Replayed {
-		err = fmt.Errorf("harness: second session did not replay (verdict %v)", replay.Verdict)
-		return
+	if replay.Verdict != atmem.LookupHit || !replay.Replayed {
+		return fmt.Errorf("harness: second session did not replay (verdict %v)", replay.Verdict)
 	}
-	if err = sameResults(&ScriptResult{CRC: online.CRC, Ranks: online.Ranks},
+	if err := sameResults(&ScriptResult{CRC: online.CRC, Ranks: online.Ranks},
 		&ScriptResult{CRC: replay.CRC, Ranks: replay.Ranks}); err != nil {
-		err = fmt.Errorf("harness: plan replay: %w", err)
-		return
+		return fmt.Errorf("harness: plan replay: %w", err)
 	}
 	if online.ResidentBytes != replay.ResidentBytes {
-		err = fmt.Errorf("harness: final residency diverged: %d vs %d", online.ResidentBytes, replay.ResidentBytes)
-		return
+		return fmt.Errorf("harness: final residency diverged: %d vs %d", online.ResidentBytes, replay.ResidentBytes)
 	}
 	for name, want := range online.Layout {
 		if replay.Layout[name] != want {
-			err = fmt.Errorf("harness: object %q tier layout diverged: %v vs %v", name, replay.Layout[name], want)
-			return
+			return fmt.Errorf("harness: object %q tier layout diverged: %v vs %v", name, replay.Layout[name], want)
 		}
 	}
-	return
+	return nil
 }
 
 // planReplay is the online-vs-replay experiment of the tentpole: the
@@ -255,8 +257,8 @@ func planReplay(s *Suite) ([]*Report, error) {
 	}
 	row("online", online)
 	row("replay", replay)
-	rep.AddNote("placement-loop speedup %.1fx (replay skips profiling, attribution, analysis, and scheduling; only the recorded migrations execute); plan: %d epochs, %d steps",
-		online.PlacementSeconds/replay.PlacementSeconds, online.Plan.Epochs, len(online.Plan.Steps))
+	rep.AddNote("placement-loop speedup %.1fx (replay skips profiling, attribution, analysis, and scheduling; only the recorded migrations execute); plan: %d epochs, %d regions",
+		online.PlacementSeconds/replay.PlacementSeconds, len(online.Plan.Epochs), online.Plan.Regions())
 	rep.AddNote("equivalence held: identical results (result CRCs, PR ranks), final residency and per-object tier layout")
 	return []*Report{rep}, nil
 }

@@ -110,7 +110,7 @@ func WithAsyncPlacement() Option {
 // of governed placement schedules (see Options.PlanCache and
 // Runtime.ArmPlan). Pass the same cache to every runtime that should
 // share recorded plans.
-func WithPlanCache(pc *core.PlanCache) Option {
+func WithPlanCache(pc *PlanCache) Option {
 	return func(o *Options) { o.PlanCache = pc }
 }
 

@@ -202,10 +202,10 @@ func TestPaperPolicyPlacementUnchanged(t *testing.T) {
 // or oracle policy degrades the lookup to LookupStale and the run falls
 // back to the online loop.
 func TestPlanStaleOnPolicyFingerprintChange(t *testing.T) {
-	pc := core.NewPlanCache()
+	pc := NewPlanCache()
 	rec, hot := replayFixture(t, pc)
 	sig := rec.BuildSignature("synthetic", 0x1234, []string{"scan"})
-	if v, err := rec.ArmPlan(sig); err != nil || v != core.LookupMiss {
+	if v, err := rec.ArmPlan(sig); err != nil || v != LookupMiss {
 		t.Fatalf("recording ArmPlan = (%v, %v), want miss", v, err)
 	}
 	epochOn(t, rec, "e1", hot)
@@ -225,7 +225,7 @@ func TestPlanStaleOnPolicyFingerprintChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v != core.LookupHit {
+		if v != LookupHit {
 			t.Errorf("%s rearm verdict = %v, want hit", name, v)
 		}
 	}
@@ -239,7 +239,7 @@ func TestPlanStaleOnPolicyFingerprintChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v != core.LookupStale {
+		if v != LookupStale {
 			t.Errorf("%s rearm verdict = %v, want stale", name, v)
 		}
 		if rt.Replaying() {

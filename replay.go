@@ -1,18 +1,18 @@
 package atmem
 
-// This file is the runtime half of compiled-plan record/replay (the
-// compiler lives in internal/core/plancompile.go). The observation is
-// the paper's §5 loop run twice: for a deterministic workload, the
-// governed run's per-epoch placement decisions are a pure function of
-// the workload signature, so a second run can skip profiling and
-// analysis entirely and just execute the recorded migration schedule.
+// This file is compiled-plan record/replay. The observation is the
+// paper's §5 loop run twice: for a deterministic workload, the governed
+// run's per-epoch placement decisions are a pure function of the
+// workload signature, so a second run can skip profiling and analysis
+// entirely and just execute the recorded migration schedule. Unimem
+// makes the same observation for phase-local placement.
 //
 // The lifecycle on a governed runtime with Options.PlanCache:
 //
 //	sig := rt.BuildSignature(g.Name, g.CRC(), []string{"bfs", "pr"})
 //	verdict, _ := rt.ArmPlan(sig)      // hit → replay; miss/stale → record
 //	for each epoch { rt.RunEpoch(...) }
-//	plan, _ := rt.FinishPlan()         // recording: compile + cache
+//	plan, _ := rt.FinishPlan()         // recording: cache the plan
 //
 // A signature mismatch is never replayed: a LookupStale verdict (same
 // workload, different knobs/graph/threads) falls back to the online
@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"atmem/internal/core"
 	"atmem/internal/governor"
@@ -31,13 +32,163 @@ import (
 	"atmem/internal/telemetry"
 )
 
+// Signature identifies the workload a compiled plan was recorded from.
+// Two runs with equal signatures make identical placement decisions, so
+// replaying the recorded schedule is sound; any field differing means
+// the decisions could diverge and the plan must not be used.
+type Signature struct {
+	// Graph names the dataset; GraphCRC fingerprints its content (CSR
+	// arrays), so a regenerated or relabelled graph under the same name
+	// invalidates the plan.
+	Graph    string
+	GraphCRC uint32
+	// Kernels is the ordered kernel set of the suite (comma-joined).
+	Kernels string
+	// Threads is the simulated thread count (placement interleaving and
+	// sample staggering depend on it).
+	Threads int
+	// Testbed fingerprints the tier parameters (capacities, latencies,
+	// line size) of the simulated machine.
+	Testbed string
+	// Policy fingerprints the placement knobs: policy, migration engine,
+	// analyzer ε and chunk config, sampling period mode.
+	Policy string
+	// Governor fingerprints the governor config (watermarks, hysteresis,
+	// breaker), which shapes demotion decisions.
+	Governor string
+	// Health fingerprints the tier-health state and policy (quarantine
+	// generation, retired bytes, scrubber, scoreboard knobs). Pages
+	// quarantined after a recording change the fast tier the plan was
+	// recorded against, so the plan must go stale rather than replay a
+	// promotion onto retired pages.
+	Health string
+}
+
+// Key returns the strict cache key: every field participates.
+func (s Signature) Key() string {
+	return fmt.Sprintf("%s|%08x|%s|%d|%s|%s|%s|%s",
+		s.Graph, s.GraphCRC, s.Kernels, s.Threads, s.Testbed, s.Policy, s.Governor, s.Health)
+}
+
+// workloadKey is the coarse identity — the workload a user would consider
+// "the same run" — used to tell a plain cache miss from a stale plan.
+func (s Signature) workloadKey() string {
+	return s.Graph + "|" + s.Kernels
+}
+
+// CompiledPlan is a recorded run's committed placement: Epochs[e-1] is
+// the schedule that committed in epoch e, demotions and promotions each
+// in commit order. Rolled-back and skipped regions never enter it, and
+// an epoch that committed nothing keeps an empty schedule, so the
+// numbering stays aligned with the bodies the caller runs. Every
+// runtime that arms a cached plan shares it; it is never written after
+// FinishPlan.
+type CompiledPlan struct {
+	Sig    Signature
+	Epochs []migrate.Schedule
+}
+
+// Regions returns the number of demoted plus promoted regions the plan
+// replays.
+func (p *CompiledPlan) Regions() int {
+	n := 0
+	for _, s := range p.Epochs {
+		n += len(s.Demotions) + len(s.Promotions)
+	}
+	return n
+}
+
+// LookupVerdict classifies a PlanCache lookup.
+type LookupVerdict int
+
+const (
+	// LookupHit: a plan recorded under the exact signature exists.
+	LookupHit LookupVerdict = iota
+	// LookupMiss: no plan for this workload at all.
+	LookupMiss
+	// LookupStale: a plan for the same workload (graph name + kernels)
+	// exists, but a strict signature field differs — the cached schedule
+	// was recorded under assumptions that no longer hold. Replaying it
+	// would apply placement decisions from a different decision chain,
+	// so the caller MUST fall back to the online loop; the verdict
+	// exists so the fallback is observable, never silent.
+	LookupStale
+)
+
+func (v LookupVerdict) String() string {
+	switch v {
+	case LookupHit:
+		return "hit"
+	case LookupMiss:
+		return "miss"
+	case LookupStale:
+		return "stale"
+	}
+	return fmt.Sprintf("LookupVerdict(%d)", int(v))
+}
+
+// PlanCache is the cross-run store of compiled placement plans, keyed
+// by strict signature, with a coarse workload index so lookups can
+// distinguish "never recorded" from "recorded under different
+// assumptions". Share one cache across the runtimes that should reuse
+// each other's plans; it is safe for concurrent use.
+type PlanCache struct {
+	mu       sync.Mutex
+	plans    map[string]*CompiledPlan
+	workload map[string][]string // workloadKey -> strict keys present
+}
+
+// NewPlanCache returns an empty plan cache.
+func NewPlanCache() *PlanCache {
+	return &PlanCache{
+		plans:    make(map[string]*CompiledPlan),
+		workload: make(map[string][]string),
+	}
+}
+
+// Put stores a compiled plan under its signature, replacing any previous
+// plan with the identical strict key.
+func (c *PlanCache) Put(p *CompiledPlan) {
+	key := p.Sig.Key()
+	wk := p.Sig.workloadKey()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, exists := c.plans[key]; !exists {
+		c.workload[wk] = append(c.workload[wk], key)
+	}
+	c.plans[key] = p
+}
+
+// Lookup resolves a signature: LookupHit returns the plan; LookupMiss
+// and LookupStale return nil, and the difference is the caller's
+// fallback telemetry — a stale verdict means a plan for this workload
+// exists but must not be replayed (see LookupStale).
+func (c *PlanCache) Lookup(sig Signature) (*CompiledPlan, LookupVerdict) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p, ok := c.plans[sig.Key()]; ok {
+		return p, LookupHit
+	}
+	if len(c.workload[sig.workloadKey()]) > 0 {
+		return nil, LookupStale
+	}
+	return nil, LookupMiss
+}
+
+// Len returns the number of cached plans.
+func (c *PlanCache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.plans)
+}
+
 // BuildSignature derives the workload signature of the upcoming governed
 // run: the dataset (name + content CRC), the ordered kernel set, the
 // simulated thread count, the testbed's tier parameters, and every
 // placement knob the decision chain depends on. Call it after the graph
 // is loaded (the CRC must cover the exact bytes the kernels will walk).
-func (r *Runtime) BuildSignature(graphName string, graphCRC uint32, kernels []string) core.Signature {
-	return core.Signature{
+func (r *Runtime) BuildSignature(graphName string, graphCRC uint32, kernels []string) Signature {
+	return Signature{
 		Graph:    graphName,
 		GraphCRC: graphCRC,
 		Kernels:  strings.Join(kernels, ","),
@@ -78,7 +229,7 @@ func (r *Runtime) policyFingerprint() string {
 func (r *Runtime) Replaying() bool { return r.armedPlan != nil }
 
 // PlanVerdict returns the outcome of the last ArmPlan lookup.
-func (r *Runtime) PlanVerdict() core.LookupVerdict { return r.planVerdict }
+func (r *Runtime) PlanVerdict() LookupVerdict { return r.planVerdict }
 
 // ArmPlan resolves the signature against the plan cache and arms the
 // runtime accordingly:
@@ -88,7 +239,7 @@ func (r *Runtime) PlanVerdict() core.LookupVerdict { return r.planVerdict }
 //     migrations, epoch by epoch.
 //   - LookupMiss / LookupStale: the run proceeds through the normal
 //     online loop and records its committed placement decisions;
-//     FinishPlan compiles and caches them. Stale means a plan for this
+//     FinishPlan caches them. Stale means a plan for this
 //     workload exists under different assumptions — it is deliberately
 //     not replayed, and the verdict makes the fallback observable.
 //
@@ -97,21 +248,21 @@ func (r *Runtime) PlanVerdict() core.LookupVerdict { return r.planVerdict }
 // placement during the next epoch, which would shift the recorded
 // schedule by one), and a solo runtime (a replayed promotion would
 // bypass a broker tenant's share), and must run before the first epoch.
-func (r *Runtime) ArmPlan(sig core.Signature) (core.LookupVerdict, error) {
+func (r *Runtime) ArmPlan(sig Signature) (LookupVerdict, error) {
 	if r.planCache == nil {
-		return core.LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.PlanCache")
+		return LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.PlanCache")
 	}
 	if !r.opts.Governor.Enabled {
-		return core.LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.Governor.Enabled")
+		return LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.Governor.Enabled")
 	}
 	if r.opts.Async {
-		return core.LookupMiss, fmt.Errorf("atmem: plan record/replay requires the synchronous RunEpoch loop (Options.Async must be off)")
+		return LookupMiss, fmt.Errorf("atmem: plan record/replay requires the synchronous RunEpoch loop (Options.Async must be off)")
 	}
 	if r.tenant != nil {
-		return core.LookupMiss, fmt.Errorf("atmem: plan record/replay is not supported on a broker tenant (replayed promotions would bypass the tenant's share)")
+		return LookupMiss, fmt.Errorf("atmem: plan record/replay is not supported on a broker tenant (replayed promotions would bypass the tenant's share)")
 	}
-	if r.planRec != nil || r.armedPlan != nil {
-		return core.LookupMiss, fmt.Errorf("atmem: a plan is already armed; call FinishPlan first")
+	if r.recording != nil || r.armedPlan != nil {
+		return LookupMiss, fmt.Errorf("atmem: a plan is already armed; call FinishPlan first")
 	}
 	plan, verdict := r.planCache.Lookup(sig)
 	r.planVerdict = verdict
@@ -121,7 +272,7 @@ func (r *Runtime) ArmPlan(sig core.Signature) (core.LookupVerdict, error) {
 		"graph":   sig.Graph,
 		"kernels": sig.Kernels,
 	})
-	if verdict == core.LookupHit {
+	if verdict == LookupHit {
 		r.armedPlan = plan
 		r.planEpoch = 0
 		// A replayed run never profiles: drop the miss hooks so the
@@ -131,25 +282,25 @@ func (r *Runtime) ArmPlan(sig core.Signature) (core.LookupVerdict, error) {
 		}
 		return verdict, nil
 	}
-	r.planRec = core.NewPlanRecorder(sig)
+	r.recording = &CompiledPlan{Sig: sig}
 	return verdict, nil
 }
 
 // FinishPlan closes the record/replay session opened by ArmPlan. After a
-// recording run it compiles the captured decisions into a CompiledPlan,
-// stores it in the cache, and returns it; after a replay run it returns
+// recording run it stores the recorded plan in the cache and returns
+// it; after a replay run it returns
 // the plan that was replayed and restores the profiler hooks so the
 // runtime can go back to online epochs.
-func (r *Runtime) FinishPlan() (*core.CompiledPlan, error) {
+func (r *Runtime) FinishPlan() (*CompiledPlan, error) {
 	switch {
-	case r.planRec != nil:
-		p := r.planRec.Compile()
+	case r.recording != nil:
+		p := r.recording
 		r.planCache.Put(p)
-		r.planRec = nil
+		r.recording = nil
 		r.rec.Begin(0, "plan", "compile", nil)
 		r.rec.End(0, "plan", "compile", telemetry.Args{
-			"epochs": p.Epochs,
-			"steps":  len(p.Steps),
+			"epochs":  len(p.Epochs),
+			"regions": p.Regions(),
 		})
 		return p, nil
 	case r.armedPlan != nil:
@@ -163,25 +314,20 @@ func (r *Runtime) FinishPlan() (*core.CompiledPlan, error) {
 	return nil, fmt.Errorf("atmem: FinishPlan without ArmPlan")
 }
 
-// applyPlanEpoch is the replay source's step after the body: execute
+// applyPlanEpoch is the replay source's step after the body: commit
 // one plan epoch's recorded schedule through the same commit path as the
-// online loop, demotions first (they fund the promotions, the invariant
-// the compiler encoded as dependency edges). The page table is the
-// only record of residency, so the final fast-resident footprint of a
-// replay matches the recorded run bit for bit.
+// online loop, demotions first (they fund the promotions), each in the
+// recorded order. The page table is the only record of residency, so
+// the final fast-resident footprint of a replay matches the recorded
+// run bit for bit.
 func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationReport, error) {
 	r.rec.Begin(0, "replay", "apply-plan", telemetry.Args{"plan_epoch": epoch})
 
-	demos, promos := r.armedPlan.EpochSteps(epoch)
-	sched := migrate.Schedule{}
-	for _, st := range demos {
-		sched.Demotions = append(sched.Demotions, migrate.Region{Base: st.Base, Size: st.Size})
-	}
-	for _, st := range promos {
-		sched.Promotions = append(sched.Promotions, migrate.Region{Base: st.Base, Size: st.Size})
-	}
-	// The health veto applies on replay too: pages quarantined since the
+	// The schedule is a copy of the shared plan's entry; filterPromotions
+	// builds a fresh slice, so nothing below writes into the plan. The
+	// health veto applies on replay too: pages quarantined since the
 	// recording must never receive a replayed promotion.
+	sched := r.armedPlan.Epochs[epoch-1]
 	sched.Promotions = r.filterPromotions(0, sched.Promotions)
 
 	// Replay bypasses the breaker (the recorded run already paid for the
@@ -205,28 +351,16 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 	return rep, err
 }
 
-// PlanCache is the cross-run store of compiled placement plans. Share
-// one cache across the runtimes that should reuse each other's plans
-// (it is safe for concurrent use). Aliased from internal/core so
-// callers outside the module can construct one.
-type PlanCache = core.PlanCache
-
-// NewPlanCache returns an empty plan cache.
-func NewPlanCache() *PlanCache { return core.NewPlanCache() }
-
-// recordCommitted feeds one epoch's committed regions to the armed
-// recorder (no-op otherwise). Only commits enter the plan: a replayed
-// rollback or skip would desynchronize residency from the recording.
-func (r *Runtime) recordCommitted(promoted, demoted []migrate.Region) {
-	if r.planRec == nil {
+// recordCommitted appends one placement's committed regions to the
+// recording's current epoch (no-op unless a recorder is armed). Only
+// commits enter the plan: a replayed rollback or skip would
+// desynchronize residency from the recording. A placement outside any
+// epoch (an Optimize before the first one) has no schedule to join.
+func (r *Runtime) recordCommitted(res migrate.ScheduleResult) {
+	if r.recording == nil || len(r.recording.Epochs) == 0 {
 		return
 	}
-	toRanges := func(regs []migrate.Region) []core.Range {
-		out := make([]core.Range, len(regs))
-		for i, rg := range regs {
-			out[i] = core.Range{Base: rg.Base, Size: rg.Size}
-		}
-		return out
-	}
-	r.planRec.RecordEpoch(toRanges(promoted), toRanges(demoted))
+	s := &r.recording.Epochs[len(r.recording.Epochs)-1]
+	s.Demotions = append(s.Demotions, res.Demotions.Moved...)
+	s.Promotions = append(s.Promotions, res.Promotions.Moved...)
 }

@@ -3,9 +3,9 @@ package atmem
 import (
 	"testing"
 
-	"atmem/internal/core"
 	"atmem/internal/faultinject"
 	"atmem/internal/memsim"
+	"atmem/internal/migrate"
 )
 
 // replayFixture builds a governed runtime wired to the given plan cache,
@@ -13,7 +13,7 @@ import (
 // deterministic, so two identically-built fixtures place their objects
 // at identical addresses — the property that makes recorded absolute
 // ranges replayable.
-func replayFixture(t *testing.T, pc *core.PlanCache, opts ...Option) (*Runtime, *Array[uint64]) {
+func replayFixture(t *testing.T, pc *PlanCache, opts ...Option) (*Runtime, *Array[uint64]) {
 	t.Helper()
 	all := append([]Option{
 		WithSamplePeriod(64),
@@ -50,12 +50,12 @@ func tierLayout(rt *Runtime) map[string][memsim.NumTiers]uint64 {
 // run replays them — zero profiling, zero analysis — landing on the
 // identical final tier layout and residency.
 func TestPlanRecordReplayEquivalence(t *testing.T) {
-	pc := core.NewPlanCache()
+	pc := NewPlanCache()
 	const epochs = 3
 
 	rec, hot := replayFixture(t, pc)
 	sig := rec.BuildSignature("synthetic", 0x1234, []string{"scan"})
-	if v, err := rec.ArmPlan(sig); err != nil || v != core.LookupMiss {
+	if v, err := rec.ArmPlan(sig); err != nil || v != LookupMiss {
 		t.Fatalf("first ArmPlan = (%v, %v), want miss", v, err)
 	}
 	if rec.Replaying() {
@@ -71,24 +71,21 @@ func TestPlanRecordReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Epochs != epochs {
-		t.Fatalf("plan recorded %d epochs, want %d", plan.Epochs, epochs)
+	if len(plan.Epochs) != epochs {
+		t.Fatalf("plan recorded %d epochs, want %d", len(plan.Epochs), epochs)
 	}
-	if len(plan.Steps) == 0 {
-		t.Fatal("plan recorded no steps (first epoch must promote)")
+	if len(plan.Epochs[0].Promotions) == 0 {
+		t.Fatal("plan recorded no promotion in the first epoch")
 	}
 	wantLayout := tierLayout(rec)
 	wantResident := rec.ResidentBytes()
-	if plan.FinalFastBytes != wantResident {
-		t.Errorf("plan FinalFastBytes %d != recorded residency %d", plan.FinalFastBytes, wantResident)
-	}
 
 	rep, hot2 := replayFixture(t, pc)
 	sig2 := rep.BuildSignature("synthetic", 0x1234, []string{"scan"})
 	if sig2.Key() != sig.Key() {
 		t.Fatalf("identical fixtures produced different signatures:\n%s\n%s", sig.Key(), sig2.Key())
 	}
-	if v, err := rep.ArmPlan(sig2); err != nil || v != core.LookupHit {
+	if v, err := rep.ArmPlan(sig2); err != nil || v != LookupHit {
 		t.Fatalf("second ArmPlan = (%v, %v), want hit", v, err)
 	}
 	if !rep.Replaying() {
@@ -128,13 +125,131 @@ func TestPlanRecordReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestRecordEmptyEpochsKeepNumbering pins the epoch alignment of the
+// schedule log: an epoch that commits nothing still records an empty
+// schedule, so the replay commits the second epoch's moves in its
+// second epoch, not its first.
+func TestRecordEmptyEpochsKeepNumbering(t *testing.T) {
+	pc := NewPlanCache()
+	rec, hot := replayFixture(t, pc)
+	sig := rec.BuildSignature("synthetic", 0x1234, []string{"scan"})
+	if _, err := rec.ArmPlan(sig); err != nil {
+		t.Fatal(err)
+	}
+	if er, err := rec.RunEpoch("idle", func() {}); err != nil || er.Optimized {
+		t.Fatalf("idle epoch = (%+v, %v), want no placement", er, err)
+	}
+	epochOn(t, rec, "e2", hot)
+	plan, err := rec.FinishPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Epochs) != 2 {
+		t.Fatalf("plan recorded %d epochs, want 2 (empty epochs count)", len(plan.Epochs))
+	}
+	if !plan.Epochs[0].Empty() || len(plan.Epochs[1].Promotions) == 0 {
+		t.Fatalf("epochs = %+v, want an empty first epoch and promotions in the second", plan.Epochs)
+	}
+	if got := plan.Regions(); got != len(plan.Epochs[1].Demotions)+len(plan.Epochs[1].Promotions) {
+		t.Errorf("Regions() = %d, want the second epoch's region count", got)
+	}
+
+	rep, hot2 := replayFixture(t, pc)
+	if v, err := rep.ArmPlan(sig); err != nil || v != LookupHit {
+		t.Fatalf("replay ArmPlan = (%v, %v), want hit", v, err)
+	}
+	first, err := rep.RunEpoch("idle", func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Migration.BytesMoved != 0 {
+		t.Errorf("replayed empty epoch moved %d bytes", first.Migration.BytesMoved)
+	}
+	second, err := rep.RunEpoch("e2", func() { scanPhase(rep, "e2", hot2) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Migration.BytesMoved == 0 {
+		t.Error("replayed second epoch moved nothing")
+	}
+	if _, err := rep.FinishPlan(); err != nil {
+		t.Fatal(err)
+	}
+	if rep.ResidentBytes() != rec.ResidentBytes() {
+		t.Errorf("replay residency %d != recorded %d", rep.ResidentBytes(), rec.ResidentBytes())
+	}
+}
+
+// TestPlanCacheVerdicts pins the lookup classes: an exact signature
+// hits, the same workload under any differing strict field is stale
+// and returns no plan, and a different workload is a plain miss.
+func TestPlanCacheVerdicts(t *testing.T) {
+	c := NewPlanCache()
+	sig := Signature{
+		Graph:    "rmat20",
+		GraphCRC: 0xdeadbeef,
+		Kernels:  "bfs,pr",
+		Threads:  8,
+		Testbed:  "nvm-dram",
+		Policy:   "policy=atmem",
+		Governor: "hw=0.9",
+	}
+
+	if p, v := c.Lookup(sig); p != nil || v != LookupMiss {
+		t.Fatalf("empty cache lookup = (%v, %v), want (nil, miss)", p, v)
+	}
+
+	c.Put(&CompiledPlan{Sig: sig, Epochs: []migrate.Schedule{
+		{Promotions: []migrate.Region{{Base: 0x1000, Size: 0x1000}}},
+	}})
+
+	if p, v := c.Lookup(sig); p == nil || v != LookupHit {
+		t.Fatalf("exact lookup = (%v, %v), want hit", p, v)
+	}
+
+	// Same workload (graph + kernels), any strict field differing: stale,
+	// and no plan is returned — the caller must go online.
+	stale := []Signature{sig, sig, sig, sig, sig}
+	stale[0].GraphCRC++
+	stale[1].Threads = 16
+	stale[2].Policy = "policy=baseline"
+	stale[3].Governor = "hw=0.8"
+	stale[4].Health = "gen=1"
+	for i, s := range stale {
+		if p, v := c.Lookup(s); p != nil || v != LookupStale {
+			t.Errorf("stale case %d: lookup = (%v, %v), want (nil, stale)", i, p, v)
+		}
+	}
+
+	// A different workload entirely is a plain miss.
+	other := sig
+	other.Graph = "urand20"
+	if p, v := c.Lookup(other); p != nil || v != LookupMiss {
+		t.Errorf("other-workload lookup = (%v, %v), want (nil, miss)", p, v)
+	}
+
+	if c.Len() != 1 {
+		t.Errorf("cache Len = %d, want 1", c.Len())
+	}
+}
+
+func TestLookupVerdictString(t *testing.T) {
+	for v, want := range map[LookupVerdict]string{
+		LookupHit: "hit", LookupMiss: "miss", LookupStale: "stale",
+	} {
+		if got := v.String(); got != want {
+			t.Errorf("%d.String() = %q, want %q", int(v), got, want)
+		}
+	}
+}
+
 // TestPlanStaleFallsBackOnline is the invalidation contract (a stale
 // plan must never be replayed silently): any strict signature field
 // differing — graph content, thread count, a policy knob — yields
 // LookupStale, leaves the runtime in the online loop, and the epochs
 // profile and optimize normally.
 func TestPlanStaleFallsBackOnline(t *testing.T) {
-	pc := core.NewPlanCache()
+	pc := NewPlanCache()
 
 	rec, hot := replayFixture(t, pc)
 	sig := rec.BuildSignature("synthetic", 0x1234, []string{"scan"})
@@ -150,18 +265,18 @@ func TestPlanStaleFallsBackOnline(t *testing.T) {
 		name string
 		opts []Option
 		// mutate derives the lookup signature the run arms with.
-		mutate func(*Runtime) core.Signature
+		mutate func(*Runtime) Signature
 	}{
-		{"graph-crc", nil, func(rt *Runtime) core.Signature {
+		{"graph-crc", nil, func(rt *Runtime) Signature {
 			return rt.BuildSignature("synthetic", 0x9999, []string{"scan"})
 		}},
-		{"thread-count", []Option{WithThreads(4)}, func(rt *Runtime) core.Signature {
+		{"thread-count", []Option{WithThreads(4)}, func(rt *Runtime) Signature {
 			return rt.BuildSignature("synthetic", 0x1234, []string{"scan"})
 		}},
-		{"policy-knob", []Option{WithSamplePeriod(128)}, func(rt *Runtime) core.Signature {
+		{"policy-knob", []Option{WithSamplePeriod(128)}, func(rt *Runtime) Signature {
 			return rt.BuildSignature("synthetic", 0x1234, []string{"scan"})
 		}},
-		{"governor-knob", []Option{WithGovernor(GovernorOptions{DemoteAfterEpochs: 5})}, func(rt *Runtime) core.Signature {
+		{"governor-knob", []Option{WithGovernor(GovernorOptions{DemoteAfterEpochs: 5})}, func(rt *Runtime) Signature {
 			return rt.BuildSignature("synthetic", 0x1234, []string{"scan"})
 		}},
 	}
@@ -172,7 +287,7 @@ func TestPlanStaleFallsBackOnline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if v != core.LookupStale {
+			if v != LookupStale {
 				t.Fatalf("verdict = %v, want stale", v)
 			}
 			if rt.Replaying() {
@@ -203,11 +318,11 @@ func TestPlanStaleFallsBackOnline(t *testing.T) {
 // generation, the signature's Health field changes, and the lookup
 // degrades to stale with a clean online fallback.
 func TestPlanStaleAfterQuarantine(t *testing.T) {
-	pc := core.NewPlanCache()
+	pc := NewPlanCache()
 
 	rec, hot := replayFixture(t, pc)
 	sig := rec.BuildSignature("synthetic", 0x1234, []string{"scan"})
-	if v, err := rec.ArmPlan(sig); err != nil || v != core.LookupMiss {
+	if v, err := rec.ArmPlan(sig); err != nil || v != LookupMiss {
 		t.Fatalf("recording ArmPlan = (%v, %v), want miss", v, err)
 	}
 	epochOn(t, rec, "e1", hot)
@@ -230,7 +345,7 @@ func TestPlanStaleAfterQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != core.LookupStale {
+	if v != LookupStale {
 		t.Fatalf("post-quarantine verdict = %v, want stale", v)
 	}
 	if rt.Replaying() {
@@ -265,7 +380,7 @@ func TestPlanStaleAfterQuarantine(t *testing.T) {
 // (skips, not errors), end on the identical tier layout, and leave the
 // data bit-identical.
 func TestReplayFaultStormMatchesOnline(t *testing.T) {
-	pc := core.NewPlanCache()
+	pc := NewPlanCache()
 
 	rec, hot := replayFixture(t, pc)
 	sig := rec.BuildSignature("synthetic", 0x1234, []string{"scan"})
@@ -289,7 +404,7 @@ func TestReplayFaultStormMatchesOnline(t *testing.T) {
 		}
 	}
 
-	online, hotA := replayFixture(t, core.NewPlanCache())
+	online, hotA := replayFixture(t, NewPlanCache())
 	storm(online)
 	onlineRep, err := online.RunEpoch("e1", func() { scanPhase(online, "e1", hotA) })
 	if err != nil {
@@ -298,7 +413,7 @@ func TestReplayFaultStormMatchesOnline(t *testing.T) {
 
 	replay, hotB := replayFixture(t, pc)
 	storm(replay)
-	if v, err := replay.ArmPlan(replay.BuildSignature("synthetic", 0x1234, []string{"scan"})); err != nil || v != core.LookupHit {
+	if v, err := replay.ArmPlan(replay.BuildSignature("synthetic", 0x1234, []string{"scan"})); err != nil || v != LookupHit {
 		t.Fatalf("replay ArmPlan = (%v, %v), want hit", v, err)
 	}
 	replayRep, err := replay.RunEpoch("e1", func() { scanPhase(replay, "e1", hotB) })
@@ -344,7 +459,7 @@ func TestReplayFaultStormMatchesOnline(t *testing.T) {
 // governor, the synchronous loop, a solo runtime, and one arm per
 // session.
 func TestArmPlanRequirements(t *testing.T) {
-	sig := core.Signature{Graph: "g", Kernels: "k"}
+	sig := Signature{Graph: "g", Kernels: "k"}
 	bk := NewBroker(govTestbed(8<<20), BrokerConfig{})
 	tn, err := bk.Admit(TenantSpec{Name: "t", Class: ClassBurstable, FloorBytes: 1 << 20})
 	if err != nil {
@@ -355,10 +470,10 @@ func TestArmPlanRequirements(t *testing.T) {
 		opts []Option
 	}{
 		{"without a plan cache", []Option{WithGovernor(GovernorOptions{})}},
-		{"without the governor", []Option{WithPlanCache(core.NewPlanCache())}},
-		{"under async placement", []Option{WithPlanCache(core.NewPlanCache()), WithAsyncPlacement()}},
+		{"without the governor", []Option{WithPlanCache(NewPlanCache())}},
+		{"under async placement", []Option{WithPlanCache(NewPlanCache()), WithAsyncPlacement()}},
 		// Replayed promotions would bypass the tenant's share cap.
-		{"on a broker tenant", []Option{WithPlanCache(core.NewPlanCache()), WithTenant(tn)}},
+		{"on a broker tenant", []Option{WithPlanCache(NewPlanCache()), WithTenant(tn)}},
 	} {
 		rt, err := New(NVMDRAM(), tc.opts...)
 		if err != nil {
@@ -369,7 +484,7 @@ func TestArmPlanRequirements(t *testing.T) {
 		}
 	}
 
-	pc := core.NewPlanCache()
+	pc := NewPlanCache()
 	rt, _ := replayFixture(t, pc)
 	if _, err := rt.ArmPlan(rt.BuildSignature("g", 1, []string{"k"})); err != nil {
 		t.Fatal(err)

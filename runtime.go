@@ -55,16 +55,16 @@ type Runtime struct {
 	breaker *governor.Breaker
 	epoch   int
 
-	// Compiled-plan record/replay state (see replay.go). planRec is
+	// Compiled-plan record/replay state (see replay.go). recording is
 	// non-nil while a governed run's placement decisions are being
 	// recorded; armedPlan is non-nil while a cached plan is replaying
 	// (planEpoch counts the plan epochs applied so far); planVerdict is
 	// the last ArmPlan lookup outcome.
-	planCache   *core.PlanCache
-	planRec     *core.PlanRecorder
-	armedPlan   *core.CompiledPlan
+	planCache   *PlanCache
+	recording   *CompiledPlan
+	armedPlan   *CompiledPlan
 	planEpoch   int
-	planVerdict core.LookupVerdict
+	planVerdict LookupVerdict
 
 	// Tier-health state (see health.go). board scores per-granule
 	// errors and decides trust; scrub holds the CRC references and
@@ -432,44 +432,6 @@ func (r *Runtime) SamplePeriod() uint64 { return r.prof.Config().Period }
 
 // SampleCount returns the number of samples captured so far.
 func (r *Runtime) SampleCount() int { return r.prof.SampleCount() }
-
-// MissSample is one captured precise-address profiler event, exported
-// for trace recording (see internal/trace and cmd/atmem-trace).
-type MissSample struct {
-	// Addr is the sampled data address.
-	Addr uint64
-	// Write marks store misses.
-	Write bool
-}
-
-// Samples returns a copy of every profiler sample captured since the
-// last ProfilingStart. With SamplePeriod 1 this is the complete demand
-// -miss trace of the profiled phases.
-func (r *Runtime) Samples() []MissSample {
-	raw := r.prof.Samples()
-	out := make([]MissSample, len(raw))
-	for i, s := range raw {
-		out[i] = MissSample{Addr: s.Addr, Write: s.Write}
-	}
-	return out
-}
-
-// ObjectManifest describes the registered data objects at the time of a
-// trace capture, letting an offline analyzer rebuild the registry.
-type ObjectManifest struct {
-	Name string `json:"name"`
-	Base uint64 `json:"base"`
-	Size uint64 `json:"size"`
-}
-
-// Manifest returns the manifest of all live registered objects.
-func (r *Runtime) Manifest() []ObjectManifest {
-	var out []ObjectManifest
-	for _, o := range r.Objects() {
-		out = append(out, ObjectManifest{Name: o.Name(), Base: o.Base(), Size: o.Size()})
-	}
-	return out
-}
 
 // Optimize is atmem_optimize (Listing 1): it runs the two-stage analyzer
 // over the attributed samples, then migrates the selected bytes not yet

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"atmem/internal/core"
 	"atmem/internal/faultinject"
 	"atmem/internal/telemetry"
 )
@@ -211,7 +210,7 @@ func TestObservationsAgreeAcrossEpochShapes(t *testing.T) {
 		}
 		return rt, []*Array[uint64]{cold, stormed}
 	}
-	pc := core.NewPlanCache()
+	pc := NewPlanCache()
 	recording, scanned := fixture(WithPlanCache(pc))
 	sig := recording.BuildSignature("synthetic", 0x1234, []string{"scan"})
 	if _, err := recording.ArmPlan(sig); err != nil {
@@ -252,7 +251,7 @@ func TestObservationsAgreeAcrossEpochShapes(t *testing.T) {
 			}
 			rt, scanned := fixture(opts...)
 			if tc.replay {
-				if v, err := rt.ArmPlan(sig); err != nil || v != core.LookupHit {
+				if v, err := rt.ArmPlan(sig); err != nil || v != LookupHit {
 					t.Fatalf("ArmPlan = (%v, %v), want hit", v, err)
 				}
 			}
