@@ -1,16 +1,16 @@
 package atmem
 
-// This file is the overlapped placement pipeline: the runtime analogue
-// of the paper's service threads, which profile and migrate while the
-// application keeps computing. RunEpochAsync drives a
-// one-interval-deep pipeline — the placement computed from epoch N's
-// samples overlaps epoch N+1's phases — and reconciles the simulated
-// clock at the join so only the non-hidden share of the migration (plus
-// the bandwidth it steals from the kernels) is charged. The overlap is
-// modelled in simulated time, not run on a second host thread: the
-// placement lands on the caller's goroutine at the epoch's start, before
-// the phases, and only its clock charge waits for the join. So an
-// overlapped epoch is as deterministic as a stop-the-world one.
+// This file is overlapped placement: the runtime analogue of the
+// paper's service threads, which migrate while the application keeps
+// computing. Overlap is a clock rule on the ordinary epoch. An
+// overlapped epoch places exactly what a stop-the-world epoch places, at
+// the same point (right after the body), but leaves the placement's
+// modelled seconds pending instead of adding them to the simulated
+// clock. The next epoch's join settles the pending charge against that
+// epoch's phases (reconcileOverlap), as if the service threads had
+// migrated while the phases ran. So every phase, health pass, breaker
+// decision and reserve read sees the stop-the-world run's mapping; only
+// SimSeconds differs.
 
 import (
 	"context"
@@ -19,47 +19,43 @@ import (
 	"atmem/internal/telemetry"
 )
 
-// RunEpochAsync is RunEpochCtx with overlapped placement: instead of
-// stopping the world after the body to analyze and migrate, it runs
-// the governed Optimize for the *previous* epoch's samples at the
-// epoch's start, then the body, and at the join charges the clock only
-// for what the body's phases could not hide (reconcileOverlap). The
-// epoch's health passes run before the placement and after the join, as
-// on every epoch. The first epoch of a run (nothing pending) overlaps
-// nothing and just profiles; call DrainAsync after the last epoch to
-// place the final interval's samples. Requires Options.Async.
+// RunEpochAsync is RunEpochCtx with overlapped placement: the epoch
+// profiles its body and places its samples like RunEpochCtx (or replays
+// the armed plan's schedule), but the placement's modelled seconds are
+// charged only at the next epoch's join, and only for what that epoch's
+// phases could not hide plus the bandwidth the copies steal from them
+// (reconcileOverlap). Call DrainAsync after the last epoch to settle
+// the final charge. Requires Options.Governor.Enabled.
 //
 // A cancelled ctx stops the placement at the next region or
 // staging-slice boundary (rolled back, reported skipped); the epoch
 // itself still completes and attributes its samples.
 func (r *Runtime) RunEpochAsync(ctx context.Context, name string, body func()) (EpochReport, error) {
-	if !r.opts.Governor.Enabled || !r.opts.Async {
-		return EpochReport{}, fmt.Errorf("atmem: RunEpochAsync requires Options.Async")
-	}
-	return r.runEpoch(ctx, name, sourceOverlapped, body)
+	return r.runEpoch(ctx, name, true, body)
 }
 
-// reconcileOverlap settles the simulated clock at the epoch join. The
-// body's phases already advanced the clock by their wall time; the
-// overlapped migration's modelled seconds were deliberately not added
-// by commitSchedule (it ran on the overlap track). Whatever part of the
-// migration fits under the phases is hidden — that is the point of
-// overlapping — except for stealFraction of it, charged
-// back as the copy bandwidth stolen from the kernels; any excess beyond
-// the phases' time surfaces in full, as it would on real hardware when
-// the service threads outlive the interval.
+// reconcileOverlap settles, at an epoch's join, the charge the previous
+// overlapped placement deferred. The body's phases already advanced the
+// clock by their wall time. Whatever part of the migration fits under
+// the phases is hidden — that is the point of overlapping — except for
+// stealFraction of it, charged back as the copy bandwidth stolen from
+// the kernels; any excess beyond the phases' time surfaces in full, as
+// it would on real hardware when the service threads outlive the
+// interval. It does nothing when no charge is pending.
 func (r *Runtime) reconcileOverlap(rep *EpochReport) {
+	migS := r.pendingS
+	if migS == 0 {
+		return
+	}
+	r.pendingS = 0
 	var phaseS float64
 	for _, p := range rep.Phases {
 		phaseS += p.Stats.WallSeconds
 	}
-	migS := rep.Migration.Seconds
-	overlap := migS
-	if phaseS < overlap {
-		overlap = phaseS
-	}
+	overlap := min(migS, phaseS)
 	excess := migS - overlap
 	stolen := overlap * stealFraction
+	rep.Overlapped = true
 	rep.OverlapSeconds = overlap
 	rep.StolenSeconds = stolen
 	r.overlapTotalS += overlap
@@ -80,22 +76,17 @@ func (r *Runtime) reconcileOverlap(rep *EpochReport) {
 	}
 }
 
-// DrainAsync places the samples still pending from the last
-// RunEpochAsync, synchronously (stop-the-world: the full migration time
-// is charged, and the end-to-end invariant checker — including object
-// checksums — runs). Call it after the epoch loop so the final
-// interval's heat is not dropped. It is a no-op returning a zero report
-// when nothing is pending.
-func (r *Runtime) DrainAsync(ctx context.Context) (MigrationReport, error) {
-	if !r.opts.Governor.Enabled || !r.opts.Async {
-		return MigrationReport{}, fmt.Errorf("atmem: DrainAsync requires Options.Async")
+// DrainAsync settles the clock charge the last RunEpochAsync deferred,
+// in full: no epoch follows to hide it. Call it after the epoch loop; it
+// does nothing when no charge is pending. Requires
+// Options.Governor.Enabled.
+func (r *Runtime) DrainAsync() error {
+	if !r.opts.Governor.Enabled {
+		return fmt.Errorf("atmem: DrainAsync requires Options.Governor.Enabled")
 	}
-	if r.pendingSamples == 0 {
-		return MigrationReport{}, nil
-	}
-	period := r.pendingPeriod
-	r.pendingSamples, r.pendingPeriod = 0, 0
-	return r.optimizeGoverned(ctx, period, 0)
+	r.simNS.Add(uint64(r.pendingS * 1e9))
+	r.pendingS = 0
+	return nil
 }
 
 // OverlapSeconds returns the cumulative overlapped-migration seconds

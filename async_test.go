@@ -3,6 +3,7 @@ package atmem
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -13,13 +14,13 @@ import (
 	"atmem/internal/memsim"
 )
 
-// asyncRuntime builds a governed runtime with overlapped placement on
-// the standard NVM-DRAM testbed, via the functional-options API.
+// asyncRuntime builds a governed runtime on the standard NVM-DRAM
+// testbed, via the functional-options API.
 func asyncRuntime(t *testing.T, extra ...Option) *Runtime {
 	t.Helper()
 	opts := append([]Option{
 		WithSamplePeriod(64),
-		WithAsyncPlacement(),
+		WithGovernor(GovernorOptions{}),
 	}, extra...)
 	rt, err := New(NVMDRAM(), opts...)
 	if err != nil {
@@ -38,9 +39,10 @@ func asyncEpoch(t *testing.T, rt *Runtime, ctx context.Context, name string, arr
 	return rep
 }
 
-// TestRunEpochAsyncPipelinesPlacement pins the pipeline shape: the first
-// epoch only profiles (nothing pending), the second overlaps the first
-// interval's plan with its phases, and the drain flushes the tail.
+// TestRunEpochAsyncPipelinesPlacement pins the clock rule's shape: the
+// first epoch places its own samples but charges nothing yet, the second
+// hides that placement under its phases, and the drain settles the
+// tail.
 func TestRunEpochAsyncPipelinesPlacement(t *testing.T) {
 	rt := asyncRuntime(t)
 	ctx := context.Background()
@@ -53,23 +55,24 @@ func TestRunEpochAsyncPipelinesPlacement(t *testing.T) {
 	}
 	fillDeterministic(hot, 7)
 
+	var phaseS float64
 	e1 := asyncEpoch(t, rt, ctx, "e1", hot)
-	if e1.Overlapped || e1.Optimized {
-		t.Fatalf("first epoch overlapped a placement with nothing pending: %+v", e1)
+	if e1.Overlapped || !e1.Optimized {
+		t.Fatalf("first epoch hid a placement or placed nothing: %+v", e1)
 	}
-	if e1.Samples == 0 {
-		t.Fatal("first epoch attributed no samples")
+	if e1.Samples == 0 || e1.Migration.PromotedBytes == 0 {
+		t.Fatalf("first epoch did not place its samples: %+v", e1.Migration)
+	}
+	for _, p := range e1.Phases {
+		phaseS += p.Stats.WallSeconds
+	}
+	if got := rt.SimSeconds(); got > phaseS+1e-9 {
+		t.Errorf("first epoch charged its placement at once: clock %.9fs, phases %.9fs", got, phaseS)
 	}
 
 	e2 := asyncEpoch(t, rt, ctx, "e2", hot)
-	if !e2.Overlapped || !e2.Optimized {
-		t.Fatalf("second epoch did not overlap the pending placement: %+v", e2)
-	}
-	if e2.PlacedFromEpoch != 1 {
-		t.Errorf("PlacedFromEpoch = %d, want 1", e2.PlacedFromEpoch)
-	}
-	if e2.Migration.PromotedBytes == 0 {
-		t.Errorf("overlapped placement promoted nothing: %+v", e2.Migration)
+	if !e2.Overlapped {
+		t.Fatalf("second epoch did not hide the pending placement: %+v", e2)
 	}
 	if e2.OverlapSeconds <= 0 {
 		t.Errorf("no migration time was hidden under the phases: %+v", e2)
@@ -79,7 +82,7 @@ func TestRunEpochAsyncPipelinesPlacement(t *testing.T) {
 			e2.StolenSeconds, e2.OverlapSeconds)
 	}
 
-	if _, err := rt.DrainAsync(ctx); err != nil {
+	if err := rt.DrainAsync(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	assertDataIntact(t, "after overlapped epochs", hot, 7)
@@ -93,6 +96,103 @@ func TestRunEpochAsyncPipelinesPlacement(t *testing.T) {
 	}
 }
 
+// TestOverlappedPlacesLikeStopTheWorld pins overlap as a clock rule: one
+// single-threaded epoch sequence under a staging-fault storm, a
+// corruption order, the scrubber and a mid-run reserve cut, driven once
+// through RunEpoch and once through RunEpochAsync, gives every epoch the
+// identical placement, phase statistics and health snapshot. The clocks
+// differ by exactly the hidden time net of the stolen bandwidth, up to
+// one nanosecond of truncation per clock charge.
+func TestOverlappedPlacesLikeStopTheWorld(t *testing.T) {
+	const epochs, fastCap = 6, 4 << 20
+	type epoch struct {
+		Migration MigrationReport
+		Phases    []PhaseResult
+		Health    HealthStats
+	}
+	run := func(async bool) (out []epoch, reps []EpochReport, simS float64) {
+		sched := faultinject.Schedule{Seed: 9, Faults: []faultinject.Fault{
+			{Op: faultinject.OpReserve, Prob: 0.3, Err: memsim.ErrNoCapacity},
+			{Kind: faultinject.Corrupt, Nth: 3},
+		}}
+		rt, err := New(govTestbed(fastCap), WithSamplePeriod(64), WithThreads(1),
+			WithGovernor(GovernorOptions{}), WithScrubber(), WithFaultSchedule(sched))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot, err := NewArray[uint64](rt, "hot", 32<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := NewArray[uint64](rt, "warm", 48<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillDeterministic(hot, 3)
+		fillDeterministic(warm, 5)
+		ctx := context.Background()
+		for i := 1; i <= epochs; i++ {
+			if i == 4 {
+				// Leave room for the hot array only.
+				rt.SetCapacityReserve(fastCap - 320<<10)
+			}
+			name := fmt.Sprintf("e%d", i)
+			body := func() { scanPhase(rt, name, hot, warm) }
+			if i%3 == 0 {
+				body = func() { scanPhase(rt, name, warm) }
+			}
+			var rep EpochReport
+			if async {
+				rep, err = rt.RunEpochAsync(ctx, name, body)
+			} else {
+				rep, err = rt.RunEpoch(name, body)
+			}
+			if err != nil {
+				t.Fatalf("epoch %d: %v", i, err)
+			}
+			reps = append(reps, rep)
+			out = append(out, epoch{rep.Migration, rep.Phases, rt.HealthStats()})
+		}
+		if async {
+			if err := rt.DrainAsync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rt.HealthStats().CorruptedChunks == 0 || len(rt.FaultEvents()) == 0 {
+			t.Fatalf("the fault storm never fired: %+v", rt.HealthStats())
+		}
+		assertDataIntact(t, "hot", hot, 3)
+		assertDataIntact(t, "warm", warm, 5)
+		return out, reps, rt.SimSeconds()
+	}
+	want, _, syncS := run(false)
+	got, reps, asyncS := run(true)
+	var moved, pressure uint64
+	for i := range want {
+		moved += want[i].Migration.BytesMoved
+		pressure += want[i].Migration.PressureDemotedBytes
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("epoch %d differs overlapped:\n got %+v\nwant %+v", i+1, got[i], want[i])
+		}
+	}
+	if moved == 0 || pressure == 0 {
+		t.Fatalf("moved %d bytes, %d under pressure: the comparison is vacuous", moved, pressure)
+	}
+	if reps[0].Overlapped || !reps[1].Overlapped {
+		t.Errorf("epoch 1 hid a placement or epoch 2 hid none: %v, %v", reps[0].Overlapped, reps[1].Overlapped)
+	}
+	var hidden float64
+	for _, r := range reps {
+		hidden += r.OverlapSeconds - r.StolenSeconds
+	}
+	// Stop-the-world charges each placement once; the overlapped run
+	// charges each join once and the drain once.
+	slack := float64(2*epochs+1) * 1e-9
+	if d := syncS - asyncS; hidden <= 0 || math.Abs(d-hidden) > slack {
+		t.Errorf("clock gap %.9fs, want the hidden %.9fs (±%.0e)", d, hidden, slack)
+	}
+}
+
 // TestAsyncFasterThanSyncWithIdenticalData is the acceptance property in
 // unit form: the identical epoch sequence finishes in strictly fewer
 // simulated seconds overlapped than stop-the-world, and the data is
@@ -100,17 +200,9 @@ func TestRunEpochAsyncPipelinesPlacement(t *testing.T) {
 func TestAsyncFasterThanSyncWithIdenticalData(t *testing.T) {
 	const epochs = 4
 	run := func(async bool) (simS float64, resident uint64, check func()) {
-		var rt *Runtime
-		var err error
-		if async {
-			rt, err = New(NVMDRAM(),
-				WithSamplePeriod(64),
-				WithAsyncPlacement())
-		} else {
-			rt, err = New(NVMDRAM(),
-				WithSamplePeriod(64),
-				WithGovernor(GovernorOptions{}))
-		}
+		rt, err := New(NVMDRAM(),
+			WithSamplePeriod(64),
+			WithGovernor(GovernorOptions{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +229,7 @@ func TestAsyncFasterThanSyncWithIdenticalData(t *testing.T) {
 			}
 		}
 		if async {
-			if _, err := rt.DrainAsync(ctx); err != nil {
+			if err := rt.DrainAsync(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -157,16 +249,15 @@ func TestAsyncFasterThanSyncWithIdenticalData(t *testing.T) {
 		t.Errorf("overlapped epochs not faster: async %.9fs vs sync %.9fs", asyncS, syncS)
 	}
 	if asyncRes != syncRes {
-		t.Errorf("pipelines converged to different residency: async %d vs sync %d", asyncRes, syncRes)
+		t.Errorf("modes converged to different residency: async %d vs sync %d", asyncRes, syncRes)
 	}
 }
 
 // TestAsyncEpochsRunHealthPasses pins that overlapped epochs run the
 // epoch health passes like every other epoch: an epoch-driven Corrupt
 // order fires at an async epoch's start, that epoch's scrub detects and
-// repairs the damage before the kernels run (and before the background
-// placement launches), and every object ends bit-identical to a
-// fault-free async run.
+// repairs the damage before the kernels run, and every object ends
+// bit-identical to a fault-free async run.
 func TestAsyncEpochsRunHealthPasses(t *testing.T) {
 	run := func(faulty bool) (*Runtime, map[uint64]uint32) {
 		rt := asyncRuntime(t, WithScrubber())
@@ -183,8 +274,8 @@ func TestAsyncEpochsRunHealthPasses(t *testing.T) {
 		ctx := context.Background()
 		for i := 1; i <= 4; i++ {
 			if faulty && i == 3 {
-				// Epoch 2 placed epoch 1's hot set in the background and
-				// its end pass snapshotted it; Nth 1 fires at epoch 3.
+				// Epoch 1 placed the hot set and epoch 2's end pass
+				// snapshotted it; Nth 1 fires at epoch 3.
 				if hot.Object().FastBytes() == 0 {
 					t.Fatal("the hot array was not promoted by epoch 2")
 				}
@@ -195,7 +286,7 @@ func TestAsyncEpochsRunHealthPasses(t *testing.T) {
 			}
 			asyncEpoch(t, rt, ctx, fmt.Sprintf("e%d", i), hot)
 		}
-		if _, err := rt.DrainAsync(ctx); err != nil {
+		if err := rt.DrainAsync(); err != nil {
 			t.Fatal(err)
 		}
 		if err := rt.System().CheckConsistency(); err != nil {
@@ -238,20 +329,15 @@ func TestAsyncCancellationSkipsAndRollsBack(t *testing.T) {
 	}
 	fillDeterministic(hot, 13)
 
-	// Epoch 1 profiles normally.
-	e1 := asyncEpoch(t, rt, context.Background(), "e1", hot)
-	if e1.Samples == 0 {
-		t.Fatal("no samples")
-	}
-	// Epoch 2's background placement runs under an already-cancelled
-	// context: every region must be skipped without moving a byte.
+	// Epoch 1's placement runs under an already-cancelled context:
+	// every region must be skipped without moving a byte.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	e2 := asyncEpoch(t, rt, cancelled, "e2", hot)
-	if !e2.Overlapped {
-		t.Fatalf("second epoch did not overlap: %+v", e2)
+	e1 := asyncEpoch(t, rt, cancelled, "e1", hot)
+	if e1.Samples == 0 || !e1.Optimized {
+		t.Fatalf("first epoch did not profile and place: %+v", e1)
 	}
-	m := e2.Migration
+	m := e1.Migration
 	if m.BytesMoved != 0 {
 		t.Errorf("cancelled placement moved %d bytes", m.BytesMoved)
 	}
@@ -269,22 +355,21 @@ func TestAsyncCancellationSkipsAndRollsBack(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The same pipeline recovers on an uncancelled epoch.
-	e3 := asyncEpoch(t, rt, context.Background(), "e3", hot)
-	if e3.Migration.PromotedBytes == 0 {
-		t.Errorf("post-cancellation epoch promoted nothing: %+v", e3.Migration)
+	// The next epoch places normally.
+	e2 := asyncEpoch(t, rt, context.Background(), "e2", hot)
+	if e2.Migration.PromotedBytes == 0 {
+		t.Errorf("post-cancellation epoch promoted nothing: %+v", e2.Migration)
 	}
 }
 
 // TestOverlappedEpochsAreDeterministic pins that an overlapped run is
-// reproducible: the placement lands on the caller's goroutine, so two
+// reproducible: the placement runs on the caller's goroutine, so two
 // runs of one single-threaded epoch sequence under a fault storm, with
 // scrubbing on, give identical epoch reports, phase statistics and
 // simulated clocks, at GOMAXPROCS 1 and 2.
 func TestOverlappedEpochsAreDeterministic(t *testing.T) {
 	type outcome struct {
 		Epochs []EpochReport
-		Drain  MigrationReport
 		Phases []PhaseResult
 		SimS   float64
 	}
@@ -314,7 +399,7 @@ func TestOverlappedEpochsAreDeterministic(t *testing.T) {
 			}
 			out.Epochs = append(out.Epochs, asyncEpoch(t, rt, ctx, fmt.Sprintf("e%d", i+1), arrays...))
 		}
-		if out.Drain, err = rt.DrainAsync(ctx); err != nil {
+		if err := rt.DrainAsync(); err != nil {
 			t.Fatal(err)
 		}
 		out.Phases, out.SimS = rt.Phases(), rt.SimSeconds()
@@ -326,9 +411,7 @@ func TestOverlappedEpochsAreDeterministic(t *testing.T) {
 	want := run(1)
 	var moved uint64
 	for _, e := range want.Epochs {
-		if e.Overlapped {
-			moved += e.Migration.BytesMoved
-		}
+		moved += e.Migration.BytesMoved
 	}
 	if moved == 0 {
 		t.Fatal("no overlapped placement moved a byte")
@@ -340,10 +423,10 @@ func TestOverlappedEpochsAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestAsyncStressFaultStorm soaks the overlapped pipeline: overlapped
-// placements run while an epoch-windowed fault storm fails half the
+// TestAsyncStressFaultStorm soaks overlapped epochs: their placements
+// run while an epoch-windowed fault storm fails half the
 // staging reservations, then lifts. Data must stay bit-identical and the
-// books consistent. A watchdog converts a pipeline deadlock into a stack
+// books consistent. A watchdog converts a deadlock into a stack
 // dump instead of a test-suite timeout.
 func TestAsyncStressFaultStorm(t *testing.T) {
 	sched := faultinject.Schedule{
@@ -381,7 +464,7 @@ func TestAsyncStressFaultStorm(t *testing.T) {
 				rt.DisarmFaults()
 			}
 		}
-		if _, err := rt.DrainAsync(ctx); err != nil {
+		if err := rt.DrainAsync(); err != nil {
 			t.Errorf("drain: %v", err)
 		}
 	}()
@@ -389,7 +472,7 @@ func TestAsyncStressFaultStorm(t *testing.T) {
 	case <-done:
 	case <-time.After(120 * time.Second):
 		buf := make([]byte, 1<<20)
-		t.Fatalf("overlapped pipeline deadlocked; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatalf("overlapped epochs deadlocked; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 
 	assertDataIntact(t, "hot after fault storm", hot, 3)
@@ -407,41 +490,38 @@ func TestAsyncStressFaultStorm(t *testing.T) {
 	}
 }
 
-// TestAsyncRequiresOption pins the API contract: RunEpochAsync refuses
-// on a governed runtime without Async enabled, and runs once it is.
+// TestAsyncRequiresOption pins the API contract: RunEpochAsync and
+// DrainAsync refuse on an ungoverned runtime, like RunEpoch, and run on
+// a governed one.
 func TestAsyncRequiresOption(t *testing.T) {
-	rt, err := New(NVMDRAM(), WithGovernor(GovernorOptions{}))
+	rt, err := New(NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt.RunEpochAsync(context.Background(), "x", func() {}); err == nil {
-		t.Error("RunEpochAsync succeeded without Options.Async")
+		t.Error("RunEpochAsync succeeded without the governor")
 	}
-	if _, err := rt.DrainAsync(context.Background()); err == nil {
-		t.Error("DrainAsync succeeded without Options.Async")
+	if err := rt.DrainAsync(); err == nil {
+		t.Error("DrainAsync succeeded without the governor")
 	}
-	rt2, err := New(NVMDRAM(), WithAsyncPlacement())
+	rt2, err := New(NVMDRAM(), WithGovernor(GovernorOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rt2.RunEpochAsync(context.Background(), "y", func() {}); err != nil {
-		t.Errorf("RunEpochAsync with async placement: %v", err)
+		t.Errorf("RunEpochAsync on a governed runtime: %v", err)
+	}
+	if err := rt2.DrainAsync(); err != nil {
+		t.Errorf("DrainAsync on a governed runtime: %v", err)
 	}
 }
 
 // benchEpochs drives the shared benchmark body and reports simulated
-// seconds, the quantity the overlapped pipeline optimizes.
+// seconds, the quantity overlapped placement optimizes.
 func benchEpochs(b *testing.B, async bool) {
 	for i := 0; i < b.N; i++ {
-		var rt *Runtime
-		var err error
-		if async {
-			rt, err = New(NVMDRAM(),
-				WithSamplePeriod(64), WithAsyncPlacement())
-		} else {
-			rt, err = New(NVMDRAM(),
-				WithSamplePeriod(64), WithGovernor(GovernorOptions{}))
-		}
+		rt, err := New(NVMDRAM(),
+			WithSamplePeriod(64), WithGovernor(GovernorOptions{}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,7 +551,7 @@ func benchEpochs(b *testing.B, async bool) {
 			}
 		}
 		if async {
-			if _, err := rt.DrainAsync(ctx); err != nil {
+			if err := rt.DrainAsync(); err != nil {
 				b.Fatal(err)
 			}
 		}

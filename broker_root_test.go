@@ -166,8 +166,8 @@ func TestTenantFailedConstructionLeavesSystemUntouched(t *testing.T) {
 }
 
 // TestTenantCloseReleasesShareAndAdmitsQueued is the departure
-// regression: Close on a tenant runtime with async placement enabled
-// drains the in-flight plan, frees every object (so the sub-ledger and
+// regression: Close on a tenant runtime after overlapped epochs settles
+// the pending clock charge, frees every object (so the sub-ledger and
 // the shared tiers return to empty), and departs — at which point the
 // queued tenant's floor fits and its Ready channel delivers.
 func TestTenantCloseReleasesShareAndAdmitsQueued(t *testing.T) {
@@ -186,15 +186,15 @@ func TestTenantCloseReleasesShareAndAdmitsQueued(t *testing.T) {
 	default:
 	}
 
-	rt, hot, cold := brokerTenantRuntime(t, ta, WithAsyncPlacement())
+	rt, hot, cold := brokerTenantRuntime(t, ta)
 	ctx := context.Background()
 	for _, name := range []string{"e1", "e2", "e3"} {
 		if _, err := rt.RunEpochAsync(ctx, name, func() { scanPhase(rt, name, hot, cold) }); err != nil {
 			t.Fatalf("epoch %s: %v", name, err)
 		}
 	}
-	// Close while epoch 3's plan is still pending: the drain must land
-	// it before the free, or staging reservations would leak.
+	// Close while epoch 3's clock charge is still pending: the free must
+	// leave no staging reservation behind.
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}

@@ -1,11 +1,10 @@
-// Command graphgen generates, inspects, and exports the reproduction's
-// graph datasets (the scaled analogues of the paper's Table 2).
+// Command graphgen generates and inspects the reproduction's graph
+// datasets (the scaled analogues of the paper's Table 2).
 //
 // Usage:
 //
 //	graphgen -list
-//	graphgen -stats [dataset...]
-//	graphgen -out dir [dataset...]         write binary CSR files
+//	graphgen [dataset...]                  print degree statistics
 //	graphgen -rmat scale,edgefactor,seed   generate a custom RMAT graph
 package main
 
@@ -13,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -22,8 +20,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list datasets and exit")
-	stats := flag.Bool("stats", false, "print degree statistics")
-	out := flag.String("out", "", "write binary CSR files into this directory")
 	rmat := flag.String("rmat", "", "generate a custom RMAT graph: scale,edgefactor,seed")
 	flag.Parse()
 
@@ -50,9 +46,6 @@ func main() {
 			fatal("%v", err)
 		}
 		describe(g)
-		if *out != "" {
-			write(g, *out)
-		}
 		return
 	}
 
@@ -65,12 +58,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		if *stats || *out == "" {
-			describe(g)
-		}
-		if *out != "" {
-			write(g, *out)
-		}
+		describe(g)
 	}
 }
 
@@ -82,22 +70,6 @@ func describe(g *graph.Graph) {
 		100*st.TopShare[0.01], 100*st.TopShare[0.05], 100*st.TopShare[0.10], 100*st.TopShare[0.20])
 	fmt.Printf("            footprint (CSR + 2 prop arrays): %.1f MiB\n",
 		float64(g.FootprintBytes(2))/(1<<20))
-}
-
-func write(g *graph.Graph, dir string) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal("%v", err)
-	}
-	path := filepath.Join(dir, g.Name+".atmg")
-	f, err := os.Create(path)
-	if err != nil {
-		fatal("%v", err)
-	}
-	defer f.Close()
-	if err := g.WriteBinary(f); err != nil {
-		fatal("%v", err)
-	}
-	fmt.Printf("wrote %s\n", path)
 }
 
 func fatal(format string, args ...any) {

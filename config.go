@@ -152,15 +152,6 @@ type Options struct {
 	// and analysis entirely. A shared cache lets many runtimes in one
 	// process (e.g. a benchmark suite) reuse each other's plans.
 	PlanCache *PlanCache
-	// Async configures overlapped placement: RunEpochAsync places the
-	// previous interval's plan at the start of the next interval and
-	// hides its modelled time under that interval's phases, the way the
-	// paper's service threads overlap the application. Async implies
-	// Governor.Enabled
-	// (the pipeline is built on the governed delta planner). A quarter
-	// of the hidden migration time is still charged to the clock as
-	// the copy bandwidth stolen from the kernels (stealFraction).
-	Async bool
 	// Health configures the tier-health subsystem: a per-granule error
 	// scoreboard feeding exponential-backoff distrust and persistent
 	// -fault quarantine, and (with Health.Scrub) a CRC-32C scrubber
@@ -260,9 +251,6 @@ func (o *Options) withDefaults() Options {
 	if out.CapacityReserve == 0 {
 		out.CapacityReserve = defaultStagingBytes
 	}
-	if out.Async {
-		out.Governor.Enabled = true
-	}
 	if out.Tenant != nil {
 		// Broker budgets are enforced by the governed placement loop;
 		// an ungoverned tenant could not honor its share.
@@ -274,7 +262,7 @@ func (o *Options) withDefaults() Options {
 	if out.DebugAddr != "" && out.Metrics == nil {
 		// A debug listener without a registry would serve an empty
 		// /metrics; the listener implies live metrics.
-		out.Metrics = metrics.New(metricsShards)
+		out.Metrics = metrics.New()
 	}
 	return out
 }
@@ -283,7 +271,7 @@ const defaultStagingBytes = 2 << 20
 
 // stealFraction is the share of overlapped migration seconds still
 // charged to the simulated clock: the bandwidth the overlapped copy
-// steals from the phases (see Options.Async).
+// steals from the phases (see RunEpochAsync).
 const stealFraction = 0.25
 
 // newEngine builds the configured migration engine with its default

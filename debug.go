@@ -10,7 +10,6 @@ package atmem
 // single-threaded control-plane state.
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -123,22 +122,19 @@ func (r *Runtime) DebugAddr() string {
 }
 
 // Close releases the runtime's external resources, in dependency
-// order: any in-flight async placement work is drained (so a departing
-// tenant never abandons reserved staging bytes mid-migration), a
-// broker tenant frees its live objects and detaches from the broker
-// (returning its fast-tier share and residency to the shared pool for
-// queued tenants), and the debug listener is shut down. Nil-safe and
-// idempotent; a standalone runtime without a debug listener needs no
-// Close.
+// order: a clock charge an overlapped placement left pending is settled
+// in full (DrainAsync), a broker tenant frees its live objects and
+// detaches from the broker (returning its fast-tier share and residency
+// to the shared pool for queued tenants), and the debug listener is
+// shut down. Nil-safe and idempotent; a standalone runtime without a
+// debug listener or a pending overlap charge needs no Close.
 func (r *Runtime) Close() error {
 	if r == nil {
 		return nil
 	}
 	var errs []error
-	if r.opts.Async {
-		if _, err := r.DrainAsync(context.Background()); err != nil {
-			errs = append(errs, err)
-		}
+	if r.pendingS > 0 {
+		errs = append(errs, r.DrainAsync())
 	}
 	if r.tenant != nil {
 		for _, o := range r.Objects() {

@@ -38,18 +38,15 @@ type EpochReport struct {
 	Migration MigrationReport
 	// Phases are the phases the epoch body ran, in order.
 	Phases []PhaseResult
-	// Overlapped reports whether a placement overlapped this epoch's
-	// phases (RunEpochAsync only).
+	// Overlapped reports whether the previous epoch's overlapped
+	// placement (RunEpochAsync) left a clock charge that this epoch's
+	// join settled against its phases.
 	Overlapped bool
-	// PlacedFromEpoch is the epoch whose samples the overlapped
-	// placement used (0 when no placement overlapped — the pipeline's
-	// first epoch has nothing pending).
-	PlacedFromEpoch int
-	// OverlapSeconds is how much of the overlapped migration's modelled
-	// time was hidden under the epoch's phases.
+	// OverlapSeconds is how much of that placement's modelled time was
+	// hidden under this epoch's phases.
 	OverlapSeconds float64
-	// StolenSeconds is the share of the overlapped time charged back to
-	// the simulated clock as bandwidth stolen from the running kernels.
+	// StolenSeconds is the share of the hidden time charged back to the
+	// simulated clock as bandwidth stolen from the running kernels.
 	StolenSeconds float64
 	// Replayed marks an epoch that executed a compiled plan's recorded
 	// schedule instead of the profile→analyze→migrate loop (see
@@ -98,38 +95,30 @@ func (r *Runtime) RunEpoch(name string, body func()) (EpochReport, error) {
 // consistent. While a compiled plan is armed the epoch replays its
 // recorded schedule instead of profiling and analyzing (see replay.go).
 func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (EpochReport, error) {
-	if !r.opts.Governor.Enabled {
-		return EpochReport{}, fmt.Errorf("atmem: RunEpoch requires Options.Governor.Enabled")
-	}
-	if r.armedPlan != nil {
-		return r.runEpoch(ctx, name, sourceReplay, body)
-	}
-	return r.runEpoch(ctx, name, sourceOnline, body)
+	return r.runEpoch(ctx, name, false, body)
 }
 
-// epochSource is where an epoch's placement comes from. Each source
-// plugs into runEpoch's bracket at two points: before the body and
-// after it.
-type epochSource int
-
-const (
-	sourceOnline     epochSource = iota // profile the body, place its samples
-	sourceOverlapped                    // place the previous interval's samples under the body
-	sourceReplay                        // apply an armed plan's recorded schedule
-)
-
-// runEpoch is the one epoch bracket every placement source runs
-// through: count the epoch and open its span, run the start health
-// pass, run the body between the source's before and after steps, run
-// the end health pass, and close the epoch with its observer (endEpoch).
-func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, body func()) (EpochReport, error) {
+// runEpoch is the one epoch bracket, stop-the-world or overlapped: count
+// the epoch and open its span, run the start health pass, run the body
+// between the placement source's before and after steps, run the end
+// health pass, and close the epoch with its observer (endEpoch). The
+// source is the online loop (profile the body, place its samples) or,
+// while a plan is armed, replay (apply the recorded schedule). An
+// overlapped epoch places exactly what a stop-the-world one does; it
+// only defers the placement's clock charge to the next epoch's join
+// (see async.go).
+func (r *Runtime) runEpoch(ctx context.Context, name string, overlapped bool, body func()) (EpochReport, error) {
+	if !r.opts.Governor.Enabled {
+		return EpochReport{}, fmt.Errorf("atmem: epochs require Options.Governor.Enabled")
+	}
+	replay := r.armedPlan != nil
 	r.epoch++
-	rep := EpochReport{Epoch: r.epoch, Replayed: src == sourceReplay}
+	rep := EpochReport{Epoch: r.epoch, Replayed: replay}
 	begin, end := telemetry.Args{"epoch": r.epoch}, telemetry.Args{"epoch": r.epoch}
-	switch src {
-	case sourceOverlapped:
+	if overlapped {
 		begin["async"] = true
-	case sourceReplay:
+	}
+	if replay {
 		begin["replay"], end["replay"] = true, true
 	}
 	r.rec.Begin(0, "epoch", name, begin)
@@ -140,22 +129,22 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 
 	// Epoch-start health pass: fire the fault schedule's epoch-driven
 	// orders and scrub the fast-tier residency, so injected corruption is
-	// detected and repaired before any kernel consumes it and before an
-	// overlapped placement lands (see health.go). On a broker tenant
-	// the pass may migrate (emergency demotions), so it takes the
-	// cross-tenant placement lock.
+	// detected and repaired before any kernel consumes it (see
+	// health.go). On a broker tenant the pass may migrate (emergency
+	// demotions), so it takes the cross-tenant placement lock.
 	r.lockPlacement()
-	err := r.beginEpochHealth(0)
+	err := r.beginEpochHealth()
 	r.unlockPlacement()
 	if err != nil {
-		r.drainTransitions(0)
+		r.drainTransitions()
 		end["error"] = err.Error()
 		r.rec.End(0, "epoch", name, end)
 		return rep, err
 	}
 
-	switch src {
-	case sourceOnline:
+	if replay {
+		r.planEpoch++
+	} else {
 		// Each epoch ranks on its own interval's heat: stale samples from
 		// previous intervals would anchor the old hot set and mask drift.
 		r.reg.ResetSamples()
@@ -168,79 +157,46 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 		if r.recording != nil {
 			r.recording.Epochs = append(r.recording.Epochs, migrate.Schedule{})
 		}
-	case sourceOverlapped:
-		// Place the pending interval's samples on the overlap track.
-		// The placement lands before the body's phases, and the join
-		// charges its modelled seconds as if the paper's service
-		// threads had migrated while the phases ran (reconcileOverlap).
-		if r.pendingSamples > 0 {
-			rep.Overlapped, rep.Optimized = true, true
-			rep.PlacedFromEpoch = r.epoch - 1
-			r.rec.Begin(r.placeTID, "placement", "overlap", telemetry.Args{
-				"from_epoch": rep.PlacedFromEpoch,
-				"samples":    r.pendingSamples,
-			})
-			rep.Migration, err = r.optimizeGoverned(ctx, r.pendingPeriod, r.placeTID)
-		}
-		r.pendingSamples, r.pendingPeriod = 0, 0
-		r.reg.ResetSamples()
-		r.ProfilingStart()
-	case sourceReplay:
-		r.planEpoch++
 	}
 	body()
 	rep.Phases = append(rep.Phases, r.phases[phaseStart:]...)
-	switch src {
-	case sourceOnline:
-		if rep.Samples = r.ProfilingStop(); rep.Samples > 0 {
-			rep.Optimized = true
-			rep.Migration, err = r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
-		}
-	case sourceOverlapped:
-		if rep.Overlapped {
-			r.reconcileOverlap(&rep)
-			r.rec.End(r.placeTID, "placement", "overlap", telemetry.Args{
-				"migration_s": rep.Migration.Seconds,
-				"overlap_s":   rep.OverlapSeconds,
-				"stolen_s":    rep.StolenSeconds,
-				"bytes_moved": rep.Migration.BytesMoved,
-			})
-		}
-		// Stash this interval's samples for the next epoch's placement;
-		// a zero-sample interval carries no signal, so the next epoch
-		// overlaps nothing.
-		if rep.Samples = r.ProfilingStop(); rep.Samples > 0 {
-			r.pendingSamples, r.pendingPeriod = rep.Samples, r.prof.Config().Period
-		}
-	case sourceReplay:
+	// The join: a charge the previous overlapped placement deferred is
+	// settled against this body's phases.
+	r.reconcileOverlap(&rep)
+	r.overlapping = overlapped
+	if replay {
 		// Epochs past the end of the recording run on the final placement
 		// and migrate nothing: the recorded run had converged by then.
 		if r.planEpoch <= len(r.armedPlan.Epochs) {
 			rep.Optimized = true
 			rep.Migration, err = r.applyPlanEpoch(ctx, r.planEpoch)
 		}
+	} else if rep.Samples = r.ProfilingStop(); rep.Samples > 0 {
+		rep.Optimized = true
+		rep.Migration, err = r.optimizeGoverned(ctx)
 	}
+	r.overlapping = false
 
 	// Epoch-end health pass: evacuate condemned granules and re-snapshot
 	// the settled fast-tier residency for the next epoch's scrub.
 	if err == nil {
 		r.lockPlacement()
-		err = r.endEpochHealth(0)
+		err = r.endEpochHealth()
 		r.unlockPlacement()
 	}
 	end["optimized"] = rep.Optimized
-	if src != sourceReplay {
+	if !replay {
 		end["samples"] = rep.Samples
 	}
-	if src == sourceOverlapped {
-		end["overlapped"] = rep.Overlapped
+	if rep.Overlapped {
+		end["overlapped"] = true
 	}
 	r.endEpoch(name, end, &rep, scrubStart)
 	return rep, err
 }
 
-// optimizeGoverned is the one placement function: Optimize, every
-// governed epoch and DrainAsync run through it. It makes one breaker
+// optimizeGoverned is the one placement function: Optimize and every
+// online governed epoch run through it. It makes one breaker
 // decision, diffs the fresh plan against the page table's fast tier
 // (core.Advance), adds watermark-driven pressure demotions, and commits
 // a mixed-direction schedule with demotions first. It builds its
@@ -248,12 +204,8 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, src epochSource, bo
 // on every return. An ungoverned runtime (one-shot Optimize) has no
 // breaker and makes no hysteresis or pressure demotions, so it only
 // promotes what the plan lacks, and its report carries no governed
-// fields. The sampling period is a parameter (not read from the
-// profiler) so the overlapped pipeline places a previous interval's
-// samples at the period they were captured at; tid selects the telemetry
-// track (the overlap track for an overlapped placement, whose modelled
-// seconds commitSchedule leaves to the epoch join).
-func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) (rep MigrationReport, err error) {
+// fields.
+func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, err error) {
 	if !r.profiled {
 		return rep, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
 	}
@@ -262,7 +214,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	// migration in flight at a time. No-op on a solo runtime.
 	r.lockPlacement()
 	defer r.unlockPlacement()
-	r.rec.Begin(tid, "optimize", "optimize", nil)
+	r.rec.Begin(0, "optimize", "optimize", nil)
 
 	governed := r.opts.Governor.Enabled
 	decision := governor.DecisionRun
@@ -271,7 +223,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 		decision = r.breaker.Decide()
 		rep.Epoch = r.breaker.Epoch()
 	}
-	defer func() { r.endPlacement(tid, &rep, false, decision, analyzeNS) }()
+	defer func() { r.endPlacement(&rep, false, decision, analyzeNS) }()
 	observe := func(degraded bool) {
 		if governed {
 			r.breaker.Observe(degraded)
@@ -333,9 +285,9 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	analyzeStart := time.Now()
 	plan, err := r.policy.Rank(core.PolicyProfile{
 		Registry: r.reg,
-		Period:   period,
+		Period:   r.prof.Config().Period,
 		Epoch:    rep.Epoch,
-	}, budget, r.stageObserver(tid))
+	}, budget, r.stageObserver())
 	analyzeNS = uint64(time.Since(analyzeStart))
 	if err != nil {
 		return rep, err
@@ -365,7 +317,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 		sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
 	}
 	// Health veto: never promote onto quarantined or distrusted granules.
-	sched.Promotions = r.filterPromotions(tid, sched.Promotions)
+	sched.Promotions = r.filterPromotions(sched.Promotions)
 	rep.DeltaEmpty = governed && sched.Empty()
 
 	if decision == governor.DecisionProbe && !sched.Empty() {
@@ -380,7 +332,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context, period uint64, tid int) 
 	}
 
 	pre := r.objectChecksums()
-	res, err := r.commitSchedule(ctx, tid, sched)
+	res, err := r.commitSchedule(ctx, sched)
 	rep.setSchedule(res, governed && err == nil)
 	if err != nil {
 		// Unrecoverable (failed rollback): degrade the breaker and

@@ -1,7 +1,7 @@
 // Package graph provides the graph substrate of the ATMem reproduction:
 // compressed-sparse-row (CSR) graphs, deterministic generators that
 // produce scaled-down analogues of the paper's five datasets (Table 2),
-// binary serialization, and skew statistics.
+// and skew statistics.
 //
 // All generators are seeded and deterministic so every experiment is
 // reproducible bit-for-bit.

@@ -4,9 +4,7 @@ package atmem
 // mechanisms live in internal/health, the quarantine ledger in
 // internal/memsim). Every governed epoch — synchronous, overlapped or
 // replayed — runs through the one epoch bracket (runEpoch in
-// governor.go), which surrounds the body with two health passes; on an
-// overlapped epoch the start pass runs before the overlapped placement
-// and the end pass after the join:
+// governor.go), which surrounds the body with two health passes:
 //
 //   - epoch start, before any kernel runs: fire the fault schedule's
 //     data-plane orders (corruption byte-flips, latency degradation),
@@ -160,17 +158,17 @@ func (r *Runtime) healthFingerprint() string {
 // schedule's epoch clock and apply any corruption/degradation orders it
 // fires, then scrub the fast-tier residency. Called before the epoch's
 // body, so repairs land before kernels consume the data.
-func (r *Runtime) beginEpochHealth(tid int) error {
+func (r *Runtime) beginEpochHealth() error {
 	if r.board != nil {
 		r.board.BeginEpoch()
 	}
 	if r.faults != nil {
 		for _, ord := range r.faults.AdvanceEpoch() {
-			r.applyFaultOrder(tid, ord)
+			r.applyFaultOrder(ord)
 		}
 	}
 	if r.scrub != nil {
-		if err := r.scrubPass(tid); err != nil {
+		if err := r.scrubPass(); err != nil {
 			return err
 		}
 	}
@@ -180,11 +178,11 @@ func (r *Runtime) beginEpochHealth(tid int) error {
 // endEpochHealth runs the epoch-end health pass: evacuate and retire
 // granules the scoreboard condemned, then re-snapshot the fast-resident
 // chunks so the next epoch's verify has a fresh reference.
-func (r *Runtime) endEpochHealth(tid int) error {
-	if err := r.retryPendingRetires(tid); err != nil {
+func (r *Runtime) endEpochHealth() error {
+	if err := r.retryPendingRetires(); err != nil {
 		return err
 	}
-	if err := r.healCondemned(tid); err != nil {
+	if err := r.healCondemned(); err != nil {
 		return err
 	}
 	r.snapshotScrub()
@@ -195,14 +193,14 @@ func (r *Runtime) endEpochHealth(tid int) error {
 // epochs (typically because a fault storm made the evacuation skip):
 // once the storm clears — or the occupying pages demote for any other
 // reason — the condemned range must still end up in the ledger.
-func (r *Runtime) retryPendingRetires(tid int) error {
+func (r *Runtime) retryPendingRetires() error {
 	pending := r.heal.pendingRetire
 	if len(pending) == 0 {
 		return nil
 	}
 	r.heal.pendingRetire = nil
 	for _, p := range pending {
-		if err := r.evacuateAndRetire(tid, p.base, p.size, p.reason); err != nil {
+		if err := r.evacuateAndRetire(p.base, p.size, p.reason); err != nil {
 			return err
 		}
 	}
@@ -213,7 +211,7 @@ func (r *Runtime) retryPendingRetires(tid int) error {
 // Orders without an address range target the lowest-addressed fully
 // fast-resident chunk — the faults model fast-tier hardware, so only
 // fast-resident bytes can be hit.
-func (r *Runtime) applyFaultOrder(tid int, ord faultinject.Order) {
+func (r *Runtime) applyFaultOrder(ord faultinject.Order) {
 	base, size := ord.Base, ord.Size
 	if size == 0 {
 		var ok bool
@@ -226,7 +224,7 @@ func (r *Runtime) applyFaultOrder(tid int, ord faultinject.Order) {
 	case faultinject.Corrupt:
 		n := r.corruptRange(base, size, ord.Seed)
 		r.heal.corruptedChunks += n
-		r.rec.Instant(tid, "health", "corrupt", telemetry.Args{
+		r.rec.Instant(0, "health", "corrupt", telemetry.Args{
 			"base": base, "bytes": size, "chunks_hit": n, "epoch": ord.Epoch,
 		})
 	case faultinject.Degrade:
@@ -236,7 +234,7 @@ func (r *Runtime) applyFaultOrder(tid int, ord faultinject.Order) {
 		}
 		r.sys.DegradeRange(base, size, f)
 		r.heal.degradeOrders++
-		r.rec.Instant(tid, "health", "degrade", telemetry.Args{
+		r.rec.Instant(0, "health", "degrade", telemetry.Args{
 			"base": base, "bytes": size, "factor": f, "epoch": ord.Epoch,
 		})
 	}
@@ -320,7 +318,7 @@ func (r *Runtime) objectContaining(addr uint64) *Object {
 // fed to the scoreboard as hard failures, and healed: the chunk is
 // demoted through the transactional engine and its pages retired. The
 // modelled scrub read time is charged to the simulated clock.
-func (r *Runtime) scrubPass(tid int) error {
+func (r *Runtime) scrubPass() error {
 	before := r.scrub.Stats()
 	for _, tr := range r.scrub.Tracked() {
 		o := r.objectContaining(tr.Base)
@@ -334,13 +332,13 @@ func (r *Runtime) scrubPass(tid int) error {
 		}
 		// Detection: the backup restore already repaired the bytes;
 		// now get the data off the bad pages and retire them.
-		r.rec.Instant(tid, "health", "scrub-detect", telemetry.Args{
+		r.rec.Instant(0, "health", "scrub-detect", telemetry.Args{
 			"object": o.name, "base": tr.Base, "bytes": tr.Size,
 		})
 		if r.board != nil {
 			r.board.ObserveFailure(tr.Base, tr.Size, "crc")
 		}
-		if err := r.evacuateAndRetire(tid, tr.Base, tr.Size, "scrub"); err != nil {
+		if err := r.evacuateAndRetire(tr.Base, tr.Size, "scrub"); err != nil {
 			return err
 		}
 		r.heal.emergencyDemotions++
@@ -364,7 +362,7 @@ func (r *Runtime) scrubPass(tid int) error {
 // cannot complete leaves the pages unretired (quarantining mapped fast
 // pages would corrupt the capacity ledger); only a failed rollback is
 // an error.
-func (r *Runtime) evacuateAndRetire(tid int, base, size uint64, reason string) error {
+func (r *Runtime) evacuateAndRetire(base, size uint64, reason string) error {
 	alo := base &^ (memsim.SmallPage - 1)
 	ahi := memsim.RoundUp(base+size, memsim.SmallPage)
 	if r.sys.IsQuarantined(alo, ahi-alo) &&
@@ -374,14 +372,14 @@ func (r *Runtime) evacuateAndRetire(tid int, base, size uint64, reason string) e
 	sched := migrate.Schedule{Demotions: []migrate.Region{{Base: alo, Size: ahi - alo}}}
 	// Healing is not tied to a caller's epoch context: a cancelled epoch
 	// must still leave damaged chunks evacuated.
-	if _, err := r.commitSchedule(context.Background(), tid, sched); err != nil {
+	if _, err := r.commitSchedule(context.Background(), sched); err != nil {
 		return fmt.Errorf("atmem: emergency demotion [%#x,+%#x): %w", alo, ahi-alo, err)
 	}
 	if err := r.sys.RetirePages(alo, ahi-alo); err != nil {
 		// The demotion was skipped (e.g. a fault storm): the pages are
 		// still mapped fast, so they cannot be retired yet. Surface the
 		// condition and queue a retry for a later epoch's heal pass.
-		r.rec.Instant(tid, "health", "retire-failed", telemetry.Args{
+		r.rec.Instant(0, "health", "retire-failed", telemetry.Args{
 			"base": alo, "bytes": ahi - alo, "reason": reason, "error": err.Error(),
 		})
 		for _, p := range r.heal.pendingRetire {
@@ -393,7 +391,7 @@ func (r *Runtime) evacuateAndRetire(tid int, base, size uint64, reason string) e
 		return nil
 	}
 	r.heal.retiredRanges++
-	r.rec.Instant(tid, "health", "retire", telemetry.Args{
+	r.rec.Instant(0, "health", "retire", telemetry.Args{
 		"base": alo, "bytes": ahi - alo, "reason": reason,
 		"quarantined_total": r.sys.Quarantined(),
 	})
@@ -406,13 +404,13 @@ func (r *Runtime) evacuateAndRetire(tid int, base, size uint64, reason string) e
 // aligned, so on a broker-shared system a condemned granule can spill
 // into a neighbouring tenant's allocations — retiring those would
 // charge the quarantine debit to the wrong fault domain.
-func (r *Runtime) healCondemned(tid int) error {
+func (r *Runtime) healCondemned() error {
 	if r.board == nil {
 		return nil
 	}
 	for _, rg := range r.board.DrainCondemned() {
 		for _, iv := range r.ownedOverlaps(rg.Base, rg.Size) {
-			if err := r.evacuateAndRetire(tid, iv.base, iv.size, "condemned"); err != nil {
+			if err := r.evacuateAndRetire(iv.base, iv.size, "condemned"); err != nil {
 				return err
 			}
 		}
@@ -494,7 +492,7 @@ func (r *Runtime) trustedForPromotion(base, size uint64) bool {
 // and traced, and the rest of the region is still promoted. The vetoed
 // stretches stay on the slow tier; the scoreboard's backoff decides when
 // they may be retried.
-func (r *Runtime) filterPromotions(tid int, promos []migrate.Region) []migrate.Region {
+func (r *Runtime) filterPromotions(promos []migrate.Region) []migrate.Region {
 	var out []migrate.Region
 	for _, rg := range promos {
 		if r.trustedForPromotion(rg.Base, rg.Size) {
@@ -507,7 +505,7 @@ func (r *Runtime) filterPromotions(tid int, promos []migrate.Region) []migrate.R
 				out = append(out, migrate.Region{Base: next, Size: bad.base - next})
 			}
 			r.heal.promotionsVetoed++
-			r.rec.Instant(tid, "health", "promotion-vetoed", telemetry.Args{
+			r.rec.Instant(0, "health", "promotion-vetoed", telemetry.Args{
 				"base": bad.base, "bytes": bad.size,
 			})
 			next = bad.base + bad.size

@@ -221,7 +221,7 @@ func overlapScripts() (sync, async, faulted Script) {
 func overlapComparison(s *Suite) ([]*Report, error) {
 	rep := &Report{
 		ID:    "overlap",
-		Title: "Overlapped background placement vs stop-the-world epochs (adaptive-pressure scenario, NVM-DRAM)",
+		Title: "Overlapped placement vs stop-the-world epochs (adaptive-pressure scenario, NVM-DRAM)",
 		Columns: []string{"mode", "epochs", "total-sim(s)", "overlap(s)",
 			"stolen(s)", "resident", "breaker", "data-crc"},
 	}

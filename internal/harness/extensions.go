@@ -22,7 +22,7 @@ func ExtensionExperiments() []Experiment {
 		{ID: "aggbw", Title: "Aggregate-bandwidth placement on independent channels (§9 extension, KNL)", Run: aggbw},
 		{ID: "robustness", Title: "Fault-injected migration: graceful degradation under staging/remap failures", Run: robustness},
 		{ID: "adaptive-pressure", Title: "Epoch-adaptive governor: hot-set shift under a tightening budget, with and without faults", Run: adaptivePressure},
-		{ID: "overlap", Title: "Overlapped background placement vs stop-the-world epochs (adaptive-pressure scenario)", Run: overlapComparison},
+		{ID: "overlap", Title: "Overlapped placement vs stop-the-world epochs (adaptive-pressure scenario)", Run: overlapComparison},
 		{ID: "chaos-soak", Title: "Chaos soak: self-healing placement under escalating persistent faults and corruption", Run: chaosSoak},
 		{ID: "serving", Title: "Multi-tenant broker: fast-tier isolation, admission control, and SLO-aware degradation under storms", Run: serving},
 		{ID: "policy-shootout", Title: "Placement-policy shootout: static floor vs paper analyzer vs learned ranker vs hindsight oracle, seven kernels", Run: policyShootout},

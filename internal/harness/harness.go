@@ -179,11 +179,8 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if cfg.FaultSchedule != nil {
 		opts = append(opts, atmem.WithFaultSchedule(*cfg.FaultSchedule))
 	}
-	if cfg.Governed && cfg.Policy == ATMem {
+	if (cfg.Governed || cfg.Async) && cfg.Policy == ATMem {
 		opts = append(opts, atmem.WithGovernor(atmem.GovernorOptions{}))
-	}
-	if cfg.Async && cfg.Policy == ATMem {
-		opts = append(opts, atmem.WithAsyncPlacement())
 	}
 	if cfg.TraceDir != "" {
 		opts = append(opts, atmem.WithTelemetry(telemetry.NewRecorder()))
@@ -204,8 +201,8 @@ func Run(cfg RunConfig) (RunResult, error) {
 	switch {
 	case cfg.Policy == ATMem && cfg.Async:
 		ctx := context.Background()
-		// Epoch 1 profiles the cold iteration; nothing is pending yet,
-		// so it overlaps no migration.
+		// Epoch 1 profiles the cold iteration and places its samples;
+		// the placement's clock charge waits for the next epoch's join.
 		er, err := rt.RunEpochAsync(ctx, "profile", func() {
 			res.FirstIterSeconds = kern.RunIteration(rt).Seconds
 		})
@@ -213,16 +210,15 @@ func Run(cfg RunConfig) (RunResult, error) {
 			return res, fmt.Errorf("harness: %s epoch: %w", cfg.key(), err)
 		}
 		res.Samples = er.Samples
-		// Epoch 2 doubles as the warm-up iteration: the profiled plan
-		// migrates at its start, hidden under it in simulated time.
-		er2, err := rt.RunEpochAsync(ctx, "overlap", func() { kern.RunIteration(rt) })
-		if err != nil {
+		res.Migration = er.Migration
+		// Epoch 2 doubles as the warm-up iteration: the profiled
+		// placement's migration hides under it in simulated time.
+		if _, err := rt.RunEpochAsync(ctx, "overlap", func() { kern.RunIteration(rt) }); err != nil {
 			return res, fmt.Errorf("harness: %s overlap epoch: %w", cfg.key(), err)
 		}
-		res.Migration = er2.Migration
-		// Place the warm-up interval's samples (a near-empty delta on a
-		// steady workload) before the measured iteration.
-		if _, err := rt.DrainAsync(ctx); err != nil {
+		// Settle the warm-up interval's placement charge (a near-empty
+		// delta on a steady workload) before the measured iteration.
+		if err := rt.DrainAsync(); err != nil {
 			return res, fmt.Errorf("harness: %s drain: %w", cfg.key(), err)
 		}
 		res.OverlapSeconds = rt.OverlapSeconds()
@@ -340,7 +336,7 @@ type Suite struct {
 	// and writes its trace artifacts there.
 	TraceDir string
 	// Async, when set, drives every ATMem run the suite executes
-	// through overlapped background placement (RunConfig.Async).
+	// through overlapped placement (RunConfig.Async).
 	Async bool
 	// Faults, when non-nil, arms this fault-injection schedule on every
 	// run the suite executes that does not carry its own schedule

@@ -45,8 +45,7 @@ func TestOverlapBeatsStopTheWorld(t *testing.T) {
 		t.Errorf("stop-the-world run reported overlap accounting: overlap=%.9f stolen=%.9f",
 			sync.OverlapSeconds, sync.StolenSeconds)
 	}
-	// Both pipelines settle the same placement once the async tail is
-	// drained.
+	// Both modes make the same placements.
 	if over.ResidentBytes != sync.ResidentBytes {
 		t.Errorf("modes converged to different residency: overlapped %d vs stop-the-world %d",
 			over.ResidentBytes, sync.ResidentBytes)

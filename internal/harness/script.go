@@ -38,7 +38,7 @@ type Script struct {
 	// Health, when non-nil, turns on the health scoreboard under this
 	// policy and the CRC scrubber.
 	Health *health.Policy
-	// Async drives the epochs through overlapped background placement
+	// Async drives the epochs through overlapped placement
 	// (RunEpochAsync, drained after the last epoch) instead of RunEpoch.
 	Async bool
 	// Steps are the epochs, in order.
@@ -124,9 +124,6 @@ func runScript(sc Script) (*ScriptResult, error) {
 	if sc.Health != nil {
 		opts = append(opts, atmem.WithScrubber(), atmem.WithHealthPolicy(*sc.Health))
 	}
-	if sc.Async {
-		opts = append(opts, atmem.WithAsyncPlacement())
-	}
 	if sc.TraceDir != "" {
 		opts = append(opts, atmem.WithTelemetry(telemetry.NewRecorder()))
 	}
@@ -177,9 +174,7 @@ func runScript(sc Script) (*ScriptResult, error) {
 			if err != nil {
 				return res, fail("%s: %w", st.App, err)
 			}
-			// The overlapped pipeline's first epoch legitimately places
-			// nothing (no pending interval).
-			if !sc.Async && !er.Optimized {
+			if !er.Optimized {
 				return res, fail("%s attributed no samples", st.App)
 			}
 			res.Epochs = append(res.Epochs, ScriptEpoch{App: st.App, Reserve: reserve,
@@ -188,7 +183,7 @@ func runScript(sc Script) (*ScriptResult, error) {
 				rt.DisarmFaults()
 			}
 			// A retired page never hosts fast bytes again, whatever the
-			// governor, the scrubber or a background placement just did.
+			// governor, the scrubber or an overlapped placement just did.
 			for _, qr := range rt.System().QuarantinedRanges() {
 				if on := rt.System().BytesOnTier(qr.Base, qr.Size); on[memsim.TierFast] != 0 {
 					return res, fail("quarantined range [%#x,+%#x) hosts %d fast bytes",
@@ -198,9 +193,8 @@ func runScript(sc Script) (*ScriptResult, error) {
 		}
 	}
 	if sc.Async {
-		// Place the last interval's samples so the pipeline leaves
-		// nothing pending.
-		if _, err := rt.DrainAsync(ctx); err != nil {
+		// Settle the last placement's deferred clock charge.
+		if err := rt.DrainAsync(); err != nil {
 			return res, fmt.Errorf("harness: %s drain: %w", sc.Name, err)
 		}
 	}

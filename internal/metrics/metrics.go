@@ -4,13 +4,9 @@
 // scraped concurrently with recording (the debug HTTP listener's
 // /metrics endpoint reads it from another goroutine mid-run).
 //
-// The design mirrors the telemetry recorder's single-writer shard
-// discipline (internal/telemetry): a Counter owns one 64-byte-padded
-// cell per shard, each written by exactly one goroutine (the runtime
-// writes shard 0 from its control goroutine), so recording never
-// contends on a cache line. Reads sum the cells with
-// atomic loads, which is why a scrape is safe at any time without
-// stopping the writers.
+// Every instrument is a set of atomics: the runtime records from its
+// control goroutine, and reads are atomic loads, which is why a scrape
+// is safe at any time without stopping the writer.
 //
 // A nil *Registry is the disabled registry: instrument constructors
 // return nil instruments, and every record method on a nil instrument
@@ -57,46 +53,30 @@ func (t seriesType) String() string {
 	return "untyped"
 }
 
-// cell is one shard's counter slot, padded to a cache line so two
-// shards never false-share.
-type cell struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
-// Counter is a monotonically-increasing per-shard counter. Each shard
-// must have a single writer (the telemetry recorder's discipline); any
-// goroutine may read. A nil Counter is the disabled counter.
+// Counter is a monotonically-increasing counter. Add and Value are
+// atomic, so any goroutine may read while the runtime records; a nil
+// Counter is the disabled counter.
 type Counter struct {
-	cells []cell
+	n atomic.Uint64
 }
 
-// Add increments the shard's cell. Out-of-range shards clamp to 0, so
-// a registry built with fewer shards than the caller uses stays
-// correct (merely contended).
-func (c *Counter) Add(shard int, v uint64) {
+// Add increments the counter by v.
+func (c *Counter) Add(v uint64) {
 	if c == nil {
 		return
 	}
-	if shard < 0 || shard >= len(c.cells) {
-		shard = 0
-	}
-	c.cells[shard].n.Add(v)
+	c.n.Add(v)
 }
 
-// Inc is Add(shard, 1).
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
+// Inc is Add(1).
+func (c *Counter) Inc() { c.Add(1) }
 
-// Value sums every shard's cell.
+// Value loads the counter.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var n uint64
-	for i := range c.cells {
-		n += c.cells[i].n.Load()
-	}
-	return n
+	return c.n.Load()
 }
 
 // Gauge is a last-value-wins float64 instrument. Set and Value are
@@ -146,20 +126,13 @@ type family struct {
 // only the instrument's own atomics. A nil *Registry disables
 // everything.
 type Registry struct {
-	shards int
-
 	mu       sync.Mutex
 	families map[string]*family
 }
 
-// New builds a registry whose counters carry one padded cell per
-// shard. Shard 0 is conventionally the control plane. shards < 1 is
-// clamped to 1.
-func New(shards int) *Registry {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Registry{shards: shards, families: make(map[string]*family)}
+// New builds an empty registry.
+func New() *Registry {
+	return &Registry{families: make(map[string]*family)}
 }
 
 // Enabled reports whether the registry records (false for nil).
@@ -223,7 +196,7 @@ func (r *Registry) register(name, help string, typ seriesType, labels Labels) *s
 		s = &series{labels: cp, labelKey: lk}
 		switch typ {
 		case typeCounter:
-			s.c = &Counter{cells: make([]cell, r.shards)}
+			s.c = &Counter{}
 		case typeGauge:
 			s.g = &Gauge{}
 		case typeHistogram:

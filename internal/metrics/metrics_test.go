@@ -6,26 +6,19 @@ import (
 	"testing"
 )
 
-func TestCounterShards(t *testing.T) {
-	r := New(4)
+func TestCounterAddAndInc(t *testing.T) {
+	r := New()
 	c := r.Counter("x_total", "x", nil)
-	c.Add(0, 5)
-	c.Add(1, 7)
-	c.Add(3, 1)
-	c.Inc(2)
-	if got := c.Value(); got != 14 {
-		t.Fatalf("Value = %d, want 14", got)
-	}
-	// Out-of-range shards clamp to 0 instead of dropping the count.
-	c.Add(99, 2)
-	c.Add(-1, 3)
-	if got := c.Value(); got != 19 {
-		t.Fatalf("Value after clamped shards = %d, want 19", got)
+	c.Add(5)
+	c.Add(7)
+	c.Inc()
+	if got := c.Value(); got != 13 {
+		t.Fatalf("Value = %d, want 13", got)
 	}
 }
 
 func TestRegistryResolvesSameSeries(t *testing.T) {
-	r := New(1)
+	r := New()
 	a := r.Counter("dup_total", "dup", Labels{"tier": "dram"})
 	b := r.Counter("dup_total", "dup", Labels{"tier": "dram"})
 	if a != b {
@@ -35,8 +28,8 @@ func TestRegistryResolvesSameSeries(t *testing.T) {
 	if other == a {
 		t.Fatal("different labels resolved to the same counter")
 	}
-	a.Add(0, 3)
-	b.Add(0, 2)
+	a.Add(3)
+	b.Add(2)
 	if a.Value() != 5 {
 		t.Fatalf("shared series Value = %d, want 5", a.Value())
 	}
@@ -48,7 +41,7 @@ func TestRegistryResolvesSameSeries(t *testing.T) {
 }
 
 func TestGaugeSetAndValue(t *testing.T) {
-	r := New(1)
+	r := New()
 	g := r.Gauge("level", "level", nil)
 	g.Set(0.25)
 	if g.Value() != 0.25 {
@@ -92,7 +85,7 @@ func TestHistogramBucketing(t *testing.T) {
 }
 
 func TestHistogramObserveAndSnapshot(t *testing.T) {
-	r := New(1)
+	r := New()
 	h := r.Histogram("lat_ns", "latency", nil)
 	for _, v := range []uint64{1, 1, 5, 5, 5, 1000} {
 		h.Observe(v)
@@ -120,15 +113,15 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 }
 
 func TestSnapshotDelta(t *testing.T) {
-	r := New(2)
+	r := New()
 	c := r.Counter("ops_total", "ops", nil)
 	g := r.Gauge("level", "level", nil)
 	h := r.Histogram("lat_ns", "latency", nil)
-	c.Add(0, 10)
+	c.Add(10)
 	g.Set(1)
 	h.Observe(5)
 	before := r.Snapshot()
-	c.Add(1, 4)
+	c.Add(4)
 	g.Set(9)
 	h.Observe(5)
 	h.Observe(700)
@@ -167,8 +160,8 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 		t.Fatal("nil registry returned live instruments")
 	}
 	// Every record and read path must be inert, not crash.
-	c.Add(0, 1)
-	c.Inc(3)
+	c.Add(1)
+	c.Inc()
 	g.Set(1)
 	g.SetUint(2)
 	h.Observe(1)
@@ -190,22 +183,22 @@ type discard struct{}
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestConcurrentRecordAndSnapshot is the -race guard for the scrape
-// path: per-shard writers, a histogram and gauge writer, and a
+// path: concurrent counter writers, a histogram and gauge writer, and a
 // concurrent snapshotter + exposition writer must be data-race free,
 // and no increments may be lost.
 func TestConcurrentRecordAndSnapshot(t *testing.T) {
-	const shards, perShard = 4, 2000
-	r := New(shards)
+	const writers, perWriter = 4, 2000
+	r := New()
 	c := r.Counter("ops_total", "ops", nil)
 	g := r.Gauge("level", "level", nil)
 	h := r.Histogram("lat_ns", "latency", nil)
 	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
+	for s := 0; s < writers; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			for i := 0; i < perShard; i++ {
-				c.Inc(s)
+			for i := 0; i < perWriter; i++ {
+				c.Inc()
 				h.Observe(uint64(i))
 				if s == 0 {
 					g.Set(float64(i))
@@ -218,7 +211,7 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 50; i++ {
 			snap := r.Snapshot()
-			if snap.Counters["ops_total"] > shards*perShard {
+			if snap.Counters["ops_total"] > writers*perWriter {
 				t.Errorf("snapshot over-counted: %d", snap.Counters["ops_total"])
 				return
 			}
@@ -230,11 +223,11 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := c.Value(); got != shards*perShard {
-		t.Fatalf("lost increments: %d, want %d", got, shards*perShard)
+	if got := c.Value(); got != writers*perWriter {
+		t.Fatalf("lost increments: %d, want %d", got, writers*perWriter)
 	}
-	if got := h.Count(); got != shards*perShard {
-		t.Fatalf("lost observations: %d, want %d", got, shards*perShard)
+	if got := h.Count(); got != writers*perWriter {
+		t.Fatalf("lost observations: %d, want %d", got, writers*perWriter)
 	}
 }
 
@@ -249,7 +242,7 @@ func BenchmarkDisabledMetrics(b *testing.B) {
 	h := r.Histogram("z_ns", "z", nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Add(0, 1)
+		c.Add(1)
 		g.Set(1)
 		h.Observe(uint64(i))
 	}
@@ -257,17 +250,17 @@ func BenchmarkDisabledMetrics(b *testing.B) {
 
 // BenchmarkEnabledCounter sizes the hot cost of one recorded increment.
 func BenchmarkEnabledCounter(b *testing.B) {
-	r := New(2)
+	r := New()
 	c := r.Counter("x_total", "x", nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Add(0, 1)
+		c.Add(1)
 	}
 }
 
 // BenchmarkEnabledHistogram sizes the hot cost of one observation.
 func BenchmarkEnabledHistogram(b *testing.B) {
-	r := New(2)
+	r := New()
 	h := r.Histogram("z_ns", "z", nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

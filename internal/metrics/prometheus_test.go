@@ -13,11 +13,11 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // TestPrometheusGolden pins the exposition format byte-for-byte:
 // family ordering, series ordering, escaping, histogram cumulation.
 func TestPrometheusGolden(t *testing.T) {
-	r := New(2)
+	r := New()
 	reads := r.Counter("atmem_tier_read_bytes_total", "Bytes read per tier.", Labels{"tier": "dram"})
-	reads.Add(0, 4096)
-	reads.Add(1, 512)
-	r.Counter("atmem_tier_read_bytes_total", "Bytes read per tier.", Labels{"tier": "optane"}).Add(0, 65536)
+	reads.Add(4096)
+	reads.Add(512)
+	r.Counter("atmem_tier_read_bytes_total", "Bytes read per tier.", Labels{"tier": "optane"}).Add(65536)
 	r.Gauge("atmem_tier_occupancy_ratio", "Occupied fraction of tier capacity.", Labels{"tier": "dram"}).Set(0.75)
 	r.Gauge("atmem_governor_breaker_state", "Breaker state (0 closed, 1 half-open, 2 open).", nil).Set(0)
 	h := r.Histogram("atmem_epoch_phase_seconds", "Simulated phase wall time.", nil)
@@ -27,14 +27,14 @@ func TestPrometheusGolden(t *testing.T) {
 	h.Observe(17)
 	h.Observe(1 << 20)
 	h.Observe(1 << 62) // beyond the finite buckets: +Inf only
-	r.Counter("esc_total", `help with \ backslash`+"\nand newline", Labels{"path": `a"b\c`}).Inc(0)
+	r.Counter("esc_total", `help with \ backslash`+"\nand newline", Labels{"path": `a"b\c`}).Inc()
 	// Multi-tenant series: the broker attaches a "tenant" label to every
 	// family of a tenant runtime. Label keys render alphabetically
 	// ("tenant" < "tier"), and series within a family order by their
 	// canonical label string — pin both.
-	r.Counter("atmem_tier_write_bytes_total", "Bytes written per tier.", Labels{"tenant": "analytics", "tier": "dram"}).Add(0, 128)
-	r.Counter("atmem_tier_write_bytes_total", "Bytes written per tier.", Labels{"tenant": "batch", "tier": "dram"}).Add(0, 256)
-	r.Counter("atmem_tier_write_bytes_total", "Bytes written per tier.", Labels{"tenant": "analytics", "tier": "optane"}).Add(0, 64)
+	r.Counter("atmem_tier_write_bytes_total", "Bytes written per tier.", Labels{"tenant": "analytics", "tier": "dram"}).Add(128)
+	r.Counter("atmem_tier_write_bytes_total", "Bytes written per tier.", Labels{"tenant": "batch", "tier": "dram"}).Add(256)
+	r.Counter("atmem_tier_write_bytes_total", "Bytes written per tier.", Labels{"tenant": "analytics", "tier": "optane"}).Add(64)
 	r.Gauge("atmem_scorecard_fast_access_share", "Fraction of traffic served fast.", Labels{"tenant": "analytics"}).Set(0.875)
 
 	var buf bytes.Buffer

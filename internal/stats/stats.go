@@ -1,12 +1,11 @@
 // Package stats provides small numeric helpers shared across the ATMem
 // reproduction: percentiles, a one-dimensional 2-means split (the
 // "derivative-based classification similar to a k-means clustering
-// technique" of paper §4.2), summary statistics, and a fast deterministic
-// RNG used by the simulator and the graph generators.
+// technique" of paper §4.2), and a fast deterministic RNG used by the
+// simulator and the graph generators.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -26,24 +25,6 @@ func Percentile(xs []float64, p float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// PercentileSorted is Percentile for data already sorted ascending.
-func PercentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	return percentileSorted(sorted, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
@@ -104,64 +85,4 @@ func TwoMeansSplit(xs []float64) float64 {
 		cLo, cHi = nLoC, nHiC
 	}
 	return (cLo + cHi) / 2
-}
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Min    float64
-	Max    float64
-	Mean   float64
-	Stddev float64
-	Sum    float64
-}
-
-// Summarize computes a Summary of xs. An empty input yields a zero Summary
-// with NaN Min/Max.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs), Min: math.NaN(), Max: math.NaN()}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.4g max=%.4g mean=%.4g stddev=%.4g",
-		s.N, s.Min, s.Max, s.Mean, s.Stddev)
-}
-
-// GeoMean returns the geometric mean of xs; it panics on non-positive
-// inputs since speedup ratios must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: GeoMean of non-positive value %v", x))
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }

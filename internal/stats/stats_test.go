@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -60,23 +60,6 @@ func TestPercentileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPercentileSortedMatchesPercentile(t *testing.T) {
-	check := func(raw []float64, p float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		p = math.Mod(math.Abs(p), 100)
-		sorted := append([]float64(nil), raw...)
-		sort.Float64s(sorted)
-		a := Percentile(raw, p)
-		b := PercentileSorted(sorted, p)
-		return (math.IsNaN(a) && math.IsNaN(b)) || a == b
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: a percentile always lies within [min, max] of the sample.
 func TestPercentileWithinBounds(t *testing.T) {
 	check := func(raw []float64, p float64) bool {
@@ -91,8 +74,7 @@ func TestPercentileWithinBounds(t *testing.T) {
 		}
 		p = math.Mod(math.Abs(p), 100)
 		got := Percentile(xs, p)
-		s := Summarize(xs)
-		return got >= s.Min-1e-9 && got <= s.Max+1e-9
+		return got >= slices.Min(xs)-1e-9 && got <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
@@ -129,45 +111,9 @@ func TestTwoMeansSplitWithinRange(t *testing.T) {
 			return true
 		}
 		split := TwoMeansSplit(xs)
-		s := Summarize(xs)
-		return split >= s.Min-1e-9 && split <= s.Max+1e-9
+		return split >= slices.Min(xs)-1e-9 && split <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 6})
-	if s.N != 3 || s.Min != 2 || s.Max != 6 || s.Mean != 4 || s.Sum != 12 {
-		t.Errorf("unexpected summary: %+v", s)
-	}
-	if math.Abs(s.Stddev-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", s.Stddev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || !math.IsNaN(s.Min) || !math.IsNaN(s.Max) {
-		t.Errorf("unexpected empty summary: %+v", s)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("GeoMean of non-positive value should panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestSummaryString(t *testing.T) {
-	if s := Summarize([]float64{1, 2}).String(); s == "" {
-		t.Error("empty String()")
 	}
 }

@@ -6,23 +6,17 @@ package atmem
 // observe.go record into both, from the same record that feeds the
 // trace (never on the simulated-access hot path). Everything is
 // nil-safe: with Options.Metrics and Options.DebugAddr unset each
-// record point costs one pointer test. Every record point runs on the
-// runtime's control goroutine, so all counters write shard 0.
+// record point costs one pointer test.
 
 import (
 	"atmem/internal/memsim"
 	"atmem/internal/metrics"
 )
 
-// metricsShards is the counter shard count a runtime needs: its
-// control goroutine's.
-const metricsShards = 1
-
-// NewMetricsRegistry returns a metrics registry sized for one runtime
-// (one counter shard). Pass it to
+// NewMetricsRegistry returns an empty metrics registry. Pass it to
 // WithMetrics; scrape it via Registry.WritePrometheus or the debug
 // listener's /metrics endpoint.
-func NewMetricsRegistry() *metrics.Registry { return metrics.New(metricsShards) }
+func NewMetricsRegistry() *metrics.Registry { return metrics.New() }
 
 // metricsSet holds the runtime's pre-registered instruments so record
 // points never take the registry's registration lock. A nil *metricsSet

@@ -123,11 +123,11 @@ func TestScorecardReconciliation(t *testing.T) {
 }
 
 // TestScorecardAsyncAndUngoverned covers the other epoch drivers: the
-// async pipeline produces a scorecard per epoch, and an ungoverned
+// overlapped epochs produce a scorecard per epoch, and an ungoverned
 // runtime produces none (but still records metrics).
 func TestScorecardAsyncAndUngoverned(t *testing.T) {
 	rt, err := New(govTestbed(8<<20),
-		WithAsyncPlacement(),
+		WithGovernor(GovernorOptions{}),
 		WithMetrics(NewMetricsRegistry()),
 	)
 	if err != nil {
@@ -144,15 +144,15 @@ func TestScorecardAsyncAndUngoverned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := rt.DrainAsync(t.Context()); err != nil {
+	if err := rt.DrainAsync(); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(rt.Scorecards()); got != 3 {
 		t.Fatalf("async run produced %d scorecards, want 3", got)
 	}
-	// Epoch 2 overlapped epoch 1's placement: its scorecard must carry
-	// that placement's byte movement.
-	if sc := rt.Scorecards()[1]; sc.MovedBytes == 0 {
+	// Epoch 1 placed its own samples: its scorecard must carry that
+	// placement's byte movement.
+	if sc := rt.Scorecards()[0]; sc.MovedBytes == 0 {
 		t.Error("overlapped epoch's scorecard shows no movement")
 	}
 

@@ -22,13 +22,12 @@ type traceCursor struct {
 }
 
 // drainTransitions mirrors every fault event, breaker transition and
-// granule-state transition not yet in the trace as an instant on track
-// tid. It runs at every placement end, at every epoch end and in the
-// trace writers, so the trace's transition instants stay in one-to-one
-// correspondence with FaultEvents, BreakerTransitions and the
-// scoreboard's Transitions, each stamped near the boundary that caused
-// it.
-func (r *Runtime) drainTransitions(tid int) {
+// granule-state transition not yet in the trace as an instant. It runs
+// at every placement end, at every epoch end and in the trace writers,
+// so the trace's transition instants stay in one-to-one correspondence
+// with FaultEvents, BreakerTransitions and the scoreboard's
+// Transitions, each stamped near the boundary that caused it.
+func (r *Runtime) drainTransitions() {
 	if !r.rec.Enabled() {
 		return
 	}
@@ -37,7 +36,7 @@ func (r *Runtime) drainTransitions(tid int) {
 		evs := r.faults.Events()
 		for ; c.faults < len(evs); c.faults++ {
 			ev := evs[c.faults]
-			r.rec.Instant(tid, "fault", string(ev.Op), telemetry.Args{
+			r.rec.Instant(0, "fault", string(ev.Op), telemetry.Args{
 				"call": ev.Call,
 				"rule": ev.Rule,
 			})
@@ -47,7 +46,7 @@ func (r *Runtime) drainTransitions(tid int) {
 		trs := r.breaker.Transitions()
 		for ; c.breaker < len(trs); c.breaker++ {
 			tr := trs[c.breaker]
-			r.rec.Instant(tid, "governor", "breaker-"+tr.To.String(), telemetry.Args{
+			r.rec.Instant(0, "governor", "breaker-"+tr.To.String(), telemetry.Args{
 				"epoch":    tr.Epoch,
 				"from":     tr.From.String(),
 				"reason":   tr.Reason,
@@ -69,7 +68,7 @@ func (r *Runtime) drainTransitions(tid int) {
 			if tr.Backoff > 0 {
 				args["backoff"] = tr.Backoff
 			}
-			r.rec.Instant(tid, "health", "granule-"+tr.To.String(), args)
+			r.rec.Instant(0, "health", "granule-"+tr.To.String(), args)
 		}
 	}
 }
@@ -107,11 +106,11 @@ func (r *Runtime) endPhase(pr *PhaseResult) {
 		r.rec.Counter(0, "metric", "phase-traffic", traffic)
 	}
 	if m := r.met; m != nil {
-		m.phases.Inc(0)
+		m.phases.Inc()
 		for t := memsim.Tier(0); t < memsim.NumTiers; t++ {
-			m.tierRead[t].Add(0, st.ReadBytes[t])
-			m.tierWrite[t].Add(0, st.WriteBytes[t])
-			m.tierWriteback[t].Add(0, st.WritebackBytes[t])
+			m.tierRead[t].Add(st.ReadBytes[t])
+			m.tierWrite[t].Add(st.WriteBytes[t])
+			m.tierWriteback[t].Add(st.WritebackBytes[t])
 			m.tierMapped[t].SetUint(mapped[t])
 			m.tierReserved[t].SetUint(reserved[t])
 		}
@@ -128,7 +127,7 @@ func (r *Runtime) endPhase(pr *PhaseResult) {
 // with arguments read off rep, records the metrics (the health counters
 // as the delta from the previous placement's report) and stores rep as
 // the last placement.
-func (r *Runtime) endPlacement(tid int, rep *MigrationReport, replayed bool, decision governor.Decision, analyzeNS uint64) {
+func (r *Runtime) endPlacement(rep *MigrationReport, replayed bool, decision governor.Decision, analyzeNS uint64) {
 	governed := r.breaker != nil
 	if governed {
 		state := r.breaker.State()
@@ -139,11 +138,11 @@ func (r *Runtime) endPlacement(tid int, rep *MigrationReport, replayed bool, dec
 		r.breakerOpenA.Store(state != governor.StateClosed)
 	}
 	rep.Health = r.healthReport()
-	r.drainTransitions(tid)
+	r.drainTransitions()
 	switch {
 	case !r.rec.Enabled():
 	case replayed:
-		r.rec.End(tid, "replay", "apply-plan", telemetry.Args{
+		r.rec.End(0, "replay", "apply-plan", telemetry.Args{
 			"promoted_bytes": rep.PromotedBytes,
 			"demoted_bytes":  rep.DemotedBytes,
 			"seconds":        rep.Seconds,
@@ -168,33 +167,33 @@ func (r *Runtime) endPlacement(tid int, rep *MigrationReport, replayed bool, dec
 			args["pressure_bytes"] = rep.PressureDemotedBytes
 			args["resident_bytes"] = rep.ResidentBytes
 		}
-		r.rec.End(tid, "optimize", "optimize", args)
+		r.rec.End(0, "optimize", "optimize", args)
 	}
 	if m := r.met; m != nil {
 		if analyzeNS > 0 {
 			m.analyzeNS.Observe(analyzeNS)
 		}
 		m.migrateNS.ObserveSeconds(rep.Seconds)
-		m.movedBytes.Add(0, rep.BytesMoved)
-		m.pagesMoved.Add(0, uint64(rep.PagesMoved))
-		m.hugeSplits.Add(0, uint64(rep.HugePagesSplit))
-		m.tlbShootdowns.Add(0, uint64(rep.TLBShootdowns))
-		m.regionsMigrated.Add(0, uint64(rep.RegionsMigrated))
-		m.regionsRetried.Add(0, uint64(rep.RegionsRetried))
-		m.regionsSkipped.Add(0, uint64(rep.RegionsSkipped))
+		m.movedBytes.Add(rep.BytesMoved)
+		m.pagesMoved.Add(uint64(rep.PagesMoved))
+		m.hugeSplits.Add(uint64(rep.HugePagesSplit))
+		m.tlbShootdowns.Add(uint64(rep.TLBShootdowns))
+		m.regionsMigrated.Add(uint64(rep.RegionsMigrated))
+		m.regionsRetried.Add(uint64(rep.RegionsRetried))
+		m.regionsSkipped.Add(uint64(rep.RegionsSkipped))
 		if governed {
-			m.promotedBytes.Add(0, rep.PromotedBytes)
-			m.demotedBytes.Add(0, rep.DemotedBytes)
+			m.promotedBytes.Add(rep.PromotedBytes)
+			m.demotedBytes.Add(rep.DemotedBytes)
 			m.breakerState.Set(float64(r.breaker.State()))
 			m.residentBytes.SetUint(rep.ResidentBytes)
 		}
 		h, prev := rep.Health, r.lastMig.Health
 		m.quarantinedBytes.SetUint(h.QuarantinedBytes)
-		m.scrubbedBytes.Add(0, h.ScrubbedBytes-prev.ScrubbedBytes)
-		m.crcDetected.Add(0, uint64(h.CorruptionsDetected-prev.CorruptionsDetected))
-		m.crcRepaired.Add(0, uint64(h.CorruptionsRepaired-prev.CorruptionsRepaired))
-		m.emergDemotions.Add(0, uint64(h.EmergencyDemotions-prev.EmergencyDemotions))
-		m.promosVetoed.Add(0, uint64(h.PromotionsVetoed-prev.PromotionsVetoed))
+		m.scrubbedBytes.Add(h.ScrubbedBytes - prev.ScrubbedBytes)
+		m.crcDetected.Add(uint64(h.CorruptionsDetected - prev.CorruptionsDetected))
+		m.crcRepaired.Add(uint64(h.CorruptionsRepaired - prev.CorruptionsRepaired))
+		m.emergDemotions.Add(uint64(h.EmergencyDemotions - prev.EmergencyDemotions))
+		m.promosVetoed.Add(uint64(h.PromotionsVetoed - prev.PromotionsVetoed))
 	}
 	r.lastMig = *rep
 }
@@ -205,7 +204,7 @@ func (r *Runtime) endPlacement(tid int, rep *MigrationReport, replayed bool, dec
 // the atomic latest-scorecard slot, the metrics and (on a broker
 // tenant) the arbiter, and closes the epoch's span with end.
 func (r *Runtime) endEpoch(name string, end telemetry.Args, rep *EpochReport, scrubStartNS uint64) {
-	r.drainTransitions(0)
+	r.drainTransitions()
 	sc := Scorecard{Epoch: rep.Epoch}
 	for i := range rep.Phases {
 		st := &rep.Phases[i].Stats
@@ -249,11 +248,11 @@ func (r *Runtime) endEpoch(name string, end telemetry.Args, rep *EpochReport, sc
 	r.scorecards = append(r.scorecards, sc)
 	r.lastScore.Store(&sc)
 	if m := r.met; m != nil {
-		m.epochs.Inc(0)
+		m.epochs.Inc()
 		if rep.Migration.BreakerSkipped {
-			m.epochsSkipped.Inc(0)
+			m.epochsSkipped.Inc()
 		}
-		m.samples.Add(0, uint64(rep.Samples))
+		m.samples.Add(uint64(rep.Samples))
 		m.epochNS.ObserveSeconds(sc.PhaseSeconds + sc.MigrationSeconds + sc.ScrubSeconds)
 		m.scoreEpoch.SetUint(uint64(sc.Epoch))
 		m.scoreFastShare.Set(sc.FastAccessShare)

@@ -20,7 +20,7 @@ type Option func(*Options)
 //	rt, err := atmem.New(atmem.NVMDRAM(),
 //		atmem.WithThreads(16),
 //		atmem.WithTelemetry(rec),
-//		atmem.WithAsyncPlacement(),
+//		atmem.WithGovernor(atmem.GovernorOptions{}),
 //	)
 //
 // Options apply in order; later options override earlier ones. The
@@ -96,14 +96,6 @@ func WithGovernor(g GovernorOptions) Option {
 // enhancement (see Options.BandwidthAware).
 func WithBandwidthAware(on bool) Option {
 	return func(o *Options) { o.BandwidthAware = on }
-}
-
-// WithAsyncPlacement enables overlapped placement: governed epochs
-// driven via RunEpochAsync overlap the previous interval's migration
-// with the next interval's phases in simulated time. The governor is
-// implied (see Options.Async).
-func WithAsyncPlacement() Option {
-	return func(o *Options) { o.Async = true }
 }
 
 // WithPlanCache attaches a compiled-plan cache, enabling record/replay

@@ -243,20 +243,17 @@ func (r *Runtime) PlanVerdict() LookupVerdict { return r.planVerdict }
 //     workload exists under different assumptions — it is deliberately
 //     not replayed, and the verdict makes the fallback observable.
 //
-// ArmPlan requires Options.PlanCache and Options.Governor.Enabled, the
-// synchronous RunEpoch loop (the async pipeline commits an epoch's
-// placement during the next epoch, which would shift the recorded
-// schedule by one), and a solo runtime (a replayed promotion would
-// bypass a broker tenant's share), and must run before the first epoch.
+// ArmPlan requires Options.PlanCache and Options.Governor.Enabled and a
+// solo runtime (a replayed promotion would bypass a broker tenant's
+// share), and must run before the first epoch. Stop-the-world and
+// overlapped epochs record and replay alike: an overlapped epoch places
+// what a stop-the-world one does and only defers the clock charge.
 func (r *Runtime) ArmPlan(sig Signature) (LookupVerdict, error) {
 	if r.planCache == nil {
 		return LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.PlanCache")
 	}
 	if !r.opts.Governor.Enabled {
 		return LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.Governor.Enabled")
-	}
-	if r.opts.Async {
-		return LookupMiss, fmt.Errorf("atmem: plan record/replay requires the synchronous RunEpoch loop (Options.Async must be off)")
 	}
 	if r.tenant != nil {
 		return LookupMiss, fmt.Errorf("atmem: plan record/replay is not supported on a broker tenant (replayed promotions would bypass the tenant's share)")
@@ -328,7 +325,7 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 	// health veto applies on replay too: pages quarantined since the
 	// recording must never receive a replayed promotion.
 	sched := r.armedPlan.Epochs[epoch-1]
-	sched.Promotions = r.filterPromotions(0, sched.Promotions)
+	sched.Promotions = r.filterPromotions(sched.Promotions)
 
 	// Replay bypasses the breaker (the recorded run already paid for the
 	// decisions) but reports through the same governed-report shape.
@@ -338,7 +335,7 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 		Epoch:      epoch,
 		DeltaEmpty: sched.Empty(),
 	}
-	res, err := r.commitSchedule(ctx, 0, sched)
+	res, err := r.commitSchedule(ctx, sched)
 	rep.setSchedule(res, err == nil)
 	if err != nil {
 		err = fmt.Errorf("atmem: replay migration: %w", err)
@@ -347,7 +344,7 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 		// a storm that skips them must indict the failing granules.
 		r.observeMigrationHealth(res)
 	}
-	r.endPlacement(0, &rep, true, governor.DecisionRun, 0)
+	r.endPlacement(&rep, true, governor.DecisionRun, 0)
 	return rep, err
 }
 

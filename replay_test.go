@@ -125,6 +125,83 @@ func TestPlanRecordReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestAsyncRecordedPlanReplays pins that overlapped epochs record and
+// replay like stop-the-world ones: a plan recorded under RunEpochAsync
+// replays, through RunEpoch and through RunEpochAsync, to the recorded
+// residency and tier layout, and a replayed overlapped epoch defers its
+// clock charge like an online one.
+func TestAsyncRecordedPlanReplays(t *testing.T) {
+	pc := NewPlanCache()
+	const epochs = 3
+
+	rec, hot := replayFixture(t, pc)
+	sig := rec.BuildSignature("synthetic", 0x1234, []string{"scan"})
+	if v, err := rec.ArmPlan(sig); err != nil || v != LookupMiss {
+		t.Fatalf("first ArmPlan = (%v, %v), want miss", v, err)
+	}
+	for e := 0; e < epochs; e++ {
+		if _, err := rec.RunEpochAsync(t.Context(), "e", func() { scanPhase(rec, "e", hot) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rec.DrainAsync(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := rec.FinishPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Epochs) != epochs || len(plan.Epochs[0].Promotions) == 0 {
+		t.Fatalf("plan recorded %d epochs, %d first-epoch promotions", len(plan.Epochs), len(plan.Epochs[0].Promotions))
+	}
+	wantLayout, wantResident := tierLayout(rec), rec.ResidentBytes()
+
+	for _, async := range []bool{false, true} {
+		rt, hot2 := replayFixture(t, pc)
+		if v, err := rt.ArmPlan(rt.BuildSignature("synthetic", 0x1234, []string{"scan"})); err != nil || v != LookupHit {
+			t.Fatalf("async=%v: ArmPlan = (%v, %v), want hit", async, v, err)
+		}
+		for e := 0; e < epochs; e++ {
+			body := func() { scanPhase(rt, "e", hot2) }
+			var er EpochReport
+			var err error
+			if async {
+				er, err = rt.RunEpochAsync(t.Context(), "e", body)
+			} else {
+				er, err = rt.RunEpoch("e", body)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !er.Replayed {
+				t.Fatalf("async=%v: epoch %d not replayed", async, e+1)
+			}
+		}
+		if err := rt.DrainAsync(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.FinishPlan(); err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.ResidentBytes(); got != wantResident {
+			t.Errorf("async=%v: replay residency %d != recorded %d", async, got, wantResident)
+		}
+		gotLayout := tierLayout(rt)
+		for name, want := range wantLayout {
+			if gotLayout[name] != want {
+				t.Errorf("async=%v: object %q tier layout %v != recorded %v", async, name, gotLayout[name], want)
+			}
+		}
+		if hid := rt.OverlapSeconds() > 0; hid != async {
+			t.Errorf("async=%v: replay hid migration time: %v", async, hid)
+		}
+		assertDataIntact(t, "replayed hot", hot2, 7)
+		if err := rt.System().CheckConsistency(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestRecordEmptyEpochsKeepNumbering pins the epoch alignment of the
 // schedule log: an epoch that commits nothing still records an empty
 // schedule, so the replay commits the second epoch's moves in its
@@ -456,8 +533,7 @@ func TestReplayFaultStormMatchesOnline(t *testing.T) {
 }
 
 // TestArmPlanRequirements pins the preconditions: a plan cache, the
-// governor, the synchronous loop, a solo runtime, and one arm per
-// session.
+// governor, a solo runtime, and one arm per session.
 func TestArmPlanRequirements(t *testing.T) {
 	sig := Signature{Graph: "g", Kernels: "k"}
 	bk := NewBroker(govTestbed(8<<20), BrokerConfig{})
@@ -471,7 +547,6 @@ func TestArmPlanRequirements(t *testing.T) {
 	}{
 		{"without a plan cache", []Option{WithGovernor(GovernorOptions{})}},
 		{"without the governor", []Option{WithPlanCache(NewPlanCache())}},
-		{"under async placement", []Option{WithPlanCache(NewPlanCache()), WithAsyncPlacement()}},
 		// Replayed promotions would bypass the tenant's share cap.
 		{"on a broker tenant", []Option{WithPlanCache(NewPlanCache()), WithTenant(tn)}},
 	} {

@@ -44,8 +44,7 @@ type Runtime struct {
 	profiled bool
 
 	// lastMig is the record of the most recent placement (Optimize, a
-	// governed epoch's or DrainAsync's placement, or a replayed plan
-	// epoch), built in place by optimizeGoverned or applyPlanEpoch and
+	// governed epoch's placement, or a replayed plan epoch), built in place by optimizeGoverned or applyPlanEpoch and
 	// completed by endPlacement (observe.go).
 	lastMig MigrationReport
 
@@ -106,14 +105,13 @@ type Runtime struct {
 	tenant       *Tenant
 	breakerOpenA atomic.Bool
 
-	// Overlapped-placement state (see async.go). placeTID is the
-	// telemetry track of overlapped placements; a schedule committed on
-	// it leaves its modelled seconds to the epoch join.
-	placeTID       int
-	pendingSamples int     // attributed samples awaiting overlapped placement
-	pendingPeriod  uint64  // profiler period those samples were captured at
-	overlapTotalS  float64 // cumulative overlapped migration seconds
-	stolenTotalS   float64 // cumulative stolen-bandwidth seconds
+	// Overlapped-placement state (see async.go). While overlapping is
+	// set, commitSchedule adds a placement's modelled seconds to pendingS
+	// instead of the clock; the next epoch's join settles them.
+	overlapping   bool
+	pendingS      float64 // deferred placement seconds awaiting the join
+	overlapTotalS float64 // cumulative overlapped migration seconds
+	stolenTotalS  float64 // cumulative stolen-bandwidth seconds
 }
 
 // newRuntime builds the runtime New configured. Everything that can
@@ -194,11 +192,6 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 	r.planCache = o.PlanCache
 	r.rec = o.Recorder
 	r.rec.SetSimClock(r.simNS.Load)
-	// One extra track past the simulated threads for overlapped
-	// placements, so their spans never share a nesting level with the
-	// control track.
-	r.placeTID = p.Threads
-	r.rec.EnsureThreads(p.Threads + 1)
 	tenantLabel := ""
 	if o.Tenant != nil {
 		tenantLabel = o.Tenant.Name()
@@ -460,25 +453,27 @@ func (r *Runtime) Optimize() (MigrationReport, error) {
 // epoch runs (optimizeGoverned); an ungoverned runtime just has no
 // breaker and makes no demotions.
 func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
-	return r.optimizeGoverned(ctx, r.prof.Config().Period, 0)
+	return r.optimizeGoverned(ctx)
 }
 
 // commitSchedule is the one migration-commit path. It runs sched
 // (demotions first) through the transactional engine, charges the
-// modelled time to the simulated clock — unless it runs on the overlap
-// track, whose time the epoch join reconciles (reconcileOverlap) — and
-// commits what moved: the stale TLB and cache entries of exactly the
-// committed slices are invalidated. Residency needs no update here,
+// modelled time to the simulated clock — or, for an overlapped epoch's
+// placement, defers it to the next epoch's join (reconcileOverlap) —
+// and commits what moved: the stale TLB and cache entries of exactly
+// the committed slices are invalidated. Residency needs no update here,
 // because the page table is its only record. An error is an
 // unrecoverable failed rollback; nothing is committed then.
-func (r *Runtime) commitSchedule(ctx context.Context, tid int, sched migrate.Schedule) (migrate.ScheduleResult, error) {
+func (r *Runtime) commitSchedule(ctx context.Context, sched migrate.Schedule) (migrate.ScheduleResult, error) {
 	startNS := r.simNS.Load()
 	var sink migrate.EventSink
 	if r.rec.Enabled() {
-		sink = func(ev migrate.Event) { r.emitMigrationEvent(tid, startNS, ev) }
+		sink = func(ev migrate.Event) { r.emitMigrationEvent(startNS, ev) }
 	}
 	res, err := migrate.RunSchedule(ctx, r.engine, r.sys, sched, sink)
-	if tid != r.placeTID {
+	if r.overlapping {
+		r.pendingS += res.Merged.Seconds
+	} else {
 		r.simNS.Add(uint64(res.Merged.Seconds * 1e9))
 	}
 	if err != nil {
@@ -636,5 +631,6 @@ func (r *Runtime) Phases() []PhaseResult { return r.phases }
 // SimSeconds returns the simulated clock: total simulated seconds of
 // every phase plus the charged share of every migration so far (the
 // full modelled time under stop-the-world placement; only the excess
-// and stolen-bandwidth share under overlapped placement).
+// and stolen-bandwidth share under overlapped placement, once the next
+// epoch's join or DrainAsync settles it).
 func (r *Runtime) SimSeconds() float64 { return float64(r.simNS.Load()) / 1e9 }

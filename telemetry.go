@@ -21,35 +21,31 @@ import (
 // telemetry is off).
 func (r *Runtime) Telemetry() *telemetry.Recorder { return r.rec }
 
-// stageObserver adapts the recorder to the analyzer's stage hooks,
-// recording onto the given track (the overlap track for an overlapped
-// placement); it returns nil (no observation) when telemetry is off.
-func (r *Runtime) stageObserver(tid int) core.StageObserver {
+// stageObserver adapts the recorder to the analyzer's stage hooks; it
+// returns nil (no observation) when telemetry is off.
+func (r *Runtime) stageObserver() core.StageObserver {
 	if !r.rec.Enabled() {
 		return nil
 	}
-	return stageRecorder{r.rec, tid}
+	return stageRecorder{r.rec}
 }
 
-// stageRecorder records each analyzer stage as a span on its track, with
-// the stage's decision summary on the closing edge.
-type stageRecorder struct {
-	rec *telemetry.Recorder
-	tid int
-}
+// stageRecorder records each analyzer stage as a span, with the stage's
+// decision summary on the closing edge.
+type stageRecorder struct{ rec *telemetry.Recorder }
 
 func (s stageRecorder) StageBegin(stage string) {
-	s.rec.Begin(s.tid, "analyze", stage, nil)
+	s.rec.Begin(0, "analyze", stage, nil)
 }
 
 func (s stageRecorder) StageEnd(stage string, summary map[string]any) {
-	s.rec.End(s.tid, "analyze", stage, telemetry.Args(summary))
+	s.rec.End(0, "analyze", stage, telemetry.Args(summary))
 }
 
 // emitMigrationEvent places one engine event on the simulated clock: the
 // engine models its own elapsed seconds within the Optimize window, so
 // the event lands at the window's start plus that offset.
-func (r *Runtime) emitMigrationEvent(tid int, startNS uint64, ev migrate.Event) {
+func (r *Runtime) emitMigrationEvent(startNS uint64, ev migrate.Event) {
 	args := telemetry.Args{
 		"base":   ev.Region.Base,
 		"bytes":  ev.Region.Size,
@@ -64,7 +60,7 @@ func (r *Runtime) emitMigrationEvent(tid int, startNS uint64, ev migrate.Event) 
 	if ev.Err != nil {
 		args["error"] = ev.Err.Error()
 	}
-	r.rec.InstantAt(tid, startNS+uint64(ev.Seconds*1e9),
+	r.rec.InstantAt(0, startNS+uint64(ev.Seconds*1e9),
 		"migrate", "region-"+string(ev.Kind), args)
 }
 
@@ -99,14 +95,14 @@ func (r *Runtime) emitChunkHeat() {
 // trace-event JSON (see telemetry.WriteChromeTrace). Transitions not yet
 // in the trace (say, an Alloc-time fault) are drained into it first.
 func (r *Runtime) WriteTrace(w io.Writer) error {
-	r.drainTransitions(0)
+	r.drainTransitions()
 	return telemetry.WriteChromeTrace(w, r.rec.Events())
 }
 
 // WriteTraceCSV writes the recorded events as a flat CSV timeline with
 // both clocks in explicit columns.
 func (r *Runtime) WriteTraceCSV(w io.Writer) error {
-	r.drainTransitions(0)
+	r.drainTransitions()
 	return telemetry.WriteCSV(w, r.rec.Events())
 }
 

@@ -243,10 +243,7 @@ func TestObservationsAgreeAcrossEpochShapes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := telemetry.NewRecorder()
 			opts := []Option{WithTelemetry(rec), WithMetrics(NewMetricsRegistry())}
-			switch {
-			case tc.async:
-				opts = append(opts, WithAsyncPlacement())
-			case tc.replay:
+			if tc.replay {
 				opts = append(opts, WithPlanCache(pc))
 			}
 			rt, scanned := fixture(opts...)
