@@ -14,7 +14,6 @@ package atmem
 
 import (
 	"context"
-	"fmt"
 
 	"atmem/internal/telemetry"
 )
@@ -25,7 +24,7 @@ import (
 // charged only at the next epoch's join, and only for what that epoch's
 // phases could not hide plus the bandwidth the copies steal from them
 // (reconcileOverlap). Call DrainAsync after the last epoch to settle
-// the final charge. Requires Options.Governor.Enabled.
+// the final charge.
 //
 // A cancelled ctx stops the placement at the next region or
 // staging-slice boundary (rolled back, reported skipped); the epoch
@@ -62,14 +61,14 @@ func (r *Runtime) reconcileOverlap(rep *EpochReport) {
 	r.stolenTotalS += stolen
 	r.simNS.Add(uint64((excess + stolen) * 1e9))
 	if r.rec.Enabled() {
-		r.rec.Instant(0, "placement", "overlap-reconcile", telemetry.Args{
+		r.rec.Instant("placement", "overlap-reconcile", telemetry.Args{
 			"epoch":       rep.Epoch,
 			"migration_s": migS,
 			"overlap_s":   overlap,
 			"excess_s":    excess,
 			"stolen_s":    stolen,
 		})
-		r.rec.Counter(0, "metric", "stolen-bandwidth", telemetry.Args{
+		r.rec.Counter("metric", "stolen-bandwidth", telemetry.Args{
 			"overlap_s_total": r.overlapTotalS,
 			"stolen_s_total":  r.stolenTotalS,
 		})
@@ -78,15 +77,10 @@ func (r *Runtime) reconcileOverlap(rep *EpochReport) {
 
 // DrainAsync settles the clock charge the last RunEpochAsync deferred,
 // in full: no epoch follows to hide it. Call it after the epoch loop; it
-// does nothing when no charge is pending. Requires
-// Options.Governor.Enabled.
-func (r *Runtime) DrainAsync() error {
-	if !r.opts.Governor.Enabled {
-		return fmt.Errorf("atmem: DrainAsync requires Options.Governor.Enabled")
-	}
+// does nothing when no charge is pending.
+func (r *Runtime) DrainAsync() {
 	r.simNS.Add(uint64(r.pendingS * 1e9))
 	r.pendingS = 0
-	return nil
 }
 
 // OverlapSeconds returns the cumulative overlapped-migration seconds

@@ -82,9 +82,7 @@ func TestRunEpochAsyncPipelinesPlacement(t *testing.T) {
 			e2.StolenSeconds, e2.OverlapSeconds)
 	}
 
-	if err := rt.DrainAsync(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	rt.DrainAsync()
 	assertDataIntact(t, "after overlapped epochs", hot, 7)
 	if err := rt.System().CheckConsistency(); err != nil {
 		t.Error(err)
@@ -154,9 +152,7 @@ func TestOverlappedPlacesLikeStopTheWorld(t *testing.T) {
 			out = append(out, epoch{rep.Migration, rep.Phases, rt.HealthStats()})
 		}
 		if async {
-			if err := rt.DrainAsync(); err != nil {
-				t.Fatal(err)
-			}
+			rt.DrainAsync()
 		}
 		if rt.HealthStats().CorruptedChunks == 0 || len(rt.FaultEvents()) == 0 {
 			t.Fatalf("the fault storm never fired: %+v", rt.HealthStats())
@@ -229,9 +225,7 @@ func TestAsyncFasterThanSyncWithIdenticalData(t *testing.T) {
 			}
 		}
 		if async {
-			if err := rt.DrainAsync(); err != nil {
-				t.Fatal(err)
-			}
+			rt.DrainAsync()
 		}
 		return rt.SimSeconds(), rt.ResidentBytes(), func() {
 			assertDataIntact(t, "post-run", hot, 41)
@@ -286,9 +280,7 @@ func TestAsyncEpochsRunHealthPasses(t *testing.T) {
 			}
 			asyncEpoch(t, rt, ctx, fmt.Sprintf("e%d", i), hot)
 		}
-		if err := rt.DrainAsync(); err != nil {
-			t.Fatal(err)
-		}
+		rt.DrainAsync()
 		if err := rt.System().CheckConsistency(); err != nil {
 			t.Error(err)
 		}
@@ -399,9 +391,7 @@ func TestOverlappedEpochsAreDeterministic(t *testing.T) {
 			}
 			out.Epochs = append(out.Epochs, asyncEpoch(t, rt, ctx, fmt.Sprintf("e%d", i+1), arrays...))
 		}
-		if err := rt.DrainAsync(); err != nil {
-			t.Fatal(err)
-		}
+		rt.DrainAsync()
 		out.Phases, out.SimS = rt.Phases(), rt.SimSeconds()
 		if rt.HealthStats().CorruptedChunks == 0 || len(rt.FaultEvents()) == 0 {
 			t.Fatalf("the fault storm never fired: %+v", rt.HealthStats())
@@ -464,9 +454,7 @@ func TestAsyncStressFaultStorm(t *testing.T) {
 				rt.DisarmFaults()
 			}
 		}
-		if err := rt.DrainAsync(); err != nil {
-			t.Errorf("drain: %v", err)
-		}
+		rt.DrainAsync()
 	}()
 	select {
 	case <-done:
@@ -490,29 +478,38 @@ func TestAsyncStressFaultStorm(t *testing.T) {
 	}
 }
 
-// TestAsyncRequiresOption pins the API contract: RunEpochAsync and
-// DrainAsync refuse on an ungoverned runtime, like RunEpoch, and run on
-// a governed one.
+// TestAsyncRequiresOption pins that overlapped epochs need no option:
+// RunEpochAsync places and DrainAsync settles on a default runtime and
+// on a broker tenant alike.
 func TestAsyncRequiresOption(t *testing.T) {
-	rt, err := New(NVMDRAM())
+	bk := NewBroker(govTestbed(8<<20), BrokerConfig{})
+	tn, err := bk.Admit(TenantSpec{Name: "t", Class: ClassGuaranteed, FloorBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.RunEpochAsync(context.Background(), "x", func() {}); err == nil {
-		t.Error("RunEpochAsync succeeded without the governor")
-	}
-	if err := rt.DrainAsync(); err == nil {
-		t.Error("DrainAsync succeeded without the governor")
-	}
-	rt2, err := New(NVMDRAM(), WithGovernor(GovernorOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt2.RunEpochAsync(context.Background(), "y", func() {}); err != nil {
-		t.Errorf("RunEpochAsync on a governed runtime: %v", err)
-	}
-	if err := rt2.DrainAsync(); err != nil {
-		t.Errorf("DrainAsync on a governed runtime: %v", err)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default runtime", nil},
+		{"broker tenant", []Option{WithTenant(tn)}},
+	} {
+		rt, err := New(NVMDRAM(), append([]Option{WithSamplePeriod(64)}, tc.opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot, err := NewArray[uint64](rt, "hot", 32<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := asyncEpoch(t, rt, context.Background(), "e1", hot)
+		if !rep.Optimized || rep.Migration.PromotedBytes == 0 {
+			t.Errorf("%s: overlapped epoch placed nothing: %+v", tc.name, rep.Migration)
+		}
+		rt.DrainAsync()
+		if err := rt.Close(); err != nil {
+			t.Errorf("%s: close: %v", tc.name, err)
+		}
 	}
 }
 
@@ -551,9 +548,7 @@ func benchEpochs(b *testing.B, async bool) {
 			}
 		}
 		if async {
-			if err := rt.DrainAsync(); err != nil {
-				b.Fatal(err)
-			}
+			rt.DrainAsync()
 		}
 		b.ReportMetric(rt.SimSeconds(), "sim-s/op")
 	}

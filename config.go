@@ -126,14 +126,14 @@ type Options struct {
 	// cost of one pointer test per lifecycle point; the simulated-
 	// access hot path is never instrumented.
 	Recorder *telemetry.Recorder
-	// Governor enables the epoch-adaptive placement governor:
-	// hysteresis demotion, pressure-driven demotion between watermarks,
-	// and a migration circuit breaker. Every Optimize migrates only the
-	// difference between the fresh plan and what the page table already
-	// holds on the fast tier; with Governor.Enabled that difference also
-	// demotes cold-for-N-epochs ranges (scheduled first, so reclaimed
-	// capacity funds the promotions), and Runtime.RunEpoch drives the
-	// repeated profile→run→optimize loop.
+	// Governor configures the epoch-adaptive placement governor, which
+	// every runtime runs: hysteresis demotion, pressure-driven demotion
+	// between watermarks, and a migration circuit breaker. Every
+	// Optimize migrates only the difference between the fresh plan and
+	// what the page table already holds on the fast tier, demoting
+	// cold-for-N-epochs ranges first so reclaimed capacity funds the
+	// promotions; Runtime.RunEpoch drives the repeated
+	// profile→run→optimize loop.
 	Governor GovernorOptions
 	// BandwidthAware enables the aggregate-bandwidth placement
 	// enhancement the paper sketches as future work (§9): on systems
@@ -144,13 +144,13 @@ type Options struct {
 	// bytes. Ignored on shared-channel systems (Optane), where
 	// splitting traffic only serializes it.
 	BandwidthAware bool
-	// PlanCache, when non-nil, enables compiled-plan record/replay on a
-	// governed runtime (see Runtime.ArmPlan): a first governed run
-	// records its per-epoch placement decisions into a static migration
-	// DAG keyed by the workload signature; subsequent runs with a
-	// matching signature replay the cached schedule, skipping profiling
-	// and analysis entirely. A shared cache lets many runtimes in one
-	// process (e.g. a benchmark suite) reuse each other's plans.
+	// PlanCache, when non-nil, enables compiled-plan record/replay (see
+	// Runtime.ArmPlan): a first run records its committed per-epoch
+	// migration schedules keyed by the workload signature; subsequent
+	// runs with a matching signature replay the cached schedules,
+	// skipping profiling and analysis entirely. A shared cache lets many
+	// runtimes in one process (e.g. a benchmark suite) reuse each
+	// other's plans.
 	PlanCache *PlanCache
 	// Health configures the tier-health subsystem: a per-granule error
 	// scoreboard feeding exponential-backoff distrust and persistent
@@ -177,12 +177,12 @@ type Options struct {
 	DebugAddr string
 	// Tenant, when non-nil, attaches the runtime to a multi-tenant
 	// broker (see NewBroker): the runtime allocates from the broker's
-	// shared memory system instead of building its own, its governed
-	// placement budget is capped by the broker-granted share (minus its
-	// own quarantine debit), its migrations and health passes serialize
-	// against co-tenants through the broker's placement lock, and each
-	// epoch reports a scorecard signal back to the broker's arbiter.
-	// Implies Governor.Enabled. A FaultSchedule installed by a tenant
+	// shared memory system instead of building its own, its placement
+	// budget — online and replayed — is capped by the broker-granted
+	// share (minus its own quarantine debit), its migrations and health
+	// passes serialize against co-tenants through the broker's
+	// placement lock, and each epoch reports a scorecard signal back to
+	// the broker's arbiter. A FaultSchedule installed by a tenant
 	// runtime hooks the shared system (last writer wins) — aim faults
 	// with range scopes so only the intended tenant's ranges fire.
 	Tenant *Tenant
@@ -205,7 +205,8 @@ type HealthOptions struct {
 // (see internal/governor for the mechanism and defaults). Zero fields
 // take the governor defaults.
 type GovernorOptions struct {
-	// Enabled turns the governor on.
+	// Deprecated: every runtime is governed. Enabled is accepted and
+	// ignored.
 	Enabled bool
 	// HighWatermark is the fast-tier occupancy fraction (of capacity
 	// minus CapacityReserve) above which pressure demotion engages.
@@ -250,11 +251,6 @@ func (o *Options) withDefaults() Options {
 	out.SampleOverheadNS = pebs.DefaultConfig().SampleOverheadNS
 	if out.CapacityReserve == 0 {
 		out.CapacityReserve = defaultStagingBytes
-	}
-	if out.Tenant != nil {
-		// Broker budgets are enforced by the governed placement loop;
-		// an ungoverned tenant could not honor its share.
-		out.Governor.Enabled = true
 	}
 	if out.Health.Scrub {
 		out.Health.Enabled = true

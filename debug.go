@@ -132,10 +132,8 @@ func (r *Runtime) Close() error {
 	if r == nil {
 		return nil
 	}
+	r.DrainAsync()
 	var errs []error
-	if r.pendingS > 0 {
-		errs = append(errs, r.DrainAsync())
-	}
 	if r.tenant != nil {
 		for _, o := range r.Objects() {
 			if err := r.Free(o); err != nil {

@@ -2,8 +2,8 @@ package atmem
 
 // This file is the runtime half of the epoch-adaptive placement
 // governor (see internal/governor for the control mechanisms and
-// internal/core's Advance for delta planning). A governed runtime
-// re-optimizes repeatedly as the application's hot set drifts — the
+// internal/core's Advance for delta planning), which every runtime
+// runs. A runtime re-optimizes repeatedly as the application's hot set drifts — the
 // adaptive interval loop of the paper's §5 — and must do so without
 // re-migrating data that is already placed, without erroring when the
 // budget shrinks, and without hammering a failing migration path.
@@ -11,6 +11,7 @@ package atmem
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"atmem/internal/core"
@@ -57,21 +58,12 @@ type EpochReport struct {
 // Epoch returns the current epoch count (epochs started so far).
 func (r *Runtime) Epoch() int { return r.epoch }
 
-// BreakerState returns the circuit breaker's current state. It returns
-// the zero state on an ungoverned runtime.
-func (r *Runtime) BreakerState() governor.State {
-	if r.breaker == nil {
-		return governor.StateClosed
-	}
-	return r.breaker.State()
-}
+// BreakerState returns the migration circuit breaker's current state.
+func (r *Runtime) BreakerState() governor.State { return r.breaker.State() }
 
 // BreakerTransitions returns every breaker state change so far, in
-// order (nil on an ungoverned runtime).
+// order.
 func (r *Runtime) BreakerTransitions() []governor.Transition {
-	if r.breaker == nil {
-		return nil
-	}
 	return r.breaker.Transitions()
 }
 
@@ -84,7 +76,7 @@ func (r *Runtime) ResidentBytes() uint64 { return r.registeredFastBytes() }
 // governed Optimize on the epoch's samples. A body that produced no
 // attributable samples keeps the current placement — an idle interval
 // carries no signal, so neither the hysteresis counters nor the breaker
-// advance. Requires Options.Governor.Enabled.
+// advance.
 func (r *Runtime) RunEpoch(name string, body func()) (EpochReport, error) {
 	return r.RunEpochCtx(context.Background(), name, body)
 }
@@ -108,9 +100,6 @@ func (r *Runtime) RunEpochCtx(ctx context.Context, name string, body func()) (Ep
 // only defers the placement's clock charge to the next epoch's join
 // (see async.go).
 func (r *Runtime) runEpoch(ctx context.Context, name string, overlapped bool, body func()) (EpochReport, error) {
-	if !r.opts.Governor.Enabled {
-		return EpochReport{}, fmt.Errorf("atmem: epochs require Options.Governor.Enabled")
-	}
 	replay := r.armedPlan != nil
 	r.epoch++
 	rep := EpochReport{Epoch: r.epoch, Replayed: replay}
@@ -121,7 +110,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, overlapped bool, bo
 	if replay {
 		begin["replay"], end["replay"] = true, true
 	}
-	r.rec.Begin(0, "epoch", name, begin)
+	r.rec.Begin("epoch", name, begin)
 	phaseStart := len(r.phases)
 	// The epoch's scorecard charges exactly the scrub time this epoch's
 	// health passes add, so diff the cumulative charge across the epoch.
@@ -138,7 +127,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, overlapped bool, bo
 	if err != nil {
 		r.drainTransitions()
 		end["error"] = err.Error()
-		r.rec.End(0, "epoch", name, end)
+		r.rec.End("epoch", name, end)
 		return rep, err
 	}
 
@@ -155,7 +144,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, overlapped bool, bo
 		// breaker, empty budget) keeps it empty, so the replayed epoch
 		// numbering stays aligned with the bodies the caller runs.
 		if r.recording != nil {
-			r.recording.Epochs = append(r.recording.Epochs, migrate.Schedule{})
+			r.recording.Epochs = append(r.recording.Epochs, PlanEpoch{})
 		}
 	}
 	body()
@@ -165,12 +154,7 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, overlapped bool, bo
 	r.reconcileOverlap(&rep)
 	r.overlapping = overlapped
 	if replay {
-		// Epochs past the end of the recording run on the final placement
-		// and migrate nothing: the recorded run had converged by then.
-		if r.planEpoch <= len(r.armedPlan.Epochs) {
-			rep.Optimized = true
-			rep.Migration, err = r.applyPlanEpoch(ctx, r.planEpoch)
-		}
+		rep.Optimized, rep.Migration, err = r.applyPlanEpoch(ctx, r.planEpoch)
 	} else if rep.Samples = r.ProfilingStop(); rep.Samples > 0 {
 		rep.Optimized = true
 		rep.Migration, err = r.optimizeGoverned(ctx)
@@ -196,15 +180,12 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, overlapped bool, bo
 }
 
 // optimizeGoverned is the one placement function: Optimize and every
-// online governed epoch run through it. It makes one breaker
-// decision, diffs the fresh plan against the page table's fast tier
-// (core.Advance), adds watermark-driven pressure demotions, and commits
-// a mixed-direction schedule with demotions first. It builds its
-// MigrationReport in place, and endPlacement completes and observes it
-// on every return. An ungoverned runtime (one-shot Optimize) has no
-// breaker and makes no hysteresis or pressure demotions, so it only
-// promotes what the plan lacks, and its report carries no governed
-// fields.
+// online epoch run through it. It makes one breaker decision, diffs the
+// fresh plan against the page table's fast tier (core.Advance), adds
+// watermark-driven pressure demotions, and commits a mixed-direction
+// schedule with demotions first, through the admission step. It builds
+// its MigrationReport in place, and endPlacement completes and observes
+// it on every return.
 func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, err error) {
 	if !r.profiled {
 		return rep, fmt.Errorf("atmem: Optimize before any profiled samples were attributed")
@@ -214,21 +195,12 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 	// migration in flight at a time. No-op on a solo runtime.
 	r.lockPlacement()
 	defer r.unlockPlacement()
-	r.rec.Begin(0, "optimize", "optimize", nil)
+	r.rec.Begin("optimize", "optimize", nil)
 
-	governed := r.opts.Governor.Enabled
-	decision := governor.DecisionRun
+	decision := r.breaker.Decide()
+	rep.Epoch = r.breaker.Epoch()
 	var analyzeNS uint64
-	if governed {
-		decision = r.breaker.Decide()
-		rep.Epoch = r.breaker.Epoch()
-	}
 	defer func() { r.endPlacement(&rep, false, decision, analyzeNS) }()
-	observe := func(degraded bool) {
-		if governed {
-			r.breaker.Observe(degraded)
-		}
-	}
 	emptyPlan := func() {
 		r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
 		rep.Engine, rep.TotalBytes = r.engine.Name(), r.plan.TotalBytes
@@ -243,27 +215,8 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 		return rep, nil
 	}
 
-	// The placement budget is an exact ledger identity: free capacity
-	// beyond the reserve plus what registered objects already hold on
-	// the fast tier. Re-selecting an already-resident chunk costs
-	// nothing, so identical samples reproduce the identical plan across
-	// epochs — the invariant that makes steady-state deltas empty.
-	free := r.sys.FreeCapacity(memsim.TierFast)
-	var effFree uint64
-	if free > r.opts.CapacityReserve {
-		effFree = free - r.opts.CapacityReserve
-	}
-	budget := effFree + r.registeredFastBytes()
-	if r.tenant != nil {
-		// Broker tenancy: the granted share — already debited by this
-		// tenant's own quarantined bytes, so one tenant's fault storm
-		// shrinks only its own budget — caps the placement budget.
-		// Physical availability (what we hold plus the global headroom)
-		// still bounds it from above.
-		if share := r.tenant.Budget(); share < budget {
-			budget = share
-		}
-	}
+	budget, held := r.placementBudget()
+	rankBudget := budget
 	if budget == 0 {
 		if r.tenant != nil {
 			// A tenant with no budget still runs the analyzer with a
@@ -272,13 +225,13 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 			// demotions below drain its residency, and for a fresh tenant
 			// the clipped plan's MarginalDensity is the "I am hungry"
 			// signal the arbiter needs before it can grant a first share.
-			budget = 1
+			rankBudget = 1
 		} else {
 			// Nothing resident and no headroom: there is no placement
 			// budget at all (core treats budget 0 as unlimited, so this
 			// cannot fall through to the analyzer). A clean no-op epoch.
 			emptyPlan()
-			observe(false)
+			r.breaker.Observe(false)
 			return rep, nil
 		}
 	}
@@ -287,7 +240,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 		Registry: r.reg,
 		Period:   r.prof.Config().Period,
 		Epoch:    rep.Epoch,
-	}, budget, r.stageObserver())
+	}, rankBudget, r.stageObserver())
 	analyzeNS = uint64(time.Since(analyzeStart))
 	if err != nil {
 		return rep, err
@@ -309,16 +262,14 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 	// window, plus the not-yet-expired cold chunks as pressure
 	// candidates.
 	delta, cands := core.Advance(plan, r.govCfg.DemoteAfterEpochs, r.fastBytes)
-	sched := migrate.Schedule{}
-	if governed {
-		sched.Demotions, rep.PressureDemotedBytes = r.pressureDemotions(delta, cands)
-	}
+	var sched migrate.Schedule
+	sched.Demotions, rep.PressureDemotedBytes, cands = r.pressureDemotions(delta, cands)
 	for _, rg := range delta.Promotions {
 		sched.Promotions = append(sched.Promotions, migrate.Region{Base: rg.Base, Size: rg.Size})
 	}
 	// Health veto: never promote onto quarantined or distrusted granules.
 	sched.Promotions = r.filterPromotions(sched.Promotions)
-	rep.DeltaEmpty = governed && sched.Empty()
+	rep.DeltaEmpty = sched.Empty()
 
 	if decision == governor.DecisionProbe && !sched.Empty() {
 		// Half-open: probe with the single smallest region (a
@@ -330,14 +281,17 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 			sched = migrate.Schedule{Demotions: []migrate.Region{smallestRegion(sched.Demotions)}}
 		}
 	}
+	var clipped uint64
+	sched, _, clipped = r.admit(sched, budget, held, cands)
+	rep.ClippedBytes += clipped
 
 	pre := r.objectChecksums()
 	res, err := r.commitSchedule(ctx, sched)
-	rep.setSchedule(res, governed && err == nil)
+	rep.setSchedule(res)
 	if err != nil {
 		// Unrecoverable (failed rollback): degrade the breaker and
 		// surface the error.
-		observe(true)
+		r.breaker.Observe(true)
 		return rep, fmt.Errorf("atmem: migration: %w", err)
 	}
 	// Promotion outcomes are health observations: committed promotions
@@ -350,11 +304,95 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 	// A cancelled plan skips regions deliberately; that is the caller's
 	// choice, not a failing migration path, so it must not trip the
 	// breaker.
-	observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
+	r.breaker.Observe(res.Merged.RegionsSkipped > 0 && ctx.Err() == nil)
 	if err := r.verifyMigrationInvariants(pre); err != nil {
 		return rep, fmt.Errorf("atmem: post-migration invariant violated: %w", err)
 	}
 	return rep, nil
+}
+
+// placementBudget is the one source of the placement budget, for the
+// analyzer and the admission step alike: the free fast capacity beyond
+// CapacityReserve plus the fast bytes the registered objects already
+// hold (held, read from the page table), capped on a broker tenant by
+// its granted share. Re-selecting an already-resident chunk costs
+// nothing, so identical samples reproduce the identical plan across
+// epochs — the invariant that makes steady-state deltas empty.
+func (r *Runtime) placementBudget() (budget, held uint64) {
+	held = r.registeredFastBytes()
+	budget = held
+	if free := r.sys.FreeCapacity(memsim.TierFast); free > r.opts.CapacityReserve {
+		budget += free - r.opts.CapacityReserve
+	}
+	// Broker tenancy: the granted share — already debited by this
+	// tenant's own quarantined bytes, so one tenant's fault storm shrinks
+	// only its own budget — caps the budget. Physical availability (what
+	// we hold plus the global headroom) still bounds it from above.
+	if r.tenant != nil {
+		budget = min(budget, r.tenant.Budget())
+	}
+	return budget, held
+}
+
+// admit is the admission step every schedule passes before
+// commitSchedule, online and replayed alike. It fits the schedule to the
+// placementBudget it was measured against (budget, with held the
+// registered fast bytes) and returns it with the promoted regions it
+// deferred and the promoted bytes not yet fast that it clipped.
+//
+// When what stays fast after the demotions already exceeds the budget
+// (a tenant whose share was cut or shed), it drains cands as demotions,
+// in order, until what stays fits, and defers every promotion, so none
+// re-promotes a drained chunk. Otherwise it clips the promotions in
+// schedule order so that held, plus the promoted bytes not yet fast,
+// minus the fast bytes the demotions release, fits the budget; a
+// promotion that does not fit keeps its page-aligned head that does.
+func (r *Runtime) admit(sched migrate.Schedule, budget, held uint64, cands []core.Candidate) (migrate.Schedule, []migrate.Region, uint64) {
+	if len(sched.Promotions) == 0 && held <= budget {
+		return sched, nil, 0
+	}
+	var released, clipped uint64
+	var deferred []migrate.Region
+	for _, rg := range sched.Demotions {
+		released += r.fastBytes(rg.Base, rg.Size)
+	}
+	if held > budget+released {
+		// Clip first: the append must never write into a recorded plan.
+		sched.Demotions = slices.Clip(sched.Demotions)
+		for _, c := range cands {
+			if held <= budget+released {
+				break
+			}
+			sched.Demotions = append(sched.Demotions, migrate.Region{Base: c.Range.Base, Size: c.Range.Size})
+			released += c.FastBytes
+		}
+		for _, rg := range sched.Promotions {
+			clipped += rg.Size - r.fastBytes(rg.Base, rg.Size)
+		}
+		deferred, sched.Promotions = sched.Promotions, nil
+		return sched, deferred, clipped
+	}
+	room := budget + released - held
+	out := make([]migrate.Region, 0, len(sched.Promotions))
+	for _, rg := range sched.Promotions {
+		need := rg.Size - r.fastBytes(rg.Base, rg.Size)
+		if need > room {
+			end := (rg.Base + room) &^ (memsim.SmallPage - 1)
+			if end <= rg.Base {
+				clipped += need
+				deferred = append(deferred, rg)
+				continue
+			}
+			headNeed := end - rg.Base - r.fastBytes(rg.Base, end-rg.Base)
+			clipped += need - headNeed
+			deferred = append(deferred, migrate.Region{Base: end, Size: rg.Base + rg.Size - end})
+			rg.Size, need = end-rg.Base, headNeed
+		}
+		out = append(out, rg)
+		room -= need
+	}
+	sched.Promotions = out
+	return sched, deferred, clipped
 }
 
 // pressureDemotions returns the governed demotions: the delta's
@@ -362,8 +400,14 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 // occupancy over the high watermark, candidates coldest-first until the
 // projection drains to the low watermark. This is what lets a hot-set
 // shift or a budget cut proceed before hysteresis expires.
-// The second result is the fast bytes the pressure candidates hold.
-func (r *Runtime) pressureDemotions(delta core.Delta, cands []core.Candidate) (out []migrate.Region, pressureBytes uint64) {
+// It also returns the fast bytes the pressure candidates hold, and the
+// candidates it left for admit to drain. Its ledger is occupancy, not
+// the budget: the watermarks weigh all committed fast bytes (a tenant's
+// whole footprint) against the tier less quarantine (a tenant's share),
+// less the reserve, so pressure drains early, with hysteresis, into
+// headroom the budget does not count. placementBudget alone bounds what
+// a schedule may hold, and admit enforces it.
+func (r *Runtime) pressureDemotions(delta core.Delta, cands []core.Candidate) (out []migrate.Region, pressureBytes uint64, rest []core.Candidate) {
 	capEff := r.sys.P.Tiers[memsim.TierFast].CapacityBytes
 	// Quarantined pages are capacity the tier no longer has: the
 	// watermarks must drain occupancy against the effective size, or a
@@ -403,14 +447,13 @@ func (r *Runtime) pressureDemotions(delta core.Delta, cands []core.Candidate) (o
 	for _, rg := range delta.Demotions {
 		out = append(out, migrate.Region{Base: rg.Base, Size: rg.Size})
 	}
-	for _, c := range cands {
-		if pressureBytes >= target {
-			break
-		}
+	for len(cands) > 0 && pressureBytes < target {
+		c := cands[0]
+		cands = cands[1:]
 		out = append(out, migrate.Region{Base: c.Range.Base, Size: c.Range.Size})
 		pressureBytes += c.FastBytes
 	}
-	return out, pressureBytes
+	return out, pressureBytes, cands
 }
 
 // registeredFastBytes sums the fast-tier bytes of every registered

@@ -408,17 +408,10 @@ func TestGovernedEpochLoopConcurrentPhases(t *testing.T) {
 	}
 }
 
-// TestRunEpochRequiresGovernor and the zero-sample epoch contract.
+// TestRunEpochEdgeCases pins that epochs need no option (a default
+// runtime runs them) and the zero-sample epoch contract.
 func TestRunEpochEdgeCases(t *testing.T) {
-	plain, err := New(NVMDRAM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.RunEpoch("nope", func() {}); err == nil {
-		t.Error("RunEpoch on an ungoverned runtime did not error")
-	}
-
-	rt, err := New(NVMDRAM(), WithGovernor(GovernorOptions{}))
+	rt, err := New(NVMDRAM())
 	if err != nil {
 		t.Fatal(err)
 	}

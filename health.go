@@ -224,7 +224,7 @@ func (r *Runtime) applyFaultOrder(ord faultinject.Order) {
 	case faultinject.Corrupt:
 		n := r.corruptRange(base, size, ord.Seed)
 		r.heal.corruptedChunks += n
-		r.rec.Instant(0, "health", "corrupt", telemetry.Args{
+		r.rec.Instant("health", "corrupt", telemetry.Args{
 			"base": base, "bytes": size, "chunks_hit": n, "epoch": ord.Epoch,
 		})
 	case faultinject.Degrade:
@@ -234,7 +234,7 @@ func (r *Runtime) applyFaultOrder(ord faultinject.Order) {
 		}
 		r.sys.DegradeRange(base, size, f)
 		r.heal.degradeOrders++
-		r.rec.Instant(0, "health", "degrade", telemetry.Args{
+		r.rec.Instant("health", "degrade", telemetry.Args{
 			"base": base, "bytes": size, "factor": f, "epoch": ord.Epoch,
 		})
 	}
@@ -332,7 +332,7 @@ func (r *Runtime) scrubPass() error {
 		}
 		// Detection: the backup restore already repaired the bytes;
 		// now get the data off the bad pages and retire them.
-		r.rec.Instant(0, "health", "scrub-detect", telemetry.Args{
+		r.rec.Instant("health", "scrub-detect", telemetry.Args{
 			"object": o.name, "base": tr.Base, "bytes": tr.Size,
 		})
 		if r.board != nil {
@@ -379,7 +379,7 @@ func (r *Runtime) evacuateAndRetire(base, size uint64, reason string) error {
 		// The demotion was skipped (e.g. a fault storm): the pages are
 		// still mapped fast, so they cannot be retired yet. Surface the
 		// condition and queue a retry for a later epoch's heal pass.
-		r.rec.Instant(0, "health", "retire-failed", telemetry.Args{
+		r.rec.Instant("health", "retire-failed", telemetry.Args{
 			"base": alo, "bytes": ahi - alo, "reason": reason, "error": err.Error(),
 		})
 		for _, p := range r.heal.pendingRetire {
@@ -391,7 +391,7 @@ func (r *Runtime) evacuateAndRetire(base, size uint64, reason string) error {
 		return nil
 	}
 	r.heal.retiredRanges++
-	r.rec.Instant(0, "health", "retire", telemetry.Args{
+	r.rec.Instant("health", "retire", telemetry.Args{
 		"base": alo, "bytes": ahi - alo, "reason": reason,
 		"quarantined_total": r.sys.Quarantined(),
 	})
@@ -505,7 +505,7 @@ func (r *Runtime) filterPromotions(promos []migrate.Region) []migrate.Region {
 				out = append(out, migrate.Region{Base: next, Size: bad.base - next})
 			}
 			r.heal.promotionsVetoed++
-			r.rec.Instant(0, "health", "promotion-vetoed", telemetry.Args{
+			r.rec.Instant("health", "promotion-vetoed", telemetry.Args{
 				"base": bad.base, "bytes": bad.size,
 			})
 			next = bad.base + bad.size

@@ -77,16 +77,6 @@ func (p *Plan) DataRatio() float64 {
 	return float64(p.SelectedBytes) / float64(p.TotalBytes)
 }
 
-// AllRanges returns every selected range across objects, address-ordered
-// within each object.
-func (p *Plan) AllRanges() []Range {
-	var out []Range
-	for i := range p.Objects {
-		out = append(out, p.Objects[i].Ranges...)
-	}
-	return out
-}
-
 // StageObserver watches the analyzer walk its pipeline. StageBegin and
 // StageEnd bracket each named stage — "rank" (local selection plus the
 // global density rescue), "threshold" (Eq. 4–5 adapted thresholds),

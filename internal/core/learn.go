@@ -45,8 +45,8 @@ const (
 	// FeatObjFraction is the object's share of the registered
 	// footprint.
 	FeatObjFraction
-	// FeatPhase is the governed epoch (phase id) the profile belongs
-	// to, 0 on ungoverned runs.
+	// FeatPhase is the breaker epoch (phase id) the profile belongs
+	// to.
 	FeatPhase
 	// NumFeatures is the vector length.
 	NumFeatures

@@ -17,9 +17,8 @@ import (
 // PolicyProfile is everything a placement policy may observe when asked
 // to rank: the chunked object registry with its attributed per-chunk
 // sample counters, the sampling period those counters were captured at
-// (needed to scale counts back to priority units), and the governed
-// epoch the decision belongs to (0 on an ungoverned runtime's single
-// Optimize).
+// (needed to scale counts back to priority units), and the breaker
+// epoch the decision belongs to (1 for a runtime's first Optimize).
 type PolicyProfile struct {
 	Registry *Registry
 	Period   uint64

@@ -57,9 +57,6 @@ func BuildTree(critical []bool, m int) *Tree {
 // M returns the tree arity.
 func (t *Tree) M() int { return t.m }
 
-// Leaves returns the number of leaves (data chunks).
-func (t *Tree) Leaves() int { return t.leaves }
-
 // Height returns the number of levels, including the leaf level.
 func (t *Tree) Height() int { return len(t.levels) }
 

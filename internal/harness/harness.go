@@ -101,16 +101,15 @@ type RunConfig struct {
 	// identity in the memoization key.
 	FaultSchedule *faultinject.Schedule
 	FaultLabel    string
-	// Governed enables the epoch-adaptive placement governor (see
-	// atmem.Options.Governor) and drives the profiled iteration plus
-	// Optimize through Runtime.RunEpoch, so the MigrationReport carries
-	// the governor's delta/demotion/breaker fields. Only meaningful
-	// with ATMem.
+	// Governed drives the profiled iteration plus Optimize through
+	// Runtime.RunEpoch, an epoch of the adaptive loop, instead of the
+	// Listing-1 ProfilingStart/Stop + Optimize. Only meaningful with
+	// ATMem.
 	Governed bool
 	// Async drives the run through overlapped placement
 	// (Runtime.RunEpochAsync + DrainAsync): the profiled interval's plan
 	// migrates in simulated time under the next iteration.
-	// Implies the governor. Only meaningful with ATMem.
+	// Only meaningful with ATMem.
 	Async bool
 	// TraceDir, when non-empty, records the run's telemetry and writes
 	// its Chrome trace JSON, CSV timeline, and chunk-heat dump into this
@@ -179,9 +178,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if cfg.FaultSchedule != nil {
 		opts = append(opts, atmem.WithFaultSchedule(*cfg.FaultSchedule))
 	}
-	if (cfg.Governed || cfg.Async) && cfg.Policy == ATMem {
-		opts = append(opts, atmem.WithGovernor(atmem.GovernorOptions{}))
-	}
 	if cfg.TraceDir != "" {
 		opts = append(opts, atmem.WithTelemetry(telemetry.NewRecorder()))
 	}
@@ -218,9 +214,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		}
 		// Settle the warm-up interval's placement charge (a near-empty
 		// delta on a steady workload) before the measured iteration.
-		if err := rt.DrainAsync(); err != nil {
-			return res, fmt.Errorf("harness: %s drain: %w", cfg.key(), err)
-		}
+		rt.DrainAsync()
 		res.OverlapSeconds = rt.OverlapSeconds()
 		res.StolenSeconds = rt.StolenSeconds()
 		warmed = true

@@ -72,8 +72,7 @@ func scale24(s *Suite) ([]*Report, error) {
 	expStart := time.Now()
 	for _, app := range []string{"bfs", "pr"} {
 		runStart := time.Now()
-		rt, kerns, err := newSession(paperScaleTestbed(), "rmat24-paper", []string{app},
-			atmem.WithGovernor(atmem.GovernorOptions{}))
+		rt, kerns, err := newSession(paperScaleTestbed(), "rmat24-paper", []string{app})
 		if err != nil {
 			return nil, fmt.Errorf("harness: scale24: %w", err)
 		}
@@ -140,7 +139,6 @@ func runPlanSession(pc *atmem.PlanCache, app, ds string, epochs int) (planSessio
 	}
 	runStart := time.Now()
 	rt, kerns, err := newSession(atmem.NVMDRAM(), ds, []string{app},
-		atmem.WithGovernor(atmem.GovernorOptions{}),
 		atmem.WithPlanCache(pc))
 	if err != nil {
 		return out, err

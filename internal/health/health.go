@@ -366,16 +366,6 @@ func (s *Scoreboard) Transitions() []Transition {
 	return s.transitions
 }
 
-// CondemnedBytes returns the total bytes of granules condemned so
-// far, whether or not their retirement has landed in the quarantine
-// ledger yet — a leading health indicator: condemnation precedes
-// retirement when a fault storm delays the evacuation.
-func (s *Scoreboard) CondemnedBytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return uint64(s.stats.Condemned) * s.pol.GranuleBytes
-}
-
 // Stats returns a snapshot of the scoreboard counters.
 func (s *Scoreboard) Stats() Stats {
 	s.mu.Lock()

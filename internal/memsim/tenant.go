@@ -61,20 +61,11 @@ func (s *System) AdoptRange(owner int, base, size uint64) {
 	u.quarantined += s.quarOverlapBytesLocked(base, size)
 }
 
-// DisownRange removes ownership of any stretch of [base, base+size),
+// disownLocked removes ownership of any stretch of [base, base+size),
 // clipping partially-overlapping owner ranges. The owners' fast and
 // quarantine counters drop by the disowned bytes' contributions; the
 // global ledgers are untouched (a freed range's quarantined pages stay
-// retired, they just stop being charged to a tenant).
-func (s *System) DisownRange(base, size uint64) {
-	if size == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.disownLocked(base, size)
-}
-
+// retired, they just stop being charged to a tenant). Callers hold s.mu.
 func (s *System) disownLocked(base, size uint64) {
 	var next []ownerRange
 	for _, or := range s.owners {

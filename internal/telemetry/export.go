@@ -39,8 +39,12 @@ type chromeTrace struct {
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
-// tracePID is the single simulated process all tracks belong to.
-const tracePID = 1
+// tracePID and traceTID name the trace's one process and its one
+// thread row, the runtime's control plane.
+const (
+	tracePID = 1
+	traceTID = 0
+)
 
 // hostArgKey carries the host-clock stamp through the Chrome format,
 // whose ts axis holds the simulated clock.
@@ -57,26 +61,10 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	ct.TraceEvents = append(ct.TraceEvents, chromeEvent{
 		Name: "process_name", Ph: "M", PID: tracePID,
 		Args: map[string]any{"name": "atmem-sim"},
+	}, chromeEvent{
+		Name: "thread_name", Ph: "M", PID: tracePID, TID: traceTID,
+		Args: map[string]any{"name": "control"},
 	})
-	tids := map[int]bool{}
-	for i := range events {
-		tids[events[i].TID] = true
-	}
-	order := make([]int, 0, len(tids))
-	for tid := range tids {
-		order = append(order, tid)
-	}
-	sort.Ints(order)
-	for _, tid := range order {
-		name := "control"
-		if tid > 0 {
-			name = fmt.Sprintf("thread-%d", tid)
-		}
-		ct.TraceEvents = append(ct.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: tracePID, TID: tid,
-			Args: map[string]any{"name": name},
-		})
-	}
 	for i := range events {
 		e := &events[i]
 		ce := chromeEvent{
@@ -85,7 +73,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 			Ph:   string(rune(e.Ph)),
 			TS:   float64(e.SimNS) / 1e3,
 			PID:  tracePID,
-			TID:  e.TID,
+			TID:  traceTID,
 		}
 		if e.Ph == PhaseInstant {
 			ce.S = "t" // thread-scoped instant
@@ -118,7 +106,6 @@ func ReadChromeTrace(rd io.Reader) ([]Event, error) {
 		}
 		e := Event{
 			Seq:   uint64(len(out) + 1),
-			TID:   ce.TID,
 			Cat:   ce.Cat,
 			Name:  ce.Name,
 			Ph:    ce.Ph[0],
@@ -144,7 +131,8 @@ func ReadChromeTrace(rd io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// csvHeader is the column set of the CSV timeline.
+// csvHeader is the column set of the CSV timeline; tid is always the
+// control plane's traceTID.
 const csvHeader = "seq,tid,ph,cat,name,sim_us,host_us,args"
 
 // WriteCSV renders events as a flat CSV timeline with both clocks as
@@ -158,7 +146,7 @@ func WriteCSV(w io.Writer, events []Event) error {
 	for i := range events {
 		e := &events[i]
 		_, err := fmt.Fprintf(w, "%d,%d,%c,%s,%s,%s,%s,%s\n",
-			i+1, e.TID, e.Ph, csvSafe(e.Cat), csvSafe(e.Name),
+			i+1, traceTID, e.Ph, csvSafe(e.Cat), csvSafe(e.Name),
 			formatUS(float64(e.SimNS)/1e3), formatUS(float64(e.HostNS)/1e3),
 			flattenArgs(e.Args))
 		if err != nil {

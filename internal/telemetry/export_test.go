@@ -16,31 +16,30 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // fixture behind the exporter golden files.
 func scriptedEvents() []Event {
 	r, sim := scriptedRecorder()
-	r.EnsureThreads(2)
 
-	r.Begin(0, "profile", "window", Args{"period": 64})
-	r.Begin(0, "phase", "iter0", nil)
+	r.Begin("profile", "window", Args{"period": 64})
+	r.Begin("phase", "iter0", nil)
 	*sim = 2_000_000
-	r.End(0, "phase", "iter0", Args{"wall_s": 0.002})
-	r.End(0, "profile", "window", Args{"samples_attributed": 128})
-	r.Instant(0, "profile", "heat", Args{"object": "ranks", "hot_chunks": 3})
+	r.End("phase", "iter0", Args{"wall_s": 0.002})
+	r.End("profile", "window", Args{"samples_attributed": 128})
+	r.Instant("profile", "heat", Args{"object": "ranks", "hot_chunks": 3})
 
-	r.Begin(0, "optimize", "optimize", nil)
-	r.Begin(0, "analyze", "rank", nil)
-	r.End(0, "analyze", "rank", Args{"objects": 2, "sampled_chunks": 5})
-	r.InstantAt(0, 2_100_000, "migrate", "region-attempt",
+	r.Begin("optimize", "optimize", nil)
+	r.Begin("analyze", "rank", nil)
+	r.End("analyze", "rank", Args{"objects": 2, "sampled_chunks": 5})
+	r.InstantAt(2_100_000, "migrate", "region-attempt",
 		Args{"base": 65536, "bytes": 4096, "attempt": 1})
-	r.InstantAt(0, 2_200_000, "migrate", "region-migrated",
+	r.InstantAt(2_200_000, "migrate", "region-migrated",
 		Args{"base": 65536, "bytes": 4096, "attempt": 1})
-	r.Instant(0, "fault", "Reserve", Args{"call": 1, "rule": 0})
+	r.Instant("fault", "Reserve", Args{"call": 1, "rule": 0})
 	*sim = 2_500_000
-	r.End(0, "optimize", "optimize", Args{"bytes_moved": 4096, "regions_migrated": 1})
+	r.End("optimize", "optimize", Args{"bytes_moved": 4096, "regions_migrated": 1})
 
-	r.Begin(0, "phase", "iter1", nil)
+	r.Begin("phase", "iter1", nil)
 	*sim = 3_000_000
-	r.Instant(1, "kernel", "tick", nil)
-	r.End(0, "phase", "iter1", Args{"wall_s": 0.0005})
-	r.Counter(0, "metric", "tier-occupancy", Args{"fast_mapped": 4096, "slow_mapped": 61440})
+	r.Instant("kernel", "tick", nil)
+	r.End("phase", "iter1", Args{"wall_s": 0.0005})
+	r.Counter("metric", "tier-occupancy", Args{"fast_mapped": 4096, "slow_mapped": 61440})
 	return r.Events()
 }
 
@@ -107,7 +106,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 	for i := range events {
 		want, got := events[i], back[i]
-		if got.TID != want.TID || got.Cat != want.Cat || got.Name != want.Name || got.Ph != want.Ph {
+		if got.Cat != want.Cat || got.Name != want.Name || got.Ph != want.Ph {
 			t.Fatalf("event %d identity drifted: got %+v want %+v", i, got, want)
 		}
 		if got.SimNS != want.SimNS {
@@ -118,22 +117,20 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		}
 	}
 	// Span nesting must survive the round trip too.
-	depth := map[int]int{}
+	depth := 0
 	for _, e := range back {
 		switch e.Ph {
 		case PhaseBegin:
-			depth[e.TID]++
+			depth++
 		case PhaseEnd:
-			depth[e.TID]--
-			if depth[e.TID] < 0 {
-				t.Fatalf("unbalanced End on tid %d at %s/%s", e.TID, e.Cat, e.Name)
+			depth--
+			if depth < 0 {
+				t.Fatalf("unbalanced End at %s/%s", e.Cat, e.Name)
 			}
 		}
 	}
-	for tid, d := range depth {
-		if d != 0 {
-			t.Fatalf("tid %d has %d unclosed spans after round trip", tid, d)
-		}
+	if depth != 0 {
+		t.Fatalf("%d unclosed spans after round trip", depth)
 	}
 }
 

@@ -10,12 +10,12 @@
 //     which exposes the cost of the un-simulated control plane (the
 //     analyzer stages run in host time only).
 //
-// Events append to per-shard buffers with no locks on the emission path:
-// shard 0 is the runtime's control plane (phases, profiling windows,
-// analyzer stages, migration, faults) and shards 1..N belong to the
-// simulated threads, one writer each. A nil *Recorder is the disabled
-// recorder: every method is nil-safe and returns immediately, so wiring
-// telemetry through a layer costs one pointer test when it is off.
+// Events append to one buffer, the runtime's control-plane track
+// (phases, profiling windows, analyzer stages, migration, faults), with
+// no locks on the emission path: the runtime emits from one goroutine. A
+// nil *Recorder is the disabled recorder: every method is nil-safe and
+// returns immediately, so wiring telemetry through a layer costs one
+// pointer test when it is off.
 //
 // Exporters (see export.go) render the merged event stream as Chrome
 // trace-event JSON (loadable in Perfetto / chrome://tracing), as a CSV
@@ -32,9 +32,9 @@ import (
 // Chrome trace-event phase codes used by the recorder (the "ph" field of
 // the trace-event format).
 const (
-	// PhaseBegin opens a span on its thread track.
+	// PhaseBegin opens a span.
 	PhaseBegin = 'B'
-	// PhaseEnd closes the innermost open span of its thread track.
+	// PhaseEnd closes the innermost open span.
 	PhaseEnd = 'E'
 	// PhaseInstant is a zero-duration point event.
 	PhaseInstant = 'i'
@@ -50,11 +50,8 @@ type Args map[string]any
 
 // Event is one recorded telemetry event.
 type Event struct {
-	// Seq orders events within one shard (monotonic per shard).
+	// Seq is the emission order (monotonic).
 	Seq uint64
-	// TID is the emitting track: 0 is the control plane, 1..N are
-	// simulated threads.
-	TID int
 	// Cat is the event category ("phase", "profile", "analyze",
 	// "migrate", "fault", "metric").
 	Cat string
@@ -71,24 +68,19 @@ type Event struct {
 	Args Args
 }
 
-// shard is one single-writer append buffer.
-type shard struct {
-	seq    uint64
-	events []Event
-}
-
 // Recorder collects telemetry events. Create one with NewRecorder and
 // hand it to the runtime via Options.Recorder; a nil *Recorder disables
 // recording everywhere.
 //
-// Emission methods are safe for one concurrent writer per shard (TID);
-// Events and the exporters must not run concurrently with emission —
-// the runtime's phase structure guarantees this.
+// Emission methods are for one writer; Events and the exporters must
+// not run concurrently with emission — the runtime's phase structure
+// guarantees this.
 type Recorder struct {
 	start   time.Time
 	hostNow func() int64
 	simNow  atomic.Pointer[func() uint64]
-	shards  []*shard
+	seq     uint64
+	events  []Event
 }
 
 // Option configures a Recorder.
@@ -100,12 +92,10 @@ func WithHostClock(now func() int64) Option {
 	return func(r *Recorder) { r.hostNow = now }
 }
 
-// NewRecorder builds an enabled recorder with a control-plane shard.
-// EnsureThreads grows the per-thread shards.
+// NewRecorder builds an enabled recorder.
 func NewRecorder(opts ...Option) *Recorder {
 	r := &Recorder{start: time.Now()}
 	r.hostNow = func() int64 { return int64(time.Since(r.start)) }
-	r.shards = []*shard{{}}
 	for _, o := range opts {
 		o(r)
 	}
@@ -125,18 +115,6 @@ func (r *Recorder) SetSimClock(now func() uint64) {
 	r.simNow.Store(&now)
 }
 
-// EnsureThreads guarantees shards for TIDs 0..n exist. Not safe
-// concurrently with emission; the runtime calls it before any phase
-// runs.
-func (r *Recorder) EnsureThreads(n int) {
-	if r == nil {
-		return
-	}
-	for len(r.shards) <= n {
-		r.shards = append(r.shards, &shard{})
-	}
-}
-
 // sim returns the current simulated-clock stamp.
 func (r *Recorder) sim() uint64 {
 	if f := r.simNow.Load(); f != nil {
@@ -145,16 +123,11 @@ func (r *Recorder) sim() uint64 {
 	return 0
 }
 
-// emit appends one event to the tid's shard.
-func (r *Recorder) emit(tid int, ph byte, cat, name string, simNS uint64, args Args) {
-	if tid < 0 || tid >= len(r.shards) {
-		tid = 0
-	}
-	s := r.shards[tid]
-	s.seq++
-	s.events = append(s.events, Event{
-		Seq:    s.seq,
-		TID:    tid,
+// emit appends one event.
+func (r *Recorder) emit(ph byte, cat, name string, simNS uint64, args Args) {
+	r.seq++
+	r.events = append(r.events, Event{
+		Seq:    r.seq,
 		Cat:    cat,
 		Name:   name,
 		Ph:     ph,
@@ -164,46 +137,46 @@ func (r *Recorder) emit(tid int, ph byte, cat, name string, simNS uint64, args A
 	})
 }
 
-// Begin opens a span on tid's track at the current clocks.
-func (r *Recorder) Begin(tid int, cat, name string, args Args) {
+// Begin opens a span at the current clocks.
+func (r *Recorder) Begin(cat, name string, args Args) {
 	if r == nil {
 		return
 	}
-	r.emit(tid, PhaseBegin, cat, name, r.sim(), args)
+	r.emit(PhaseBegin, cat, name, r.sim(), args)
 }
 
-// End closes the innermost open span of tid's track.
-func (r *Recorder) End(tid int, cat, name string, args Args) {
+// End closes the innermost open span.
+func (r *Recorder) End(cat, name string, args Args) {
 	if r == nil {
 		return
 	}
-	r.emit(tid, PhaseEnd, cat, name, r.sim(), args)
+	r.emit(PhaseEnd, cat, name, r.sim(), args)
 }
 
 // Instant records a point event at the current clocks.
-func (r *Recorder) Instant(tid int, cat, name string, args Args) {
+func (r *Recorder) Instant(cat, name string, args Args) {
 	if r == nil {
 		return
 	}
-	r.emit(tid, PhaseInstant, cat, name, r.sim(), args)
+	r.emit(PhaseInstant, cat, name, r.sim(), args)
 }
 
 // InstantAt records a point event at an explicit simulated-clock stamp —
 // used by the migration adapter, whose engine models its own elapsed
 // seconds within the Optimize span.
-func (r *Recorder) InstantAt(tid int, simNS uint64, cat, name string, args Args) {
+func (r *Recorder) InstantAt(simNS uint64, cat, name string, args Args) {
 	if r == nil {
 		return
 	}
-	r.emit(tid, PhaseInstant, cat, name, simNS, args)
+	r.emit(PhaseInstant, cat, name, simNS, args)
 }
 
 // Counter records named numeric values sampled at the current clocks.
-func (r *Recorder) Counter(tid int, cat, name string, values Args) {
+func (r *Recorder) Counter(cat, name string, values Args) {
 	if r == nil {
 		return
 	}
-	r.emit(tid, PhaseCounter, cat, name, r.sim(), values)
+	r.emit(PhaseCounter, cat, name, r.sim(), values)
 }
 
 // Len returns the number of recorded events.
@@ -211,34 +184,18 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := 0
-	for _, s := range r.shards {
-		n += len(s.events)
-	}
-	return n
+	return len(r.events)
 }
 
-// Events merges every shard into one stream ordered by (SimNS, TID,
-// Seq). Within one track the order equals emission order (shard
-// sequence numbers break simulated-clock ties), so span nesting is
-// preserved. The returned slice is a copy.
+// Events returns every event ordered by (SimNS, Seq): emission order
+// breaks simulated-clock ties, so span nesting is preserved. The
+// returned slice is a copy.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, r.Len())
-	for _, s := range r.shards {
-		out = append(out, s.events...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].SimNS != out[j].SimNS {
-			return out[i].SimNS < out[j].SimNS
-		}
-		if out[i].TID != out[j].TID {
-			return out[i].TID < out[j].TID
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	out := append([]Event(nil), r.events...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].SimNS < out[j].SimNS })
 	return out
 }
 
@@ -250,12 +207,9 @@ func (r *Recorder) CountEvents(cat, name string) int {
 		return 0
 	}
 	n := 0
-	for _, s := range r.shards {
-		for i := range s.events {
-			if (cat == "" || s.events[i].Cat == cat) &&
-				(name == "" || s.events[i].Name == name) {
-				n++
-			}
+	for i := range r.events {
+		if (cat == "" || r.events[i].Cat == cat) && (name == "" || r.events[i].Name == name) {
+			n++
 		}
 	}
 	return n

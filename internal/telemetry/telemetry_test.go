@@ -23,12 +23,11 @@ func TestNilRecorderIsSafe(t *testing.T) {
 		t.Fatal("nil recorder reports enabled")
 	}
 	r.SetSimClock(func() uint64 { return 1 })
-	r.EnsureThreads(8)
-	r.Begin(0, "phase", "p", nil)
-	r.End(0, "phase", "p", nil)
-	r.Instant(1, "fault", "Alloc", Args{"call": 1})
-	r.InstantAt(0, 42, "migrate", "region-migrated", nil)
-	r.Counter(0, "metric", "m", Args{"v": 1})
+	r.Begin("phase", "p", nil)
+	r.End("phase", "p", nil)
+	r.Instant("fault", "Alloc", Args{"call": 1})
+	r.InstantAt(42, "migrate", "region-migrated", nil)
+	r.Counter("metric", "m", Args{"v": 1})
 	if r.Len() != 0 || r.Events() != nil || r.CountEvents("", "") != 0 {
 		t.Fatal("nil recorder recorded something")
 	}
@@ -36,16 +35,14 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestRecorderOrdering(t *testing.T) {
 	r, sim := scriptedRecorder()
-	r.EnsureThreads(2)
 
-	r.Begin(0, "phase", "iter0", nil)
-	*sim = 5_000
-	r.Instant(1, "kernel", "tick", nil)
+	r.Begin("phase", "iter0", nil)
 	*sim = 10_000
-	r.End(0, "phase", "iter0", Args{"wall_s": 1e-5})
-	// Same sim stamp as the End: shard seq must keep emission order
-	// within a track, and lower TIDs sort first across tracks.
-	r.Instant(0, "metric", "snap", nil)
+	r.End("phase", "iter0", Args{"wall_s": 1e-5})
+	// Same sim stamp as the End: emission order breaks the tie.
+	r.Instant("metric", "snap", nil)
+	// An explicit earlier stamp sorts before later-stamped events.
+	r.InstantAt(5_000, "kernel", "tick", nil)
 
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -71,31 +68,15 @@ func TestRecorderOrdering(t *testing.T) {
 	}
 }
 
-func TestEnsureThreadsAndClamping(t *testing.T) {
-	r, _ := scriptedRecorder()
-	// TID beyond the shard range lands on the control track instead of
-	// crashing.
-	r.Instant(7, "kernel", "stray", nil)
-	evs := r.Events()
-	if len(evs) != 1 || evs[0].TID != 0 {
-		t.Fatalf("out-of-range tid not clamped: %+v", evs)
-	}
-	r.EnsureThreads(3)
-	r.Instant(3, "kernel", "ok", nil)
-	if got := r.Events()[1].TID; got != 3 {
-		t.Fatalf("tid 3 recorded as %d", got)
-	}
-}
-
 func TestSpanNestingSurvivesSort(t *testing.T) {
 	r, sim := scriptedRecorder()
-	r.Begin(0, "optimize", "optimize", nil)
-	r.Begin(0, "analyze", "rank", nil)
-	r.End(0, "analyze", "rank", nil)
-	r.Begin(0, "analyze", "promote", nil)
-	r.End(0, "analyze", "promote", nil)
+	r.Begin("optimize", "optimize", nil)
+	r.Begin("analyze", "rank", nil)
+	r.End("analyze", "rank", nil)
+	r.Begin("analyze", "promote", nil)
+	r.End("analyze", "promote", nil)
 	*sim = 1_000
-	r.End(0, "optimize", "optimize", nil)
+	r.End("optimize", "optimize", nil)
 
 	// B/E pairs must nest LIFO per track after the merge sort.
 	depth := 0
@@ -123,9 +104,9 @@ func BenchmarkDisabledRecorder(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Begin(0, "phase", "p", nil)
-		r.Instant(0, "migrate", "region-migrated", nil)
-		r.End(0, "phase", "p", nil)
+		r.Begin("phase", "p", nil)
+		r.Instant("migrate", "region-migrated", nil)
+		r.End("phase", "p", nil)
 	}
 }
 
@@ -134,6 +115,6 @@ func BenchmarkEnabledInstant(b *testing.B) {
 	r := NewRecorder()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Instant(0, "migrate", "region-migrated", nil)
+		r.Instant("migrate", "region-migrated", nil)
 	}
 }

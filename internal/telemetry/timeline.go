@@ -10,7 +10,7 @@ import (
 // backend of `atmem-report -timeline`. Spans print once, at their Begin,
 // with simulated and host durations resolved from the matching End;
 // instants and counters print in place. Indentation follows span
-// nesting on the control track.
+// nesting.
 
 // timelineRow is one resolved display row.
 type timelineRow struct {
@@ -21,32 +21,27 @@ type timelineRow struct {
 	span      bool
 }
 
-// resolveTimeline matches Begin/End pairs per track (LIFO, as the trace
-// format requires) and flattens the stream into display rows.
+// resolveTimeline matches Begin/End pairs (LIFO, as the trace format
+// requires) and flattens the stream into display rows.
 func resolveTimeline(events []Event) []timelineRow {
-	depth := map[int]int{}
-	type open struct{ row int }
-	stacks := map[int][]open{}
+	var open []int // rows of the open spans, innermost last
 	var rows []timelineRow
 	for i := range events {
 		e := &events[i]
 		switch e.Ph {
 		case PhaseBegin:
-			rows = append(rows, timelineRow{ev: e, depth: depth[e.TID], span: true})
-			stacks[e.TID] = append(stacks[e.TID], open{row: len(rows) - 1})
-			depth[e.TID]++
+			rows = append(rows, timelineRow{ev: e, depth: len(open), span: true})
+			open = append(open, len(rows)-1)
 		case PhaseEnd:
-			if st := stacks[e.TID]; len(st) > 0 {
-				b := st[len(st)-1]
-				stacks[e.TID] = st[:len(st)-1]
-				depth[e.TID]--
-				r := &rows[b.row]
+			if len(open) > 0 {
+				r := &rows[open[len(open)-1]]
+				open = open[:len(open)-1]
 				r.simDurNS = e.SimNS - r.ev.SimNS
 				r.hostDurNS = e.HostNS - r.ev.HostNS
 				// An End may carry result args; surface them on the row.
 				if len(e.Args) > 0 && len(r.ev.Args) == 0 {
 					r.ev = &Event{
-						Seq: r.ev.Seq, TID: r.ev.TID, Cat: r.ev.Cat,
+						Seq: r.ev.Seq, Cat: r.ev.Cat,
 						Name: r.ev.Name, Ph: r.ev.Ph,
 						SimNS: r.ev.SimNS, HostNS: r.ev.HostNS,
 						Args: e.Args,
@@ -54,7 +49,7 @@ func resolveTimeline(events []Event) []timelineRow {
 				}
 			}
 		default:
-			rows = append(rows, timelineRow{ev: e, depth: depth[e.TID]})
+			rows = append(rows, timelineRow{ev: e, depth: len(open)})
 		}
 	}
 	return rows

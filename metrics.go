@@ -190,11 +190,12 @@ type Scorecard struct {
 }
 
 // Scorecards returns every per-epoch scorecard computed so far (empty
-// on an ungoverned runtime). Scorecards are computed on every governed
-// epoch regardless of whether a metrics registry is attached.
+// before the first epoch; a one-shot Optimize computes none).
+// Scorecards are computed on every epoch regardless of whether a
+// metrics registry is attached.
 func (r *Runtime) Scorecards() []Scorecard { return r.scorecards }
 
 // LastScorecard returns the most recent epoch's scorecard (nil before
-// the first governed epoch). Safe from any goroutine — the debug
+// the first epoch). Safe from any goroutine — the debug
 // listener's /epochz endpoint reads it mid-run.
 func (r *Runtime) LastScorecard() *Scorecard { return r.lastScore.Load() }

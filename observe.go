@@ -36,23 +36,21 @@ func (r *Runtime) drainTransitions() {
 		evs := r.faults.Events()
 		for ; c.faults < len(evs); c.faults++ {
 			ev := evs[c.faults]
-			r.rec.Instant(0, "fault", string(ev.Op), telemetry.Args{
+			r.rec.Instant("fault", string(ev.Op), telemetry.Args{
 				"call": ev.Call,
 				"rule": ev.Rule,
 			})
 		}
 	}
-	if r.breaker != nil {
-		trs := r.breaker.Transitions()
-		for ; c.breaker < len(trs); c.breaker++ {
-			tr := trs[c.breaker]
-			r.rec.Instant(0, "governor", "breaker-"+tr.To.String(), telemetry.Args{
-				"epoch":    tr.Epoch,
-				"from":     tr.From.String(),
-				"reason":   tr.Reason,
-				"cooldown": tr.Cooldown,
-			})
-		}
+	trs := r.breaker.Transitions()
+	for ; c.breaker < len(trs); c.breaker++ {
+		tr := trs[c.breaker]
+		r.rec.Instant("governor", "breaker-"+tr.To.String(), telemetry.Args{
+			"epoch":    tr.Epoch,
+			"from":     tr.From.String(),
+			"reason":   tr.Reason,
+			"cooldown": tr.Cooldown,
+		})
 	}
 	if r.board != nil {
 		trs := r.board.Transitions()
@@ -68,7 +66,7 @@ func (r *Runtime) drainTransitions() {
 			if tr.Backoff > 0 {
 				args["backoff"] = tr.Backoff
 			}
-			r.rec.Instant(0, "health", "granule-"+tr.To.String(), args)
+			r.rec.Instant("health", "granule-"+tr.To.String(), args)
 		}
 	}
 }
@@ -87,7 +85,7 @@ func (r *Runtime) endPhase(pr *PhaseResult) {
 		mapped[t], reserved[t] = r.sys.TierUsage(t)
 	}
 	if r.rec.Enabled() {
-		r.rec.End(0, "phase", pr.Name, telemetry.Args{
+		r.rec.End("phase", pr.Name, telemetry.Args{
 			"wall_s":     st.WallSeconds,
 			"accesses":   st.Accesses,
 			"llc_misses": st.LLCMisses,
@@ -102,8 +100,8 @@ func (r *Runtime) endPhase(pr *PhaseResult) {
 			traffic[t.String()+"_write"] = st.WriteBytes[t]
 			traffic[t.String()+"_writeback"] = st.WritebackBytes[t]
 		}
-		r.rec.Counter(0, "metric", "tier-occupancy", occ)
-		r.rec.Counter(0, "metric", "phase-traffic", traffic)
+		r.rec.Counter("metric", "tier-occupancy", occ)
+		r.rec.Counter("metric", "phase-traffic", traffic)
 	}
 	if m := r.met; m != nil {
 		m.phases.Inc()
@@ -121,34 +119,30 @@ func (r *Runtime) endPhase(pr *PhaseResult) {
 // endPlacement is the placement-end observer, shared by the analyzer
 // path (optimizeGoverned: decision is the breaker's call, analyzeNS the
 // analyzer's host wall time) and replay (applyPlanEpoch, replayed). It
-// completes rep — on a governed runtime with the breaker state and the
-// fast-resident bytes after the placement, always with the health
-// snapshot — drains the transition logs, closes the placement's span
-// with arguments read off rep, records the metrics (the health counters
-// as the delta from the previous placement's report) and stores rep as
-// the last placement.
+// completes rep with the breaker state, the fast-resident bytes after
+// the placement and the health snapshot, drains the transition logs,
+// closes the placement's span with arguments read off rep, records the
+// metrics (the health counters as the delta from the previous
+// placement's report) and stores rep as the last placement.
 func (r *Runtime) endPlacement(rep *MigrationReport, replayed bool, decision governor.Decision, analyzeNS uint64) {
-	governed := r.breaker != nil
-	if governed {
-		state := r.breaker.State()
-		rep.Breaker = state.String()
-		rep.ResidentBytes = r.registeredFastBytes()
-		// Mirror the breaker state atomically for /healthz, which reads
-		// from the debug listener's goroutine mid-run.
-		r.breakerOpenA.Store(state != governor.StateClosed)
-	}
+	state := r.breaker.State()
+	rep.Breaker = state.String()
+	rep.ResidentBytes = r.registeredFastBytes()
+	// Mirror the breaker state atomically for /healthz, which reads from
+	// the debug listener's goroutine mid-run.
+	r.breakerOpenA.Store(state != governor.StateClosed)
 	rep.Health = r.healthReport()
 	r.drainTransitions()
 	switch {
 	case !r.rec.Enabled():
 	case replayed:
-		r.rec.End(0, "replay", "apply-plan", telemetry.Args{
+		r.rec.End("replay", "apply-plan", telemetry.Args{
 			"promoted_bytes": rep.PromotedBytes,
 			"demoted_bytes":  rep.DemotedBytes,
 			"seconds":        rep.Seconds,
 		})
 	default:
-		args := telemetry.Args{
+		r.rec.End("optimize", "optimize", telemetry.Args{
 			"engine":           rep.Engine,
 			"migration_s":      rep.Seconds,
 			"bytes_moved":      rep.BytesMoved,
@@ -157,17 +151,14 @@ func (r *Runtime) endPlacement(rep *MigrationReport, replayed bool, decision gov
 			"regions_skipped":  rep.RegionsSkipped,
 			"selected_bytes":   rep.SelectedBytes,
 			"clipped_bytes":    rep.ClippedBytes,
-		}
-		if governed {
-			args["epoch"] = rep.Epoch
-			args["decision"] = decision.String()
-			args["breaker"] = rep.Breaker
-			args["promoted_bytes"] = rep.PromotedBytes
-			args["demoted_bytes"] = rep.DemotedBytes
-			args["pressure_bytes"] = rep.PressureDemotedBytes
-			args["resident_bytes"] = rep.ResidentBytes
-		}
-		r.rec.End(0, "optimize", "optimize", args)
+			"epoch":            rep.Epoch,
+			"decision":         decision.String(),
+			"breaker":          rep.Breaker,
+			"promoted_bytes":   rep.PromotedBytes,
+			"demoted_bytes":    rep.DemotedBytes,
+			"pressure_bytes":   rep.PressureDemotedBytes,
+			"resident_bytes":   rep.ResidentBytes,
+		})
 	}
 	if m := r.met; m != nil {
 		if analyzeNS > 0 {
@@ -181,12 +172,10 @@ func (r *Runtime) endPlacement(rep *MigrationReport, replayed bool, decision gov
 		m.regionsMigrated.Add(uint64(rep.RegionsMigrated))
 		m.regionsRetried.Add(uint64(rep.RegionsRetried))
 		m.regionsSkipped.Add(uint64(rep.RegionsSkipped))
-		if governed {
-			m.promotedBytes.Add(rep.PromotedBytes)
-			m.demotedBytes.Add(rep.DemotedBytes)
-			m.breakerState.Set(float64(r.breaker.State()))
-			m.residentBytes.SetUint(rep.ResidentBytes)
-		}
+		m.promotedBytes.Add(rep.PromotedBytes)
+		m.demotedBytes.Add(rep.DemotedBytes)
+		m.breakerState.Set(float64(state))
+		m.residentBytes.SetUint(rep.ResidentBytes)
 		h, prev := rep.Health, r.lastMig.Health
 		m.quarantinedBytes.SetUint(h.QuarantinedBytes)
 		m.scrubbedBytes.Add(h.ScrubbedBytes - prev.ScrubbedBytes)
@@ -262,5 +251,5 @@ func (r *Runtime) endEpoch(name string, end telemetry.Args, rep *EpochReport, sc
 	}
 	// Feed the broker's arbiter on a tenant runtime (see broker.go).
 	r.reportTenantSignal(&sc)
-	r.rec.End(0, "epoch", name, end)
+	r.rec.End("epoch", name, end)
 }

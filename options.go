@@ -20,7 +20,7 @@ type Option func(*Options)
 //	rt, err := atmem.New(atmem.NVMDRAM(),
 //		atmem.WithThreads(16),
 //		atmem.WithTelemetry(rec),
-//		atmem.WithGovernor(atmem.GovernorOptions{}),
+//		atmem.WithGovernor(atmem.GovernorOptions{DemoteAfterEpochs: 3}),
 //	)
 //
 // Options apply in order; later options override earlier ones. The
@@ -83,13 +83,10 @@ func WithTelemetry(rec *telemetry.Recorder) Option {
 	return func(o *Options) { o.Recorder = rec }
 }
 
-// WithGovernor enables and configures the epoch-adaptive placement
-// governor (see Options.Governor). The Enabled field is forced on.
+// WithGovernor configures the epoch-adaptive placement governor every
+// runtime runs (see Options.Governor).
 func WithGovernor(g GovernorOptions) Option {
-	return func(o *Options) {
-		g.Enabled = true
-		o.Governor = g
-	}
+	return func(o *Options) { o.Governor = g }
 }
 
 // WithBandwidthAware toggles the aggregate-bandwidth placement
@@ -150,8 +147,8 @@ func WithDebugAddr(addr string) Option {
 // WithTenant attaches the runtime to a multi-tenant broker as the
 // given admitted tenant (see NewBroker and Options.Tenant): the
 // runtime shares the broker's memory system, honors its granted
-// fast-tier share as the placement budget, and reports per-epoch
-// signals to the broker's arbiter. Implies the governor.
+// fast-tier share as the placement budget of its online and replayed
+// epochs, and reports per-epoch signals to the broker's arbiter.
 func WithTenant(t *Tenant) Option {
 	return func(o *Options) { o.Tenant = t }
 }

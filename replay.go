@@ -1,13 +1,13 @@
 package atmem
 
 // This file is compiled-plan record/replay. The observation is the
-// paper's §5 loop run twice: for a deterministic workload, the governed
+// paper's §5 loop run twice: for a deterministic workload, the
 // run's per-epoch placement decisions are a pure function of the
 // workload signature, so a second run can skip profiling and analysis
 // entirely and just execute the recorded migration schedule. Unimem
 // makes the same observation for phase-local placement.
 //
-// The lifecycle on a governed runtime with Options.PlanCache:
+// The lifecycle on a runtime with Options.PlanCache:
 //
 //	sig := rt.BuildSignature(g.Name, g.CRC(), []string{"bfs", "pr"})
 //	verdict, _ := rt.ArmPlan(sig)      // hit → replay; miss/stale → record
@@ -22,6 +22,7 @@ package atmem
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -77,15 +78,24 @@ func (s Signature) workloadKey() string {
 }
 
 // CompiledPlan is a recorded run's committed placement: Epochs[e-1] is
-// the schedule that committed in epoch e, demotions and promotions each
-// in commit order. Rolled-back and skipped regions never enter it, and
-// an epoch that committed nothing keeps an empty schedule, so the
-// numbering stays aligned with the bodies the caller runs. Every
-// runtime that arms a cached plan shares it; it is never written after
-// FinishPlan.
+// what epoch e committed, demotions and promotions each in commit order.
+// Rolled-back and skipped regions never enter it, and an epoch that
+// committed nothing keeps an empty schedule, so the numbering stays
+// aligned with the bodies the caller runs. Every runtime that arms a
+// cached plan shares it; it is never written after FinishPlan.
 type CompiledPlan struct {
 	Sig    Signature
-	Epochs []migrate.Schedule
+	Epochs []PlanEpoch
+}
+
+// PlanEpoch is one recorded epoch: the schedule that committed, and the
+// heat signal the recorded epoch's plan gave the broker's arbiter (see
+// core.Plan). A replaying broker tenant reports the signal in place of
+// the analysis it skips, so the arbiter can still grant it share.
+type PlanEpoch struct {
+	migrate.Schedule
+	MarginalDensity    float64
+	ColdestKeptDensity float64
 }
 
 // Regions returns the number of demoted plus promoted regions the plan
@@ -182,8 +192,8 @@ func (c *PlanCache) Len() int {
 	return len(c.plans)
 }
 
-// BuildSignature derives the workload signature of the upcoming governed
-// run: the dataset (name + content CRC), the ordered kernel set, the
+// BuildSignature derives the workload signature of the upcoming run:
+// the dataset (name + content CRC), the ordered kernel set, the
 // simulated thread count, the testbed's tier parameters, and every
 // placement knob the decision chain depends on. Call it after the graph
 // is loaded (the CRC must cover the exact bytes the kernels will walk).
@@ -236,35 +246,30 @@ func (r *Runtime) PlanVerdict() LookupVerdict { return r.planVerdict }
 //
 //   - LookupHit: subsequent RunEpoch calls replay the cached schedule —
 //     no profiling, no analysis, no breaker; just the recorded
-//     migrations, epoch by epoch.
+//     migrations, epoch by epoch, through the same admission step as
+//     online placement, so a reserve raised since the recording or a
+//     broker tenant's share clips the replayed promotions.
 //   - LookupMiss / LookupStale: the run proceeds through the normal
 //     online loop and records its committed placement decisions;
 //     FinishPlan caches them. Stale means a plan for this
 //     workload exists under different assumptions — it is deliberately
 //     not replayed, and the verdict makes the fallback observable.
 //
-// ArmPlan requires Options.PlanCache and Options.Governor.Enabled and a
-// solo runtime (a replayed promotion would bypass a broker tenant's
-// share), and must run before the first epoch. Stop-the-world and
+// ArmPlan requires Options.PlanCache and must run before the first
+// epoch; solo runtimes and broker tenants arm alike. Stop-the-world and
 // overlapped epochs record and replay alike: an overlapped epoch places
 // what a stop-the-world one does and only defers the clock charge.
 func (r *Runtime) ArmPlan(sig Signature) (LookupVerdict, error) {
 	if r.planCache == nil {
 		return LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.PlanCache")
 	}
-	if !r.opts.Governor.Enabled {
-		return LookupMiss, fmt.Errorf("atmem: ArmPlan requires Options.Governor.Enabled")
-	}
-	if r.tenant != nil {
-		return LookupMiss, fmt.Errorf("atmem: plan record/replay is not supported on a broker tenant (replayed promotions would bypass the tenant's share)")
-	}
 	if r.recording != nil || r.armedPlan != nil {
 		return LookupMiss, fmt.Errorf("atmem: a plan is already armed; call FinishPlan first")
 	}
 	plan, verdict := r.planCache.Lookup(sig)
 	r.planVerdict = verdict
-	r.rec.Begin(0, "plan", "arm", nil)
-	r.rec.End(0, "plan", "arm", telemetry.Args{
+	r.rec.Begin("plan", "arm", nil)
+	r.rec.End("plan", "arm", telemetry.Args{
 		"verdict": verdict.String(),
 		"graph":   sig.Graph,
 		"kernels": sig.Kernels,
@@ -272,6 +277,7 @@ func (r *Runtime) ArmPlan(sig Signature) (LookupVerdict, error) {
 	if verdict == LookupHit {
 		r.armedPlan = plan
 		r.planEpoch = 0
+		r.backlog = nil
 		// A replayed run never profiles: drop the miss hooks so the
 		// simulated miss path is a single nil test per miss.
 		for _, a := range r.accessors {
@@ -294,15 +300,15 @@ func (r *Runtime) FinishPlan() (*CompiledPlan, error) {
 		p := r.recording
 		r.planCache.Put(p)
 		r.recording = nil
-		r.rec.Begin(0, "plan", "compile", nil)
-		r.rec.End(0, "plan", "compile", telemetry.Args{
+		r.rec.Begin("plan", "compile", nil)
+		r.rec.End("plan", "compile", telemetry.Args{
 			"epochs":  len(p.Epochs),
 			"regions": p.Regions(),
 		})
 		return p, nil
 	case r.armedPlan != nil:
 		p := r.armedPlan
-		r.armedPlan = nil
+		r.armedPlan, r.backlog = nil, nil
 		for i, a := range r.accessors {
 			a.SetMissHook(r.prof.ThreadSampler(i).OnMiss)
 		}
@@ -312,31 +318,75 @@ func (r *Runtime) FinishPlan() (*CompiledPlan, error) {
 }
 
 // applyPlanEpoch is the replay source's step after the body: commit
-// one plan epoch's recorded schedule through the same commit path as the
-// online loop, demotions first (they fund the promotions), each in the
-// recorded order. The page table is the only record of residency, so
-// the final fast-resident footprint of a replay matches the recorded
-// run bit for bit.
-func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationReport, error) {
-	r.rec.Begin(0, "replay", "apply-plan", telemetry.Args{"plan_epoch": epoch})
+// one plan epoch's recorded schedule through the same admission step and
+// commit path as the online loop, demotions first (they fund the
+// promotions), each in the recorded order. The page table is the only
+// record of residency, so under the recording's budget the final
+// fast-resident footprint of a replay matches the recorded run bit for
+// bit. Under a smaller one, what admit defers (clipped promotions,
+// drained chunks) is the backlog, offered again ahead of later epochs'
+// promotions less what their demotions give up, so the replay keeps
+// reaching for the recorded residency. Epochs past the end of the
+// recording replay an empty schedule and place only when a backlog or a
+// budget cut asks them to; the first result reports whether they did.
+func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (bool, MigrationReport, error) {
+	// Serialize against co-tenants on a shared system, as the online
+	// placement does. No-op on a solo runtime.
+	r.lockPlacement()
+	defer r.unlockPlacement()
+	epochs := r.armedPlan.Epochs
+	budget, held := r.placementBudget()
+	var rec PlanEpoch
+	switch {
+	case epoch <= len(epochs):
+		rec = epochs[epoch-1]
+	case len(r.backlog) == 0 && held <= budget:
+		return false, MigrationReport{}, nil
+	case len(epochs) > 0:
+		last := epochs[len(epochs)-1]
+		rec.MarginalDensity, rec.ColdestKeptDensity = last.MarginalDensity, last.ColdestKeptDensity
+	}
+	r.rec.Begin("replay", "apply-plan", telemetry.Args{"plan_epoch": epoch})
 
-	// The schedule is a copy of the shared plan's entry; filterPromotions
-	// builds a fresh slice, so nothing below writes into the plan. The
-	// health veto applies on replay too: pages quarantined since the
-	// recording must never receive a replayed promotion.
-	sched := r.armedPlan.Epochs[epoch-1]
-	sched.Promotions = r.filterPromotions(sched.Promotions)
+	// The schedule is a copy of the shared plan's entry; the backlog merge,
+	// filterPromotions and admit build fresh slices, so nothing below
+	// writes into the plan. The health veto applies on replay too: pages
+	// quarantined since the recording must never receive a replayed
+	// promotion.
+	sched := rec.Schedule
+	pending := slices.DeleteFunc(r.backlog, func(rg migrate.Region) bool {
+		return overlapsAny(rg.Base, rg.Base+rg.Size, sched.Demotions)
+	})
+	sched.Promotions = r.filterPromotions(append(pending, sched.Promotions...))
 
 	// Replay bypasses the breaker (the recorded run already paid for the
-	// decisions) but reports through the same governed-report shape.
-	r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
+	// decisions) but reports through the same report shape.
 	rep := MigrationReport{
-		TotalBytes: r.plan.TotalBytes,
+		TotalBytes: r.reg.TotalBytes(),
 		Epoch:      epoch,
 		DeltaEmpty: sched.Empty(),
 	}
+	var cands []core.Candidate
+	if held > budget {
+		cands = r.residentChunks(sched.Demotions)
+	}
+	recorded := len(sched.Demotions)
+	var deferred []migrate.Region
+	sched, deferred, rep.ClippedBytes = r.admit(sched, budget, held, cands)
+	r.backlog = append(deferred, sched.Demotions[recorded:]...)
+
+	// The arbiter's signal is the recorded epoch's. When the budget
+	// clipped the replay, the hunger is at least the recorded coldest
+	// kept heat, since the recording kept every deferred region.
+	marginal := rec.MarginalDensity
+	if rep.ClippedBytes > 0 {
+		marginal = max(marginal, rec.ColdestKeptDensity)
+	}
+	r.plan = &core.Plan{TotalBytes: rep.TotalBytes, ClippedBytes: rep.ClippedBytes,
+		MarginalDensity: marginal, ColdestKeptDensity: rec.ColdestKeptDensity}
+
 	res, err := r.commitSchedule(ctx, sched)
-	rep.setSchedule(res, err == nil)
+	rep.setSchedule(res)
 	if err != nil {
 		err = fmt.Errorf("atmem: replay migration: %w", err)
 	} else {
@@ -345,11 +395,41 @@ func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (MigrationRepor
 		r.observeMigrationHealth(res)
 	}
 	r.endPlacement(&rep, true, governor.DecisionRun, 0)
-	return rep, err
+	return true, rep, err
+}
+
+// residentChunks lists the registered objects' chunks that hold fast
+// bytes, less those overlapping demotions, as the drain candidates of a
+// replayed epoch over its budget. Replay has no heat to rank them by, so
+// they run from the last registered object's last chunk backwards.
+func (r *Runtime) residentChunks(demotions []migrate.Region) []core.Candidate {
+	var out []core.Candidate
+	objs := r.reg.Objects()
+	for i := len(objs) - 1; i >= 0; i-- {
+		o := objs[i]
+		for j := o.NumChunks - 1; j >= 0; j-- {
+			lo, hi := o.ChunkRange(j)
+			if f := r.fastBytes(lo, hi-lo); f > 0 && !overlapsAny(lo, hi, demotions) {
+				out = append(out, core.Candidate{Range: core.Range{Base: lo, Size: hi - lo}, FastBytes: f})
+			}
+		}
+	}
+	return out
+}
+
+// overlapsAny reports whether [lo, hi) overlaps any of the regions.
+func overlapsAny(lo, hi uint64, regions []migrate.Region) bool {
+	for _, rg := range regions {
+		if lo < rg.Base+rg.Size && rg.Base < hi {
+			return true
+		}
+	}
+	return false
 }
 
 // recordCommitted appends one placement's committed regions to the
-// recording's current epoch (no-op unless a recorder is armed). Only
+// recording's current epoch, and stores the heat signal of the plan it
+// committed (no-op unless a recorder is armed). Only
 // commits enter the plan: a replayed rollback or skip would
 // desynchronize residency from the recording. A placement outside any
 // epoch (an Optimize before the first one) has no schedule to join.
@@ -360,4 +440,5 @@ func (r *Runtime) recordCommitted(res migrate.ScheduleResult) {
 	s := &r.recording.Epochs[len(r.recording.Epochs)-1]
 	s.Demotions = append(s.Demotions, res.Demotions.Moved...)
 	s.Promotions = append(s.Promotions, res.Promotions.Moved...)
+	s.MarginalDensity, s.ColdestKeptDensity = r.plan.MarginalDensity, r.plan.ColdestKeptDensity
 }

@@ -15,12 +15,17 @@ import (
 // ranges replayable.
 func replayFixture(t *testing.T, pc *PlanCache, opts ...Option) (*Runtime, *Array[uint64]) {
 	t.Helper()
+	return replayFixtureOn(t, NVMDRAM(), pc, opts...)
+}
+
+// replayFixtureOn is replayFixture on the given testbed.
+func replayFixtureOn(t *testing.T, tb Testbed, pc *PlanCache, opts ...Option) (*Runtime, *Array[uint64]) {
+	t.Helper()
 	all := append([]Option{
 		WithSamplePeriod(64),
-		WithGovernor(GovernorOptions{}),
 		WithPlanCache(pc),
 	}, opts...)
-	rt, err := New(NVMDRAM(), all...)
+	rt, err := New(tb, all...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +149,7 @@ func TestAsyncRecordedPlanReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := rec.DrainAsync(); err != nil {
-		t.Fatal(err)
-	}
+	rec.DrainAsync()
 	plan, err := rec.FinishPlan()
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +180,7 @@ func TestAsyncRecordedPlanReplays(t *testing.T) {
 				t.Fatalf("async=%v: epoch %d not replayed", async, e+1)
 			}
 		}
-		if err := rt.DrainAsync(); err != nil {
-			t.Fatal(err)
-		}
+		rt.DrainAsync()
 		if _, err := rt.FinishPlan(); err != nil {
 			t.Fatal(err)
 		}
@@ -276,8 +277,8 @@ func TestPlanCacheVerdicts(t *testing.T) {
 		t.Fatalf("empty cache lookup = (%v, %v), want (nil, miss)", p, v)
 	}
 
-	c.Put(&CompiledPlan{Sig: sig, Epochs: []migrate.Schedule{
-		{Promotions: []migrate.Region{{Base: 0x1000, Size: 0x1000}}},
+	c.Put(&CompiledPlan{Sig: sig, Epochs: []PlanEpoch{
+		{Schedule: migrate.Schedule{Promotions: []migrate.Region{{Base: 0x1000, Size: 0x1000}}}},
 	}})
 
 	if p, v := c.Lookup(sig); p == nil || v != LookupHit {
@@ -532,10 +533,18 @@ func TestReplayFaultStormMatchesOnline(t *testing.T) {
 	}
 }
 
-// TestArmPlanRequirements pins the preconditions: a plan cache, the
-// governor, a solo runtime, and one arm per session.
+// TestArmPlanRequirements pins the preconditions: a plan cache and one
+// arm per session. A default runtime and a broker tenant arm alike.
 func TestArmPlanRequirements(t *testing.T) {
 	sig := Signature{Graph: "g", Kernels: "k"}
+	plain, err := New(NVMDRAM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.ArmPlan(sig); err == nil {
+		t.Error("ArmPlan without a plan cache must fail")
+	}
+
 	bk := NewBroker(govTestbed(8<<20), BrokerConfig{})
 	tn, err := bk.Admit(TenantSpec{Name: "t", Class: ClassBurstable, FloorBytes: 1 << 20})
 	if err != nil {
@@ -545,32 +554,248 @@ func TestArmPlanRequirements(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"without a plan cache", []Option{WithGovernor(GovernorOptions{})}},
-		{"without the governor", []Option{WithPlanCache(NewPlanCache())}},
-		// Replayed promotions would bypass the tenant's share cap.
+		{"on a default runtime", []Option{WithPlanCache(NewPlanCache())}},
 		{"on a broker tenant", []Option{WithPlanCache(NewPlanCache()), WithTenant(tn)}},
 	} {
 		rt, err := New(NVMDRAM(), tc.opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if v, err := rt.ArmPlan(sig); err != nil || v != LookupMiss {
+			t.Errorf("ArmPlan %s = (%v, %v), want a miss", tc.name, v, err)
+		}
 		if _, err := rt.ArmPlan(sig); err == nil {
-			t.Errorf("ArmPlan %s must fail", tc.name)
+			t.Errorf("double ArmPlan %s must fail", tc.name)
+		}
+		if _, err := rt.FinishPlan(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.FinishPlan(); err == nil {
+			t.Errorf("FinishPlan %s without an armed plan must fail", tc.name)
 		}
 	}
+}
 
+// recordScanPlan records a three-epoch scan of the fixture's hot array
+// on a solo runtime over tb and returns the plan's signature and the
+// residency the recording ended with.
+func recordScanPlan(t *testing.T, tb Testbed, pc *PlanCache) (Signature, uint64) {
+	t.Helper()
+	rec, hot := replayFixtureOn(t, tb, pc)
+	sig := rec.BuildSignature("synthetic", 0x1234, []string{"scan"})
+	if _, err := rec.ArmPlan(sig); err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 3; e++ {
+		epochOn(t, rec, "e", hot)
+	}
+	if _, err := rec.FinishPlan(); err != nil {
+		t.Fatal(err)
+	}
+	return sig, rec.ResidentBytes()
+}
+
+// armHit arms sig on rt and fails unless the lookup hits.
+func armHit(t *testing.T, rt *Runtime, sig Signature) {
+	t.Helper()
+	if v, err := rt.ArmPlan(sig); err != nil || v != LookupHit {
+		t.Fatalf("ArmPlan = (%v, %v), want a hit", v, err)
+	}
+}
+
+// replayScan replays three epochs of the scan on an armed rt, calling
+// check after each.
+func replayScan(t *testing.T, rt *Runtime, hot *Array[uint64], check func(MigrationReport)) {
+	t.Helper()
+	for e := 0; e < 3; e++ {
+		er, err := rt.RunEpoch("e", func() { scanPhase(rt, "e", hot) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !er.Replayed {
+			t.Fatalf("epoch %d not replayed", e+1)
+		}
+		check(er.Migration)
+	}
+	assertDataIntact(t, "replayed hot", hot, 7)
+	if err := rt.System().CheckConsistency(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReplayHonoursRaisedReserve pins that replay passes the admission
+// step: a reserve raised after ArmPlan clips the replayed promotions,
+// so the registered fast bytes never exceed the capacity left beside
+// the reserve.
+func TestReplayHonoursRaisedReserve(t *testing.T) {
 	pc := NewPlanCache()
-	rt, _ := replayFixture(t, pc)
-	if _, err := rt.ArmPlan(rt.BuildSignature("g", 1, []string{"k"})); err != nil {
+	sig, resident := recordScanPlan(t, NVMDRAM(), pc)
+	rt, hot := replayFixture(t, pc)
+	capacity := rt.System().P.Tiers[memsim.TierFast].CapacityBytes
+	allowed := resident / 2
+	armHit(t, rt, sig)
+	rt.SetCapacityReserve(capacity - allowed)
+	var clipped uint64
+	replayScan(t, rt, hot, func(m MigrationReport) {
+		clipped += m.ClippedBytes
+		if got := rt.ResidentBytes(); got > allowed {
+			t.Errorf("epoch %d: %d fast bytes above the %d the raised reserve leaves", m.Epoch, got, allowed)
+		}
+	})
+	if clipped == 0 {
+		t.Error("the raised reserve clipped nothing")
+	}
+}
+
+// TestReplayOnTenantHonoursShare pins replay on a broker tenant: a plan
+// recorded on a solo runtime replays on a tenant whose share is below
+// the recorded residency, and the admission step keeps the tenant's
+// fast bytes plus its quarantine debit within its share every epoch.
+func TestReplayOnTenantHonoursShare(t *testing.T) {
+	tb := govTestbed(8 << 20)
+	pc := NewPlanCache()
+	sig, resident := recordScanPlan(t, tb, pc)
+	share := (resident / 2) &^ (memsim.SmallPage - 1)
+	bk := NewBroker(tb, BrokerConfig{})
+	tn, err := bk.Admit(TenantSpec{Name: "replayer", Class: ClassGuaranteed, FloorBytes: share})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.ArmPlan(rt.BuildSignature("g", 1, []string{"k"})); err == nil {
-		t.Error("double ArmPlan must fail")
+	rt, hot := replayFixtureOn(t, tb, pc, WithTenant(tn))
+	armHit(t, rt, sig)
+	var clipped uint64
+	replayScan(t, rt, hot, func(m MigrationReport) {
+		clipped += m.ClippedBytes
+		u := bk.System().TenantUsage(tn.ID())
+		if u.FastBytes+u.QuarantinedBytes > tn.Share() {
+			t.Errorf("epoch %d: %d fast + %d debit bytes above the %d share",
+				m.Epoch, u.FastBytes, u.QuarantinedBytes, tn.Share())
+		}
+	})
+	if clipped == 0 {
+		t.Error("the tenant's share clipped nothing")
 	}
-	if _, err := rt.FinishPlan(); err != nil {
+	if rt.ResidentBytes() == 0 {
+		t.Error("the replay placed nothing within the share")
+	}
+	if err := rt.Close(); err != nil {
+		t.Error(err)
+	}
+}
+
+// replayEpochOn runs one replayed scan epoch on rt and checks that the
+// tenant's fast bytes plus its quarantine debit stay within the share
+// in force during the epoch's placement.
+func replayEpochOn(t *testing.T, rt *Runtime, hot *Array[uint64], tn *Tenant) EpochReport {
+	t.Helper()
+	share := tn.Share()
+	er, err := rt.RunEpoch("e", func() { scanPhase(rt, "e", hot) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.FinishPlan(); err == nil {
-		t.Error("FinishPlan without an armed plan must fail")
+	if !er.Replayed {
+		t.Fatalf("epoch %d not replayed", er.Epoch)
+	}
+	if u := rt.System().TenantUsage(tn.ID()); u.FastBytes+u.QuarantinedBytes > share {
+		t.Errorf("epoch %d: %d fast + %d debit bytes above the %d share",
+			er.Epoch, u.FastBytes, u.QuarantinedBytes, share)
+	}
+	return er
+}
+
+// TestReplayDrainsShedTenant pins that a replaying tenant gives its
+// residency back when its share falls below it: a best-effort tenant
+// earns a share through its replayed hunger, the broker sheds it under
+// aggregate pressure, and its next replayed epoch drains it — past the
+// end of the recording too — instead of holding fast bytes the shed was
+// meant to free.
+func TestReplayDrainsShedTenant(t *testing.T) {
+	tb := govTestbed(8 << 20)
+	pc := NewPlanCache()
+	sig, _ := recordScanPlan(t, tb, pc)
+	bk := NewBroker(tb, BrokerConfig{HighWatermark: 0.02, LowWatermark: 0.01, QuantumBytes: 1 << 20})
+	tn, err := bk.Admit(TenantSpec{Name: "be", Class: ClassBestEffort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, hot := replayFixtureOn(t, tb, pc, WithTenant(tn))
+	armHit(t, rt, sig)
+	var placed uint64
+	shed := false
+	for e := 0; e < 12 && !shed; e++ {
+		replayEpochOn(t, rt, hot, tn)
+		placed = max(placed, rt.ResidentBytes())
+		shed = len(bk.Rebalance().Shed) > 0
+	}
+	if placed == 0 {
+		t.Fatal("the replay never placed anything within its granted share")
+	}
+	if !shed {
+		t.Fatalf("the broker never shed the replaying tenant (share %d)", tn.Share())
+	}
+	er := replayEpochOn(t, rt, hot, tn)
+	if got := bk.System().TenantUsage(tn.ID()).FastBytes; got != 0 {
+		t.Errorf("shed tenant still holds %d fast bytes after replayed epoch %d", got, er.Epoch)
+	}
+	if er.Migration.DemotedBytes == 0 {
+		t.Errorf("drain epoch %d demoted nothing", er.Epoch)
+	}
+	// The drained chunks are deferred, not forgotten: the next epoch
+	// offers them again, and the zero share clips them.
+	if er = replayEpochOn(t, rt, hot, tn); er.Migration.ClippedBytes == 0 {
+		t.Errorf("epoch %d after the drain clipped nothing", er.Epoch)
+	}
+	assertDataIntact(t, "drained hot", hot, 7)
+	if err := rt.Close(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReplayingTenantEarnsShare pins the replayed arbiter signal: a
+// burstable tenant replays a plan whose residency is above its floor
+// next to an online tenant. Replay skips the analysis, so the tenant
+// reports the recorded heat, and while its replay is clipped that is a
+// hunger signal: the arbiter grows its share past the floor, the
+// deferred promotions land as it does, and the replay reaches the
+// recorded residency.
+func TestReplayingTenantEarnsShare(t *testing.T) {
+	tb := govTestbed(8 << 20)
+	pc := NewPlanCache()
+	sig, resident := recordScanPlan(t, tb, pc)
+	floor := (resident / 4) &^ (memsim.SmallPage - 1)
+	bk := NewBroker(tb, BrokerConfig{QuantumBytes: 64 << 10})
+	tr, err := bk.Admit(TenantSpec{Name: "replayer", Class: ClassBurstable, FloorBytes: floor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	to, err := bk.Admit(TenantSpec{Name: "online", Class: ClassBurstable, FloorBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replayer allocates first, at the recording's addresses.
+	rt, hot := replayFixtureOn(t, tb, pc, WithTenant(tr))
+	armHit(t, rt, sig)
+	other, oHot, oCold := brokerTenantRuntime(t, to)
+	var clipped uint64
+	for e := 0; e < 8; e++ {
+		clipped += replayEpochOn(t, rt, hot, tr).Migration.ClippedBytes
+		epochOn(t, other, "o", oHot, oCold)
+		bk.Rebalance()
+	}
+	if clipped == 0 {
+		t.Error("the floor clipped nothing")
+	}
+	if tr.Share() <= floor {
+		t.Errorf("replaying tenant's share %d never grew past its %d floor", tr.Share(), floor)
+	}
+	if got := rt.ResidentBytes(); got != resident {
+		t.Errorf("replay holds %d fast bytes, want the recorded %d", got, resident)
+	}
+	assertDataIntact(t, "replayer hot", hot, 7)
+	assertDataIntact(t, "online hot", oHot, 7)
+	for _, r := range []*Runtime{rt, other} {
+		if err := r.Close(); err != nil {
+			t.Error(err)
+		}
 	}
 }

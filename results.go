@@ -68,22 +68,22 @@ type MigrationReport struct {
 	// sampled-critical chunks vs. tree-promoted chunks (§4.3).
 	SampledBytes   uint64
 	EstimatedBytes uint64
-	// ClippedBytes is what the fast-tier capacity budget dropped.
+	// ClippedBytes is what the placement budget dropped: the analyzer's
+	// capacity clip plus the promoted bytes the admission step clipped
+	// from the schedule (on a replayed epoch, only the latter).
 	ClippedBytes uint64
 
-	// The remaining fields are populated only on a governed runtime
-	// (Options.Governor.Enabled).
-
-	// Epoch is the governed epoch this report belongs to (1-based).
+	// Epoch is the breaker epoch this report belongs to (1-based; a
+	// replayed report carries the plan epoch).
 	Epoch int
-	// Breaker is the circuit breaker's state after the epoch ("closed",
-	// "open", "half-open"; empty on an ungoverned runtime).
+	// Breaker is the circuit breaker's state after the placement
+	// ("closed", "open", "half-open").
 	Breaker string
 	// BreakerSkipped marks an epoch the open breaker skipped: no
 	// analysis or migration ran.
 	BreakerSkipped bool
 	// DeltaEmpty marks a converged epoch: the plan matched residency
-	// and nothing needed to move.
+	// (or the replayed schedule was empty) and nothing needed to move.
 	DeltaEmpty bool
 	// PromotedBytes and DemotedBytes split BytesMoved by direction.
 	PromotedBytes uint64
@@ -186,10 +186,10 @@ func (m MigrationReport) String() string {
 }
 
 // setSchedule fills the report's migration fields from one committed
-// schedule's merged stats; governed adds the per-direction split. It is
-// the one reader of a ScheduleResult for both placement paths
-// (optimizeGoverned and applyPlanEpoch).
-func (m *MigrationReport) setSchedule(res migrate.ScheduleResult, governed bool) {
+// schedule's stats, merged and per direction. It is the one reader of a
+// ScheduleResult for both placement paths (optimizeGoverned and
+// applyPlanEpoch).
+func (m *MigrationReport) setSchedule(res migrate.ScheduleResult) {
 	st := &res.Merged
 	m.Engine = st.Engine
 	m.Seconds = st.Seconds
@@ -206,11 +206,9 @@ func (m *MigrationReport) setSchedule(res migrate.ScheduleResult, governed bool)
 			m.SkippedBytes += out.Region.Size
 		}
 	}
-	if governed {
-		m.PromotedBytes = res.Promotions.BytesMoved
-		m.DemotedBytes = res.Demotions.BytesMoved
-		m.RegionsDemoted = len(res.Demotions.Moved)
-	}
+	m.PromotedBytes = res.Promotions.BytesMoved
+	m.DemotedBytes = res.Demotions.BytesMoved
+	m.RegionsDemoted = len(res.Demotions.Moved)
 }
 
 // LastMigration returns the report of the most recent placement, or a

@@ -43,26 +43,28 @@ type Runtime struct {
 	phases   []PhaseResult
 	profiled bool
 
-	// lastMig is the record of the most recent placement (Optimize, a
-	// governed epoch's placement, or a replayed plan epoch), built in place by optimizeGoverned or applyPlanEpoch and
-	// completed by endPlacement (observe.go).
+	// lastMig is the record of the most recent placement (Optimize, an
+	// epoch's placement, or a replayed plan epoch), built in place by
+	// optimizeGoverned or applyPlanEpoch and completed by endPlacement
+	// (observe.go).
 	lastMig MigrationReport
 
-	// Governor state (nil/zero unless Options.Governor.Enabled; see
-	// governor.go).
+	// Governor state (see governor.go).
 	govCfg  governor.Config
 	breaker *governor.Breaker
 	epoch   int
 
 	// Compiled-plan record/replay state (see replay.go). recording is
-	// non-nil while a governed run's placement decisions are being
+	// non-nil while a run's placement decisions are being
 	// recorded; armedPlan is non-nil while a cached plan is replaying
-	// (planEpoch counts the plan epochs applied so far); planVerdict is
-	// the last ArmPlan lookup outcome.
+	// (planEpoch counts the plan epochs applied so far, and backlog holds
+	// the replayed promotions and drained chunks the budget deferred);
+	// planVerdict is the last ArmPlan lookup outcome.
 	planCache   *PlanCache
 	recording   *CompiledPlan
 	armedPlan   *CompiledPlan
 	planEpoch   int
+	backlog     []migrate.Region
 	planVerdict LookupVerdict
 
 	// Tier-health state (see health.go). board scores per-granule
@@ -145,10 +147,8 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 		}
 	}
 	gcfg := o.Governor.governorConfig()
-	if o.Governor.Enabled {
-		if err := gcfg.Validate(); err != nil {
-			return nil, err
-		}
+	if err := gcfg.Validate(); err != nil {
+		return nil, err
 	}
 	tb.params = p
 	r := &Runtime{
@@ -158,6 +158,8 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 		tenant:  o.Tenant,
 		reg:     core.NewRegistry(o.Analyzer),
 		objects: make(map[uint64]*Object),
+		govCfg:  gcfg,
+		breaker: governor.NewBreaker(gcfg),
 	}
 	if o.Tenant != nil {
 		r.sys = o.Tenant.Broker().System()
@@ -169,10 +171,6 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 		if o.Health.Scrub {
 			r.scrub = health.NewScrubber()
 		}
-	}
-	if o.Governor.Enabled {
-		r.govCfg = gcfg
-		r.breaker = governor.NewBreaker(gcfg)
 	}
 	period := o.SamplePeriod
 	if period == 0 {
@@ -380,7 +378,7 @@ func (r *Runtime) ProfilingStart() {
 	if r.profOpen {
 		// A restarted window discards the previous samples; close its
 		// span so the trace stays balanced.
-		r.rec.End(0, "profile", "window", telemetry.Args{"restarted": true})
+		r.rec.End("profile", "window", telemetry.Args{"restarted": true})
 		r.profOpen = false
 	}
 	r.prof.Reset()
@@ -396,7 +394,7 @@ func (r *Runtime) ProfilingStart() {
 		r.prof.SetPeriod(period)
 	}
 	r.prof.Start()
-	r.rec.Begin(0, "profile", "window", telemetry.Args{
+	r.rec.Begin("profile", "window", telemetry.Args{
 		"period": r.prof.Config().Period,
 	})
 	r.profOpen = true
@@ -410,7 +408,7 @@ func (r *Runtime) ProfilingStop() int {
 	n := r.reg.AttributeSamples(r.prof.Samples())
 	r.profiled = n > 0 || r.profiled
 	if r.profOpen {
-		r.rec.End(0, "profile", "window", telemetry.Args{
+		r.rec.End("profile", "window", telemetry.Args{
 			"samples_attributed": n,
 			"samples_captured":   r.prof.SampleCount(),
 		})
@@ -429,7 +427,9 @@ func (r *Runtime) SampleCount() int { return r.prof.SampleCount() }
 // Optimize is atmem_optimize (Listing 1): it runs the two-stage analyzer
 // over the attributed samples, then migrates the selected bytes not yet
 // on the high-performance memory there with the configured engine. It
-// returns the migration statistics.
+// returns the migration statistics. It is one step of the governed
+// placement every epoch runs: the report carries the breaker's epoch
+// and state, and the promoted, demoted and resident bytes.
 //
 // Optimize consumes partial success: the engines are transactional per
 // region, so recoverable faults (capacity exhaustion, injected faults)
@@ -449,9 +449,9 @@ func (r *Runtime) Optimize() (MigrationReport, error) {
 // migration plan at the next region (or staging-slice) boundary, rolls
 // a region caught mid-copy back via the per-region transaction, and
 // reports the unfinished regions as skipped outcomes — in-band partial
-// success, not an error. It is the same placement path every governed
-// epoch runs (optimizeGoverned); an ungoverned runtime just has no
-// breaker and makes no demotions.
+// success, not an error. It is the same placement path every epoch runs
+// (optimizeGoverned): one breaker decision, hysteresis and pressure
+// demotions, and the admission step's budget.
 func (r *Runtime) OptimizeCtx(ctx context.Context) (MigrationReport, error) {
 	return r.optimizeGoverned(ctx)
 }
@@ -600,7 +600,7 @@ func (c *Ctx) Range(n int) (lo, hi int) {
 func (r *Runtime) RunPhase(name string, kernel func(c *Ctx)) PhaseResult {
 	r.lockPlacement()
 	defer r.unlockPlacement()
-	r.rec.Begin(0, "phase", name, nil)
+	r.rec.Begin("phase", name, nil)
 	for _, a := range r.accessors {
 		a.ResetCounters()
 	}

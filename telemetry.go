@@ -35,11 +35,11 @@ func (r *Runtime) stageObserver() core.StageObserver {
 type stageRecorder struct{ rec *telemetry.Recorder }
 
 func (s stageRecorder) StageBegin(stage string) {
-	s.rec.Begin(0, "analyze", stage, nil)
+	s.rec.Begin("analyze", stage, nil)
 }
 
 func (s stageRecorder) StageEnd(stage string, summary map[string]any) {
-	s.rec.End(0, "analyze", stage, telemetry.Args(summary))
+	s.rec.End("analyze", stage, telemetry.Args(summary))
 }
 
 // emitMigrationEvent places one engine event on the simulated clock: the
@@ -60,7 +60,7 @@ func (r *Runtime) emitMigrationEvent(startNS uint64, ev migrate.Event) {
 	if ev.Err != nil {
 		args["error"] = ev.Err.Error()
 	}
-	r.rec.InstantAt(0, startNS+uint64(ev.Seconds*1e9),
+	r.rec.InstantAt(startNS+uint64(ev.Seconds*1e9),
 		"migrate", "region-"+string(ev.Kind), args)
 }
 
@@ -81,7 +81,7 @@ func (r *Runtime) emitChunkHeat() {
 				hot++
 			}
 		}
-		r.rec.Instant(0, "profile", "heat", telemetry.Args{
+		r.rec.Instant("profile", "heat", telemetry.Args{
 			"object":        do.Name,
 			"chunks":        do.NumChunks,
 			"hot_chunks":    hot,
