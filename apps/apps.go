@@ -7,21 +7,23 @@
 // store; results are computed on real Go memory and validated against
 // plain reference implementations.
 //
-// Every kernel's results match its reference (PR's up to floating-point
-// association order), but not every kernel's simulated statistics are
-// deterministic. The frontier kernels BFS, direction-optimizing BFS,
-// SSSP, CC and BC push: several simulated threads may race to claim one
-// vertex with a compare-and-swap, and the claim's simulated stores are
-// charged to whichever thread wins. Since every thread has its own L1,
-// TLBs and LLC slice, their statistics depend on the host scheduler
-// (run them on one simulated thread for bit-identical statistics).
-// PageRank pushes too, through atomic floating-point adds, but every
-// thread charges its own accesses, so PR's and SpMV's statistics are
-// bit-deterministic. CSR conventions: BFS, SSSP and PR push along the
-// out-edge CSR; direction-optimizing BFS and BC keep both the out-edge
-// CSR and its transpose (BC gathers sigma from predecessors on the
-// transpose); CC uses the symmetrized graph; SpMV uses the out-edge CSR
-// directly as a sparse matrix.
+// Every kernel's results match its reference (PR's with two or more
+// workers up to floating-point association order), but not every
+// kernel's simulated statistics are deterministic. The frontier kernels
+// BFS, direction-optimizing BFS, SSSP, CC and BC push: several simulated
+// threads may race to claim one vertex with a compare-and-swap, and the
+// claim's simulated stores are charged to whichever thread wins. Since
+// every thread has its own L1, TLBs and LLC slice, their statistics
+// depend on the host scheduler (run them on one simulated thread for
+// bit-identical statistics). PageRank pushes too, through atomic
+// floating-point adds when two or more workers share a phase (a
+// one-worker phase adds with plain stores, so its ranks equal the
+// reference bit for bit), but every thread charges its own accesses, so
+// PR's and SpMV's statistics are bit-deterministic. CSR conventions: BFS,
+// SSSP and PR push along the out-edge CSR; direction-optimizing BFS and
+// BC keep both the out-edge CSR and its transpose (BC gathers sigma from
+// predecessors on the transpose); CC uses the symmetrized graph; SpMV
+// uses the out-edge CSR directly as a sparse matrix.
 package apps
 
 import (

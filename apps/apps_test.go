@@ -265,6 +265,28 @@ func TestPageRankMassConservation(t *testing.T) {
 	}
 }
 
+// TestOneWorkerPageRankIsExact pins the one-worker scatter's plain adds:
+// they run in the serial reference's order, so every rank equals the
+// reference bit for bit, not just within Validate's tolerance.
+func TestOneWorkerPageRankIsExact(t *testing.T) {
+	rt, err := atmem.New(atmem.NVMDRAM(), atmem.WithThreads(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &PageRank{Iterations: 3}
+	if err := p.Setup(rt, "pokec"); err != nil {
+		t.Fatal(err)
+	}
+	p.RunIteration(rt)
+	want := referencePageRank(p.g, 3, p.Damping)
+	got := p.Ranks()
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("rank[%d] = %v, want %v exactly", v, got[v], want[v])
+		}
+	}
+}
+
 func TestBCScoresNonNegative(t *testing.T) {
 	rt, err := atmem.New(atmem.NVMDRAM())
 	if err != nil {

@@ -12,15 +12,17 @@ import (
 
 // PageRank is a push (scatter) power iteration, the formulation
 // throughput-oriented SIMD graph frameworks use: each vertex scatters its
-// damped contribution into its out-neighbours' next-rank slots with an
-// atomic floating-point add. The next-rank array takes one random
-// read-modify-write per edge — skewed toward hub vertices — which is both
-// the access pattern PEBS demand-miss sampling sees and the pattern that
-// suffers the most from Optane's device write granularity.
+// damped contribution into its out-neighbours' next-rank slots. The
+// next-rank array takes one random read-modify-write per edge — skewed
+// toward hub vertices — which is both the access pattern PEBS demand-miss
+// sampling sees and the pattern that suffers the most from Optane's
+// device write granularity.
 //
-// Atomic adds make the result exact up to floating-point association
-// order, which varies with thread interleaving; Validate therefore allows
-// a small relative tolerance against the serial reference.
+// With two or more workers the adds are atomic floating-point adds, exact
+// up to association order, which varies with thread interleaving;
+// Validate therefore allows a small relative tolerance against the serial
+// reference. A one-worker phase adds with plain stores, in the
+// reference's order, so its ranks equal the reference bit for bit.
 //
 // One RunIteration performs Iterations power iterations (default 1, so
 // "iteration" matches the paper's per-iteration measurement).
@@ -94,7 +96,8 @@ func (p *PageRank) RunIteration(rt *atmem.Runtime) IterationResult {
 	n := p.g.NumVertices()
 	base := (1 - p.Damping) / float64(n)
 	for it := 0; it < p.Iterations; it++ {
-		nextBits := float64Bits(p.nextRnk.Raw())
+		next := p.nextRnk.Raw()
+		nextBits := float64Bits(next)
 		// Phase 1: reset next ranks to the teleport base (streaming).
 		res.add(rt.RunPhase("pr.reset", func(c *atmem.Ctx) {
 			lo, hi := c.Range(n)
@@ -102,9 +105,13 @@ func (p *PageRank) RunIteration(rt *atmem.Runtime) IterationResult {
 			c.Compute(float64(hi - lo))
 		}))
 		// Phase 2: scatter contributions along out-edges (sequential
-		// edge scan, random atomic accumulates into next ranks).
+		// edge scan, random accumulates into next ranks). Only workers
+		// racing on next need the locked CAS; a one-worker phase is
+		// ordered against its neighbours by RunPhase's WaitGroup, and a
+		// CAS per edge costs it about a sixth of its host time.
 		res.add(rt.RunPhase("pr.scatter", func(c *atmem.Ctx) {
 			lo, hi := p.csr.span(c)
+			shared := c.NumThreads > 1
 			work := 0.0
 			for v := lo; v < hi; v++ {
 				elo, ehi := p.csr.neighborSpan(c, v)
@@ -115,8 +122,14 @@ func (p *PageRank) RunIteration(rt *atmem.Runtime) IterationResult {
 				contrib := p.Damping * p.rank.Load(c, v) / float64(deg)
 				dsts := p.csr.edges.LoadSeq(c, int(elo), int(ehi))
 				p.nextRnk.SimUpdateGather(c, dsts)
-				for _, dst := range dsts {
-					atomicAddFloat64(&nextBits[dst], contrib)
+				if shared {
+					for _, dst := range dsts {
+						atomicAddFloat64(&nextBits[dst], contrib)
+					}
+				} else {
+					for _, dst := range dsts {
+						next[dst] += contrib
+					}
 				}
 				work += 2 * float64(len(dsts))
 			}

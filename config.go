@@ -104,11 +104,13 @@ type Options struct {
 	// CapacityReserve holds back this many bytes of fast memory from
 	// the placement budget (staging headroom and "other tenants" in
 	// the shared-server scenario of §1). Default: one staging buffer.
-	// When the reserve consumes the entire remaining fast-tier
-	// capacity, Optimize does not run the analyzer or the migration
-	// engine at all: it returns an empty plan/report (SelectedBytes
-	// and BytesMoved zero) rather than an error — a fully-reserved
-	// tier is an operating condition, not a failure.
+	// When the reserve consumes the entire fast capacity and no
+	// registered byte is fast, Optimize does not run the analyzer or
+	// the migration engine at all: it returns an empty plan/report
+	// (SelectedBytes and BytesMoved zero) rather than an error — a
+	// fully-reserved tier is an operating condition, not a failure. A
+	// reserve above the free capacity drains fast-resident bytes down
+	// to what it leaves.
 	CapacityReserve uint64
 	// FaultSchedule, when non-nil, arms deterministic fault injection
 	// at the simulator's capacity-mutating operations (allocation,

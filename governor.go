@@ -218,10 +218,11 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 	budget, held := r.placementBudget()
 	rankBudget := budget
 	if budget == 0 {
-		if r.tenant != nil {
-			// A tenant with no budget still runs the analyzer with a
+		if r.tenant != nil || held > 0 {
+			// A runtime with no budget still runs the analyzer with a
 			// 1-byte budget (0 would mean unlimited): for a shed or
-			// fully-debited tenant the empty selection lets the pressure
+			// fully-debited tenant, or a solo runtime whose reserve
+			// swallowed the tier, the empty selection lets the pressure
 			// demotions below drain its residency, and for a fresh tenant
 			// the clipped plan's MarginalDensity is the "I am hungry"
 			// signal the arbiter needs before it can grant a first share.
@@ -312,17 +313,19 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 }
 
 // placementBudget is the one source of the placement budget, for the
-// analyzer and the admission step alike: the free fast capacity beyond
-// CapacityReserve plus the fast bytes the registered objects already
-// hold (held, read from the page table), capped on a broker tenant by
-// its granted share. Re-selecting an already-resident chunk costs
-// nothing, so identical samples reproduce the identical plan across
-// epochs — the invariant that makes steady-state deltas empty.
+// analyzer and the admission step alike: the fast bytes the registered
+// objects already hold (held, read from the page table) plus the free
+// fast capacity, less CapacityReserve (saturating at 0), capped on a
+// broker tenant by its granted share. Re-selecting an already-resident
+// chunk costs nothing, so identical samples reproduce the identical plan
+// across epochs — the invariant that makes steady-state deltas empty. A
+// reserve raised above the free capacity takes the difference out of
+// held, so admit drains the resident set down to what the reserve
+// leaves.
 func (r *Runtime) placementBudget() (budget, held uint64) {
 	held = r.registeredFastBytes()
-	budget = held
-	if free := r.sys.FreeCapacity(memsim.TierFast); free > r.opts.CapacityReserve {
-		budget += free - r.opts.CapacityReserve
+	if avail := held + r.sys.FreeCapacity(memsim.TierFast); avail > r.opts.CapacityReserve {
+		budget = avail - r.opts.CapacityReserve
 	}
 	// Broker tenancy: the granted share — already debited by this
 	// tenant's own quarantined bytes, so one tenant's fault storm shrinks

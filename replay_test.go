@@ -647,6 +647,58 @@ func TestReplayHonoursRaisedReserve(t *testing.T) {
 	}
 }
 
+// TestRaisedReserveDrainsResidency pins that a reserve raised above the
+// free fast capacity gives back residency, online and on replay alike:
+// within three epochs of the raise the registered fast bytes come down
+// to the capacity the reserve leaves, also when it leaves none.
+func TestRaisedReserveDrainsResidency(t *testing.T) {
+	pc := NewPlanCache()
+	sig, _ := recordScanPlan(t, NVMDRAM(), pc)
+	for _, tc := range []struct {
+		name    string
+		replay  bool
+		allowed uint64
+	}{
+		{"online", false, 64 << 10},
+		{"online-none", false, 0},
+		{"replay", true, 64 << 10},
+		{"replay-none", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := NewPlanCache()
+			if tc.replay {
+				cache = pc
+			}
+			rt, hot := replayFixture(t, cache)
+			if tc.replay {
+				armHit(t, rt, sig)
+			}
+			for e := 0; e < 3; e++ {
+				if rep := epochOn(t, rt, "e", hot); rep.Replayed != tc.replay {
+					t.Fatalf("epoch %d: Replayed = %v", e+1, rep.Replayed)
+				}
+			}
+			if got := rt.ResidentBytes(); got <= tc.allowed {
+				t.Fatalf("only %d fast bytes resident before the raise", got)
+			}
+			capacity := rt.System().P.Tiers[memsim.TierFast].CapacityBytes
+			rt.SetCapacityReserve(capacity - tc.allowed)
+			for e := 0; e < 3; e++ {
+				if _, err := rt.RunEpoch("e", func() { scanPhase(rt, "e", hot) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := rt.ResidentBytes(); got > tc.allowed {
+				t.Errorf("%d fast bytes resident 3 epochs after the raise, want at most %d", got, tc.allowed)
+			}
+			assertDataIntact(t, "hot", hot, 7)
+			if err := rt.System().CheckConsistency(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // TestReplayOnTenantHonoursShare pins replay on a broker tenant: a plan
 // recorded on a solo runtime replays on a tenant whose share is below
 // the recorded residency, and the admission step keeps the tenant's

@@ -352,9 +352,12 @@ func (r *Runtime) Free(o *Object) error {
 }
 
 // SetCapacityReserve adjusts the fast-tier holdback between epochs —
-// the shrinking-budget scenario (§1's shared server) the governor's
-// pressure demotion absorbs. It does not move data by itself; the next
-// Optimize sees the new budget.
+// the shrinking-budget scenario (§1's shared server). It does not move
+// data by itself: the next epoch's placement budget is the registered
+// fast bytes plus the free fast capacity less the reserve, so a raised
+// reserve first stops growth and, once it exceeds the free capacity,
+// drains the resident set (pressure demotions, then the admission
+// step's drain), online and on replay alike, down to what it leaves.
 func (r *Runtime) SetCapacityReserve(bytes uint64) {
 	r.opts.CapacityReserve = bytes
 }
