@@ -1,8 +1,9 @@
 package atmem
 
-// This file is the multi-tenant attachment surface: the public aliases
-// for internal/broker, the broker constructor over a shared simulated
-// HMS, and the runtime-side hooks — per-epoch budget enforcement lives
+// This file is the broker attachment surface: the public aliases for
+// internal/broker, the broker constructor over a shared simulated HMS,
+// and the runtime-side hooks every runtime uses (a solo runtime is the
+// one tenant of a private broker) — per-epoch budget enforcement lives
 // in governor.go, the scorecard→arbiter signal below, and the
 // cross-tenant placement lock that serializes phases, allocations,
 // migrations and health passes against every co-tenant.
@@ -60,35 +61,21 @@ func NewBroker(tb Testbed, cfg BrokerConfig) *Broker {
 	return broker.New(memsim.NewSystem(tb.params), cfg)
 }
 
-// BrokerTenant returns the tenant this runtime is attached to (nil on
-// a solo runtime).
-func (r *Runtime) BrokerTenant() *Tenant { return r.tenant }
-
 // lockPlacement serializes this runtime's phases, allocations,
 // migrations and health passes against every co-tenant's: a phase must
 // see one mapping, and the migration engines' staging reservations and
 // the post-migration invariant checker assume no foreign migration is
-// in flight. No-op on a solo runtime.
-func (r *Runtime) lockPlacement() {
-	if r.tenant != nil {
-		r.tenant.Broker().LockPlacement()
-	}
-}
+// in flight. A solo runtime's private broker has no co-tenant, so its
+// lock is never contended.
+func (r *Runtime) lockPlacement() { r.tenant.Broker().LockPlacement() }
 
-func (r *Runtime) unlockPlacement() {
-	if r.tenant != nil {
-		r.tenant.Broker().UnlockPlacement()
-	}
-}
+func (r *Runtime) unlockPlacement() { r.tenant.Broker().UnlockPlacement() }
 
 // reportTenantSignal publishes the epoch's scorecard-derived signal to
 // the broker's arbiter: the fast-access share and latency for SLO
 // tracking, and the plan's marginal/coldest densities — the grant and
 // reclaim signals the arbiter rebalances on.
 func (r *Runtime) reportTenantSignal(sc *Scorecard) {
-	if r.tenant == nil {
-		return
-	}
 	sig := broker.Signal{
 		Epoch:           sc.Epoch,
 		FastAccessShare: sc.FastAccessShare,

@@ -2,6 +2,7 @@ package atmem
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -165,25 +166,20 @@ func TestTenantFailedConstructionLeavesSystemUntouched(t *testing.T) {
 	}
 }
 
-// TestTenantCloseReleasesShareAndAdmitsQueued is the departure
-// regression: Close on a tenant runtime after overlapped epochs settles
-// the pending clock charge, frees every object (so the sub-ledger and
-// the shared tiers return to empty), and departs — at which point the
-// queued tenant's floor fits and its Ready channel delivers.
-func TestTenantCloseReleasesShareAndAdmitsQueued(t *testing.T) {
+// TestTenantCloseReleasesShare is the departure regression: Close on a
+// tenant runtime after overlapped epochs settles the pending clock
+// charge, frees every object (so the sub-ledger and the shared tiers
+// return to empty), and departs — at which point a floor that did not
+// fit beside the departed tenant's is admitted.
+func TestTenantCloseReleasesShare(t *testing.T) {
 	bk := NewBroker(govTestbed(8<<20), BrokerConfig{})
 	ta, err := bk.Admit(TenantSpec{Name: "a", Class: ClassGuaranteed, FloorBytes: 6 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pend, err := bk.Enqueue(TenantSpec{Name: "b", Class: ClassGuaranteed, FloorBytes: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-pend.Ready():
-		t.Fatal("tenant b admitted while a's floor holds 6 of 8 MiB")
-	default:
+	specB := TenantSpec{Name: "b", Class: ClassGuaranteed, FloorBytes: 4 << 20}
+	if _, err := bk.Admit(specB); !errors.Is(err, ErrAdmission) {
+		t.Fatalf("tenant b admitted while a's floor holds 6 of 8 MiB: err = %v", err)
 	}
 
 	rt, hot, cold := brokerTenantRuntime(t, ta)
@@ -208,9 +204,8 @@ func TestTenantCloseReleasesShareAndAdmitsQueued(t *testing.T) {
 	if _, res := sys.TierUsage(memsim.TierFast); res != 0 {
 		t.Errorf("departure leaked %d reserved staging bytes", res)
 	}
-	tb := <-pend.Ready()
-	if tb == nil || tb.Name() != "b" {
-		t.Fatalf("queued tenant not delivered after departure: %v", tb)
+	if _, err := bk.Admit(specB); err != nil {
+		t.Fatalf("tenant b not admitted after a departed: %v", err)
 	}
 	if err := rt.Close(); err != nil {
 		t.Errorf("second Close: %v", err)

@@ -105,12 +105,11 @@ type Options struct {
 	// the placement budget (staging headroom and "other tenants" in
 	// the shared-server scenario of §1). Default: one staging buffer.
 	// When the reserve consumes the entire fast capacity and no
-	// registered byte is fast, Optimize does not run the analyzer or
-	// the migration engine at all: it returns an empty plan/report
-	// (SelectedBytes and BytesMoved zero) rather than an error — a
-	// fully-reserved tier is an operating condition, not a failure. A
-	// reserve above the free capacity drains fast-resident bytes down
-	// to what it leaves.
+	// registered byte is fast, Optimize ranks under a 1-byte budget and
+	// moves nothing (SelectedBytes and BytesMoved zero) rather than
+	// failing — a fully-reserved tier is an operating condition, not a
+	// failure. A reserve above the free capacity drains fast-resident
+	// bytes down to what it leaves.
 	CapacityReserve uint64
 	// FaultSchedule, when non-nil, arms deterministic fault injection
 	// at the simulator's capacity-mutating operations (allocation,
@@ -179,14 +178,16 @@ type Options struct {
 	DebugAddr string
 	// Tenant, when non-nil, attaches the runtime to a multi-tenant
 	// broker (see NewBroker): the runtime allocates from the broker's
-	// shared memory system instead of building its own, its placement
-	// budget — online and replayed — is capped by the broker-granted
-	// share (minus its own quarantine debit), its migrations and health
-	// passes serialize against co-tenants through the broker's
-	// placement lock, and each epoch reports a scorecard signal back to
-	// the broker's arbiter. A FaultSchedule installed by a tenant
-	// runtime hooks the shared system (last writer wins) — aim faults
-	// with range scopes so only the intended tenant's ranges fire.
+	// shared memory system, its placement budget — online and replayed
+	// — is capped by the broker-granted share (minus its own quarantine
+	// debit), its phases, migrations and health passes serialize
+	// against co-tenants through the broker's placement lock, and each
+	// epoch reports a scorecard signal back to the broker's arbiter.
+	// Without it the runtime is the one guaranteed tenant of a private
+	// broker over its own memory system, holding the whole fast tier. A
+	// FaultSchedule installed by a tenant runtime hooks the shared
+	// system (last writer wins) — aim faults with range scopes so only
+	// the intended tenant's ranges fire.
 	Tenant *Tenant
 }
 

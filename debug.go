@@ -82,7 +82,7 @@ func startDebugServer(addr string, r *Runtime) (*debugServer, error) {
 		if st.BreakerOpen || st.QuarantinedBytes >= healthzQuarantineThreshold {
 			st.Status = "degraded"
 		}
-		if r.tenant != nil && r.tenant.Broker().Shedding() {
+		if r.tenant.Broker().Shedding() {
 			st.Shedding = true
 			st.Status = "shedding"
 		}
@@ -123,26 +123,23 @@ func (r *Runtime) DebugAddr() string {
 
 // Close releases the runtime's external resources, in dependency
 // order: a clock charge an overlapped placement left pending is settled
-// in full (DrainAsync), a broker tenant frees its live objects and
-// detaches from the broker (returning its fast-tier share and residency
-// to the shared pool for queued tenants), and the debug listener is
-// shut down. Nil-safe and idempotent; a standalone runtime without a
-// debug listener or a pending overlap charge needs no Close.
+// in full (DrainAsync), every live object is freed and the runtime
+// departs its broker (returning its fast-tier share and residency to
+// the shared pool), and the debug listener is shut down. Nil-safe and
+// idempotent; a solo runtime without a debug listener or a pending
+// overlap charge needs no Close.
 func (r *Runtime) Close() error {
 	if r == nil {
 		return nil
 	}
 	r.DrainAsync()
 	var errs []error
-	if r.tenant != nil {
-		for _, o := range r.Objects() {
-			if err := r.Free(o); err != nil {
-				errs = append(errs, err)
-			}
+	for _, o := range r.Objects() {
+		if err := r.Free(o); err != nil {
+			errs = append(errs, err)
 		}
-		r.tenant.Depart()
-		r.tenant = nil
 	}
+	r.tenant.Depart()
 	if r.debug != nil {
 		if err := r.debug.close(); err != nil {
 			errs = append(errs, err)

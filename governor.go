@@ -119,8 +119,8 @@ func (r *Runtime) runEpoch(ctx context.Context, name string, overlapped bool, bo
 	// Epoch-start health pass: fire the fault schedule's epoch-driven
 	// orders and scrub the fast-tier residency, so injected corruption is
 	// detected and repaired before any kernel consumes it (see
-	// health.go). On a broker tenant the pass may migrate (emergency
-	// demotions), so it takes the cross-tenant placement lock.
+	// health.go). The pass may migrate (emergency demotions), so it
+	// takes the cross-tenant placement lock.
 	r.lockPlacement()
 	err := r.beginEpochHealth()
 	r.unlockPlacement()
@@ -192,7 +192,7 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 	}
 	// Serialize against co-tenants on a shared system: the staging
 	// reservations and the global reserved==0 invariant assume one
-	// migration in flight at a time. No-op on a solo runtime.
+	// migration in flight at a time.
 	r.lockPlacement()
 	defer r.unlockPlacement()
 	r.rec.Begin("optimize", "optimize", nil)
@@ -201,41 +201,25 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 	rep.Epoch = r.breaker.Epoch()
 	var analyzeNS uint64
 	defer func() { r.endPlacement(&rep, false, decision, analyzeNS) }()
-	emptyPlan := func() {
-		r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
-		rep.Engine, rep.TotalBytes = r.engine.Name(), r.plan.TotalBytes
-	}
 
 	if decision == governor.DecisionSkip {
 		// Open breaker: no analysis, no migration, hysteresis counters
 		// frozen. The epoch still ran its phases on the degraded
 		// placement; the cooldown was counted by Decide.
 		rep.BreakerSkipped = true
-		emptyPlan()
+		r.plan = &core.Plan{TotalBytes: r.reg.TotalBytes()}
+		rep.Engine, rep.TotalBytes = r.engine.Name(), r.plan.TotalBytes
 		return rep, nil
 	}
 
 	budget, held := r.placementBudget()
-	rankBudget := budget
-	if budget == 0 {
-		if r.tenant != nil || held > 0 {
-			// A runtime with no budget still runs the analyzer with a
-			// 1-byte budget (0 would mean unlimited): for a shed or
-			// fully-debited tenant, or a solo runtime whose reserve
-			// swallowed the tier, the empty selection lets the pressure
-			// demotions below drain its residency, and for a fresh tenant
-			// the clipped plan's MarginalDensity is the "I am hungry"
-			// signal the arbiter needs before it can grant a first share.
-			rankBudget = 1
-		} else {
-			// Nothing resident and no headroom: there is no placement
-			// budget at all (core treats budget 0 as unlimited, so this
-			// cannot fall through to the analyzer). A clean no-op epoch.
-			emptyPlan()
-			r.breaker.Observe(false)
-			return rep, nil
-		}
-	}
+	// A runtime with no budget still runs the analyzer, with a 1-byte
+	// budget (core treats 0 as unlimited): for a shed or fully-debited
+	// tenant, or a reserve that swallowed the tier, the empty selection
+	// lets the pressure demotions below drain its residency, and for a
+	// tenant without a share the clipped plan's MarginalDensity is the
+	// "I am hungry" signal the arbiter needs to grant it one.
+	rankBudget := max(budget, 1)
 	analyzeStart := time.Now()
 	plan, err := r.policy.Rank(core.PolicyProfile{
 		Registry: r.reg,
@@ -315,8 +299,9 @@ func (r *Runtime) optimizeGoverned(ctx context.Context) (rep MigrationReport, er
 // placementBudget is the one source of the placement budget, for the
 // analyzer and the admission step alike: the fast bytes the registered
 // objects already hold (held, read from the page table) plus the free
-// fast capacity, less CapacityReserve (saturating at 0), capped on a
-// broker tenant by its granted share. Re-selecting an already-resident
+// fast capacity, less CapacityReserve (saturating at 0), capped by the
+// tenant's granted share (a solo runtime's share is the whole tier, so
+// there the cap never binds). Re-selecting an already-resident
 // chunk costs nothing, so identical samples reproduce the identical plan
 // across epochs — the invariant that makes steady-state deltas empty. A
 // reserve raised above the free capacity takes the difference out of
@@ -327,14 +312,11 @@ func (r *Runtime) placementBudget() (budget, held uint64) {
 	if avail := held + r.sys.FreeCapacity(memsim.TierFast); avail > r.opts.CapacityReserve {
 		budget = avail - r.opts.CapacityReserve
 	}
-	// Broker tenancy: the granted share — already debited by this
-	// tenant's own quarantined bytes, so one tenant's fault storm shrinks
-	// only its own budget — caps the budget. Physical availability (what
-	// we hold plus the global headroom) still bounds it from above.
-	if r.tenant != nil {
-		budget = min(budget, r.tenant.Budget())
-	}
-	return budget, held
+	// The granted share — already debited by this tenant's own
+	// quarantined bytes, so one tenant's fault storm shrinks only its own
+	// budget — caps the budget. Physical availability (what we hold plus
+	// the global headroom) still bounds it from above.
+	return min(budget, r.tenant.Budget()), held
 }
 
 // admit is the admission step every schedule passes before
@@ -405,30 +387,23 @@ func (r *Runtime) admit(sched migrate.Schedule, budget, held uint64, cands []cor
 // shift or a budget cut proceed before hysteresis expires.
 // It also returns the fast bytes the pressure candidates hold, and the
 // candidates it left for admit to drain. Its ledger is occupancy, not
-// the budget: the watermarks weigh all committed fast bytes (a tenant's
-// whole footprint) against the tier less quarantine (a tenant's share),
-// less the reserve, so pressure drains early, with hysteresis, into
-// headroom the budget does not count. placementBudget alone bounds what
-// a schedule may hold, and admit enforces it.
+// the budget: the watermarks weigh the tenant's whole fast footprint
+// (its memsim sub-ledger) against its quarantine-debited share, capped
+// by the tier less the whole quarantine ledger, less the reserve, so
+// pressure drains early, with hysteresis, into headroom the budget does
+// not count. placementBudget alone bounds what a schedule may hold, and
+// admit enforces it.
 func (r *Runtime) pressureDemotions(delta core.Delta, cands []core.Candidate) (out []migrate.Region, pressureBytes uint64, rest []core.Candidate) {
-	capEff := r.sys.P.Tiers[memsim.TierFast].CapacityBytes
-	// Quarantined pages are capacity the tier no longer has: the
-	// watermarks must drain occupancy against the effective size, or a
-	// shrunken tier would never look pressured.
-	if q := r.sys.Quarantined(); capEff > q {
-		capEff -= q
-	} else {
-		capEff = 0
-	}
-	committed := r.sys.Used(memsim.TierFast)
-	if r.tenant != nil {
-		// Per-tenant watermarks: this tenant's fast footprint pressured
-		// against its own (quarantine-debited) share, so a share cut or
-		// its own fault storm drains this tenant's residency without
-		// touching anyone else's.
-		capEff = r.tenant.Budget()
-		committed = r.sys.TenantUsage(r.tenant.ID()).FastBytes
-	}
+	// Per-tenant watermarks: this tenant's fast footprint pressured
+	// against its own (quarantine-debited) share, so a share cut or its
+	// own fault storm drains this tenant's residency without touching
+	// anyone else's. Quarantined pages are capacity the tier no longer
+	// has, including those a freed object left behind (Free disowns
+	// their debit), so the whole ledger caps the share: a shrunken tier
+	// must still look pressured.
+	fastCap := r.sys.P.Tiers[memsim.TierFast].CapacityBytes
+	capEff := min(r.tenant.Budget(), fastCap-min(fastCap, r.sys.Quarantined()))
+	committed := r.sys.TenantUsage(r.tenant.ID()).FastBytes
 	if capEff > r.opts.CapacityReserve {
 		capEff -= r.opts.CapacityReserve
 	} else {

@@ -255,8 +255,8 @@ func TestGovernedPressureDemotionFundsShift(t *testing.T) {
 // TestGovernedBudgetFullyReservedDegrades pins the shrinking-budget
 // contract: a reserve that swallows the whole fast tier leaves a zero
 // placement budget, and the governed Optimize must treat that as a clean
-// no-op epoch — no ErrNoCapacity, no breaker damage — rather than
-// falling through to the analyzer (which reads budget 0 as unlimited).
+// no-op epoch — no ErrNoCapacity, no breaker damage — ranking under a
+// 1-byte budget rather than 0 (which the analyzer reads as unlimited).
 func TestGovernedBudgetFullyReservedDegrades(t *testing.T) {
 	rt, err := New(NVMDRAM(), WithSamplePeriod(64), WithGovernor(GovernorOptions{}))
 	if err != nil {
@@ -433,5 +433,65 @@ func TestRunEpochEdgeCases(t *testing.T) {
 	}
 	if rt.Epoch() != 1 {
 		t.Errorf("epoch counter %d", rt.Epoch())
+	}
+}
+
+// TestFreedQuarantineShrinksWatermark pins the pressure watermark's
+// capacity when a freed object leaves quarantined pages behind. Free
+// disowns the object's quarantine debit from the runtime's sub-ledger,
+// but the pages stay retired, so the watermarks must still weigh the
+// fast footprint against the tier less the whole quarantine ledger: 8
+// MiB less 2 MiB quarantined less the 2 MiB reserve leaves 4 MiB, and a
+// 2 MiB hot-set shift onto 2 MiB resident projects 100% of it, so
+// pressure drains 1 MiB to the 75% low watermark. Against the whole
+// share (8 MiB less the reserve) the same shift projects 67% and
+// demotes nothing.
+func TestFreedQuarantineShrinksWatermark(t *testing.T) {
+	const (
+		fastCap = 8 << 20
+		size    = 2 << 20
+		n       = size / 8
+	)
+	rt, err := New(govTestbed(fastCap),
+		WithSamplePeriod(64),
+		WithCapacityReserve(2<<20),
+		WithGovernor(GovernorOptions{
+			HighWatermark:     0.90,
+			LowWatermark:      0.75,
+			DemoteAfterEpochs: 3,
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := NewArray[uint64](rt, "scratch", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewArray[uint64](rt, "a", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewArray[uint64](rt, "b", n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.System().RetirePages(scratch.Object().Base(), size); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Free(scratch.Object()); err != nil {
+		t.Fatal(err)
+	}
+	if q := rt.System().Quarantined(); q != size {
+		t.Fatalf("quarantined %d bytes after the free, want %d", q, size)
+	}
+
+	epochOn(t, rt, "warm-a", a)
+	epochOn(t, rt, "steady-a", a)
+	shift := epochOn(t, rt, "shift-b", b).Migration
+	if shift.PressureDemotedBytes != 1<<20 {
+		t.Errorf("shift demoted %d bytes under pressure, want %d", shift.PressureDemotedBytes, 1<<20)
+	}
+	if err := rt.System().CheckConsistency(); err != nil {
+		t.Error(err)
 	}
 }

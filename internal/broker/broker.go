@@ -4,9 +4,9 @@
 //
 // Each tenant is admitted under a QoS class with a guaranteed floor
 // and a burst limit on its fast-tier share. Admission control rejects
-// (or queues) a tenant whose guaranteed floor would oversubscribe the
-// fast tier — shrunk by the quarantine ledger, so capacity the health
-// subsystem has retired is never promised twice. A global arbiter
+// a tenant whose guaranteed floor would oversubscribe the fast tier —
+// shrunk by the quarantine ledger, so capacity the health subsystem
+// has retired is never promised twice. A global arbiter
 // rebalances shares once per epoch from per-tenant scorecard signals:
 // the tenant whose marginal (budget-clipped) chunk is hottest gains a
 // quantum, reclaimed from the free pool first and from the coldest
@@ -37,7 +37,7 @@ import (
 
 // ErrAdmission is the sentinel wrapped by every admission rejection,
 // so callers can distinguish "the fast tier is promised out" from
-// structural errors with errors.Is and queue or degrade instead of
+// structural errors with errors.Is and retry or degrade instead of
 // aborting.
 var ErrAdmission = errors.New("broker: admission denied")
 
@@ -229,23 +229,13 @@ func (t *Tenant) Report(sig Signal) {
 	t.reported = true
 }
 
-// Depart detaches the tenant: its share returns to the pool and any
-// queued tenant that now fits is admitted. Idempotent. The caller must
+// Depart detaches the tenant: its share and floor return to the pool,
+// so a later Admit may claim them. Idempotent. The caller must
 // have freed (or be about to free) the tenant's allocations; the
 // memsim sub-ledger disowns them on Free.
 func (t *Tenant) Depart() {
 	t.b.depart(t)
 }
-
-// Pending is a queued admission. Ready is closed with the tenant once
-// a departure frees enough floor budget.
-type Pending struct {
-	spec  TenantSpec
-	ready chan *Tenant
-}
-
-// Ready returns the channel the admitted tenant is delivered on.
-func (p *Pending) Ready() <-chan *Tenant { return p.ready }
 
 // RebalanceReport describes one arbiter epoch, for reports and tests.
 type RebalanceReport struct {
@@ -283,7 +273,6 @@ type Broker struct {
 	mu       sync.Mutex
 	nextID   int
 	tenants  map[string]*Tenant
-	queue    []*Pending
 	breaker  *governor.Breaker
 	epoch    int
 	shedList []*Tenant // tenants currently shed, in shed order
@@ -346,10 +335,6 @@ func (b *Broker) Admit(spec TenantSpec) (*Tenant, error) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.admitLocked(spec)
-}
-
-func (b *Broker) admitLocked(spec TenantSpec) (*Tenant, error) {
 	if _, live := b.tenants[spec.Name]; live {
 		return nil, fmt.Errorf("broker: tenant %q already admitted", spec.Name)
 	}
@@ -365,29 +350,7 @@ func (b *Broker) admitLocked(spec TenantSpec) (*Tenant, error) {
 	return t, nil
 }
 
-// Enqueue admits the tenant immediately when its floor fits, and
-// otherwise queues it; the Pending's Ready channel delivers the tenant
-// once a departure frees enough floor budget. Spec errors surface
-// immediately.
-func (b *Broker) Enqueue(spec TenantSpec) (*Pending, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	p := &Pending{spec: spec, ready: make(chan *Tenant, 1)}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if t, err := b.admitLocked(spec); err == nil {
-		p.ready <- t
-		close(p.ready)
-		return p, nil
-	} else if !errors.Is(err, ErrAdmission) {
-		return nil, err
-	}
-	b.queue = append(b.queue, p)
-	return p, nil
-}
-
-// depart removes the tenant and drains the admission queue.
+// depart removes the tenant.
 func (b *Broker) depart(t *Tenant) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -404,34 +367,6 @@ func (b *Broker) depart(t *Tenant) {
 	}
 	b.shedding.Store(len(b.shedList) > 0)
 	t.share.Store(0)
-	b.drainQueueLocked()
-}
-
-// drainQueueLocked admits queued tenants FIFO while they fit.
-func (b *Broker) drainQueueLocked() {
-	kept := b.queue[:0]
-	for _, p := range b.queue {
-		t, err := b.admitLocked(p.spec)
-		if err != nil {
-			kept = append(kept, p)
-			continue
-		}
-		p.ready <- t
-		close(p.ready)
-	}
-	b.queue = kept
-}
-
-// Tenants returns the live tenants sorted by name.
-func (b *Broker) Tenants() []*Tenant {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]*Tenant, 0, len(b.tenants))
-	for _, t := range b.tenants {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].spec.Name < out[j].spec.Name })
-	return out
 }
 
 // pressureLocked returns aggregate fast-tier occupancy: mapped plus

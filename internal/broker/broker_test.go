@@ -50,59 +50,6 @@ func TestAdmitExactlyFullFloor(t *testing.T) {
 	}
 }
 
-// TestQueuedAdmittedAfterDeparture: a queued tenant is delivered on
-// its Ready channel once a departure frees floor budget, FIFO.
-func TestQueuedAdmittedAfterDeparture(t *testing.T) {
-	b := New(testSystem(t), Config{})
-	ta, err := b.Admit(spec("a", ClassGuaranteed, 12*mib, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := b.Enqueue(spec("q1", ClassGuaranteed, 8*mib, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := b.Enqueue(spec("q2", ClassGuaranteed, 4*mib, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-p1.Ready():
-		t.Fatal("q1 admitted while floors oversubscribed")
-	default:
-	}
-
-	ta.Depart()
-	tq1 := <-p1.Ready()
-	if tq1 == nil || tq1.Name() != "q1" {
-		t.Fatalf("q1 not admitted after departure: %v", tq1)
-	}
-	// q2's 4 MiB also fits beside q1's 8 MiB (12 ≤ 16).
-	tq2 := <-p2.Ready()
-	if tq2 == nil || tq2.Name() != "q2" {
-		t.Fatalf("q2 not admitted after departure: %v", tq2)
-	}
-	// Depart is idempotent.
-	ta.Depart()
-}
-
-// TestEnqueueAdmitsImmediately: Enqueue with room delivers at once.
-func TestEnqueueAdmitsImmediately(t *testing.T) {
-	b := New(testSystem(t), Config{})
-	p, err := b.Enqueue(spec("a", ClassBurstable, 4*mib, 8*mib))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case tn := <-p.Ready():
-		if tn.Name() != "a" {
-			t.Fatalf("admitted %q, want a", tn.Name())
-		}
-	default:
-		t.Fatal("tenant with room was queued instead of admitted")
-	}
-}
-
 // TestAdmissionShrinksUnderQuarantine: live quarantine growth shrinks
 // what admission may promise — a floor that fit before RetirePages is
 // rejected after.

@@ -97,3 +97,46 @@ func TestAllocPreferSpillIsSmallPaged(t *testing.T) {
 		t.Errorf("split %v, want 1/3 huge pages", on)
 	}
 }
+
+// A spilled object of at least one huge page whose size is not a
+// huge-page multiple is mapped only to its 4 KiB rounding; Free must
+// unmap exactly that, not walk into the unmapped huge-page tail, and a
+// free that does reach an unmapped page must change nothing.
+func TestFreeSpilledObject(t *testing.T) {
+	p := testParams()
+	p.Tiers[TierFast].CapacityBytes = 3 * HugePage
+	s := NewSystem(p)
+	whole, err := s.AllocPrefer(2*HugePage - 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 2*HugePage + 100
+	spilled, err := s.AllocPrefer(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Extent(whole, 2*HugePage-100), uint64(2*HugePage); got != want {
+		t.Errorf("whole-placed extent = %d, want %d", got, want)
+	}
+	if got, want := s.Extent(spilled, size), RoundUp(size, SmallPage); got != want {
+		t.Errorf("spilled extent = %d, want %d", got, want)
+	}
+	// A free that reaches past the mapping fails before any ledger moves.
+	if err := s.Free(spilled, 3*HugePage); err == nil {
+		t.Fatal("free past the spilled mapping accepted")
+	}
+	if err := s.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []struct{ base, size uint64 }{{spilled, size}, {whole, 2*HugePage - 100}} {
+		if err := s.Free(o.base, o.size); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Used(TierFast) != 0 || s.Used(TierSlow) != 0 {
+		t.Errorf("used after freeing everything: fast %d, slow %d", s.Used(TierFast), s.Used(TierSlow))
+	}
+}

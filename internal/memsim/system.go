@@ -91,7 +91,7 @@ type System struct {
 
 	// Tenant sub-ledgers (tenant.go): adopted owner ranges sorted by
 	// base, and per-owner fast/quarantine counters. Guarded by mu;
-	// empty on a single-tenant system, costing the mutation paths one
+	// empty until a range is adopted, costing the mutation paths one
 	// length check.
 	owners  []ownerRange
 	tenants map[int]*tenantUsage
@@ -263,27 +263,45 @@ func (s *System) AllocPrefer(size uint64) (uint64, error) {
 	return base, nil
 }
 
+// Extent returns the mapped span of the allocation of size bytes at
+// base, the range Free unmaps: a huge-page multiple for an object of at
+// least one huge page, unless AllocPrefer spilled it, which maps 4 KiB
+// pages only. Every allocation's base is huge-aligned, so the pages
+// between the two roundings belong to the object and are either all
+// mapped or all unmapped.
+func (s *System) Extent(base, size uint64) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.extentLocked(base, size)
+}
+
+func (s *System) extentLocked(base, size uint64) uint64 {
+	huge := RoundUp(size, HugePage)
+	if size >= HugePage && s.pt.word((base+huge-1)>>smallShift)&pteMapped != 0 {
+		return huge
+	}
+	return RoundUp(size, SmallPage)
+}
+
 // Free releases the mapping of the object at [base, base+size). size must
 // be the original requested size.
 func (s *System) Free(base, size uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	align := uint64(SmallPage)
-	if size >= HugePage {
-		align = HugePage
-	}
-	mapped := RoundUp(size, align)
-	// Account per-page so partially migrated objects are handled.
+	mapped := s.extentLocked(base, size)
+	// Check every page before touching a ledger, then account per page
+	// so partially migrated objects are handled.
 	first, n := base>>smallShift, mapped>>smallShift
 	for i := first; i < first+n; i++ {
-		pi, err := s.pt.lookup(i)
-		if err != nil {
+		if _, err := s.pt.lookup(i); err != nil {
 			return err
 		}
-		ledgerSub(&s.used[pi.Tier], SmallPage)
-		s.tenantFreeLocked(i<<smallShift, pi.Tier)
 	}
+	k := 0
 	for i := first; i < first+n; i++ {
+		pi := unpackPTE(s.pt.word(i))
+		ledgerSub(&s.used[pi.Tier], SmallPage)
+		s.tenantRetierLocked(i, &k, pi.Tier, NumTiers) // unmapped: no tier
 		s.pt.set(i, PageInfo{})
 	}
 	// A freed range stops being owned: its remaining (slow-tier) bytes
@@ -333,6 +351,7 @@ func (s *System) retierLocked(base, size uint64, t Tier) error {
 	if s.committedLocked(t)+moving > s.P.Tiers[t].CapacityBytes {
 		return fmt.Errorf("%w: tier %s: retier of %d bytes", ErrNoCapacity, t, moving)
 	}
+	k := 0
 	for i := first; i < first+n; i++ {
 		pi := unpackPTE(s.pt.word(i))
 		if pi.Tier == t {
@@ -340,7 +359,7 @@ func (s *System) retierLocked(base, size uint64, t Tier) error {
 		}
 		ledgerSub(&s.used[pi.Tier], SmallPage)
 		ledgerAdd(&s.used[t], SmallPage)
-		s.tenantRetierLocked(i<<smallShift, pi.Tier, t)
+		s.tenantRetierLocked(i, &k, pi.Tier, t)
 		pi.Tier = t
 		s.pt.set(i, pi)
 	}
@@ -525,6 +544,7 @@ func (s *System) RestoreTiers(base uint64, tiers []Tier) error {
 			return err
 		}
 	}
+	k := 0
 	for i, t := range tiers {
 		vpage := first + uint64(i)
 		pi := unpackPTE(s.pt.word(vpage))
@@ -533,7 +553,7 @@ func (s *System) RestoreTiers(base uint64, tiers []Tier) error {
 		}
 		ledgerSub(&s.used[pi.Tier], SmallPage)
 		ledgerAdd(&s.used[t], SmallPage)
-		s.tenantRetierLocked(vpage<<smallShift, pi.Tier, t)
+		s.tenantRetierLocked(vpage, &k, pi.Tier, t)
 		pi.Tier = t
 		s.pt.set(vpage, pi)
 	}
@@ -710,11 +730,17 @@ func (s *System) CheckConsistency() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var mapped [NumTiers]uint64
+	ownedFast := make([]uint64, len(s.owners))
+	k := 0
 	pages := s.pt.slice()
 	for i := range pages {
 		pi := unpackPTE(pages[i].Load())
-		if pi.Mapped {
-			mapped[pi.Tier] += SmallPage
+		if !pi.Mapped {
+			continue
+		}
+		mapped[pi.Tier] += SmallPage
+		if pi.Tier == TierFast && len(s.owners) > 0 {
+			s.pageOwnersLocked(uint64(i), &k, func(j int, bytes uint64) { ownedFast[j] += bytes })
 		}
 	}
 	for t := Tier(0); t < NumTiers; t++ {
@@ -745,5 +771,5 @@ func (s *System) CheckConsistency() error {
 		return fmt.Errorf("memsim: quarantine drift: ranges cover %d bytes, ledger says %d",
 			quarTotal, s.quarantined.Load())
 	}
-	return s.checkTenantsLocked()
+	return s.checkTenantsLocked(ownedFast)
 }

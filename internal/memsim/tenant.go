@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -54,8 +55,8 @@ func (s *System) AdoptRange(owner int, base, size uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.disownLocked(base, size)
-	s.owners = append(s.owners, ownerRange{base: base, size: size, owner: owner})
-	sort.Slice(s.owners, func(i, j int) bool { return s.owners[i].base < s.owners[j].base })
+	i := sort.Search(len(s.owners), func(i int) bool { return s.owners[i].base > base })
+	s.owners = slices.Insert(s.owners, i, ownerRange{base: base, size: size, owner: owner})
 	u := s.tenantLocked(owner)
 	u.fast += s.fastBytesLocked(base, size)
 	u.quarantined += s.quarOverlapBytesLocked(base, size)
@@ -113,53 +114,40 @@ func (s *System) tenantLocked(owner int) *tenantUsage {
 	return u
 }
 
-// forEachOwnedOverlapLocked calls fn once per owner range overlapping
-// [base, base+size) with the overlap's byte count. Owner ranges are
-// byte-granular (an adopted object need not end on a page boundary),
-// so per-page attribution must clip to the owned stretch — charging
-// whole pages would drift from the recomputed ledger on the last,
-// partially-owned page. Callers hold s.mu.
-func (s *System) forEachOwnedOverlapLocked(base, size uint64, fn func(u *tenantUsage, bytes uint64)) {
-	n := len(s.owners)
-	if n == 0 {
-		return
+// pageOwnersLocked calls fn once per owner range overlapping page i,
+// with the range's index in s.owners and the bytes of the page it owns.
+// Owner ranges are byte-granular (an adopted range need not end on a
+// page boundary), so attribution clips to the owned stretch. Callers
+// walk pages in ascending order with one cursor *k (starting at 0) into
+// the sorted owner table; it only moves forward, so a walk attributes
+// every page without a search. Callers hold s.mu.
+func (s *System) pageOwnersLocked(i uint64, k *int, fn func(j int, bytes uint64)) {
+	lo, hi := i<<smallShift, i<<smallShift+SmallPage
+	for *k < len(s.owners) && s.owners[*k].base+s.owners[*k].size <= lo {
+		*k++
 	}
-	end := base + size
-	i := sort.Search(n, func(i int) bool { return s.owners[i].base+s.owners[i].size > base })
-	for ; i < n && s.owners[i].base < end; i++ {
-		or := s.owners[i]
-		lo, hi := maxU64(or.base, base), minU64(or.base+or.size, end)
-		if lo < hi {
-			fn(s.tenantLocked(or.owner), hi-lo)
-		}
+	for j := *k; j < len(s.owners) && s.owners[j].base < hi; j++ {
+		or := s.owners[j]
+		fn(j, minU64(or.base+or.size, hi)-maxU64(or.base, lo))
 	}
 }
 
-// tenantRetierLocked charges one page's tier change to the owners it
-// overlaps (if any); callers hold s.mu and call it exactly where the
-// global used ledger moves.
-func (s *System) tenantRetierLocked(pageAddr uint64, from, to Tier) {
+// tenantRetierLocked charges page i's tier change to the owners it
+// overlaps (if any), advancing the page walk's cursor k; callers hold
+// s.mu and call it exactly where the global used ledger moves (a freed
+// fast page moves to no tier).
+func (s *System) tenantRetierLocked(i uint64, k *int, from, to Tier) {
 	if len(s.owners) == 0 || from == to {
 		return
 	}
-	s.forEachOwnedOverlapLocked(pageAddr, SmallPage, func(u *tenantUsage, bytes uint64) {
+	s.pageOwnersLocked(i, k, func(j int, bytes uint64) {
+		u := s.tenantLocked(s.owners[j].owner)
 		if from == TierFast {
 			u.fast -= bytes
 		}
 		if to == TierFast {
 			u.fast += bytes
 		}
-	})
-}
-
-// tenantFreeLocked drops one freed fast-mapped page's owned bytes from
-// its owners' fast counters; callers hold s.mu.
-func (s *System) tenantFreeLocked(pageAddr uint64, t Tier) {
-	if len(s.owners) == 0 || t != TierFast {
-		return
-	}
-	s.forEachOwnedOverlapLocked(pageAddr, SmallPage, func(u *tenantUsage, bytes uint64) {
-		u.fast -= bytes
 	})
 }
 
@@ -213,15 +201,15 @@ func (s *System) quarOverlapBytesLocked(base, size uint64) uint64 {
 	return out
 }
 
-// checkTenantsLocked recomputes every tenant's sub-ledger from the
-// page table, owner table, and quarantine ledger, and compares it to
-// the running counters — the tenant-attribution half of
-// CheckConsistency. Callers hold s.mu.
-func (s *System) checkTenantsLocked() error {
+// checkTenantsLocked compares every tenant's running sub-ledger to one
+// recomputed from fast (the owned fast bytes per owner range, counted
+// by CheckConsistency's page-table pass) and the quarantine ledger —
+// the tenant-attribution half of CheckConsistency. Callers hold s.mu.
+func (s *System) checkTenantsLocked(fast []uint64) error {
 	want := make(map[int]tenantUsage, len(s.tenants))
-	for _, or := range s.owners {
+	for j, or := range s.owners {
 		w := want[or.owner]
-		w.fast += s.fastBytesLocked(or.base, or.size)
+		w.fast += fast[j]
 		w.quarantined += s.quarOverlapBytesLocked(or.base, or.size)
 		want[or.owner] = w
 	}

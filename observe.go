@@ -190,8 +190,8 @@ func (r *Runtime) endPlacement(rep *MigrationReport, replayed bool, decision gov
 // endEpoch is the epoch-end observer (control plane, after the
 // placement and health passes settled): it drains the transition logs,
 // derives the epoch's scorecard, publishes it to the scorecard list,
-// the atomic latest-scorecard slot, the metrics and (on a broker
-// tenant) the arbiter, and closes the epoch's span with end.
+// the atomic latest-scorecard slot, the metrics and the broker's
+// arbiter, and closes the epoch's span with end.
 func (r *Runtime) endEpoch(name string, end telemetry.Args, rep *EpochReport, scrubStartNS uint64) {
 	r.drainTransitions()
 	sc := Scorecard{Epoch: rep.Epoch}
@@ -249,7 +249,7 @@ func (r *Runtime) endEpoch(name string, end telemetry.Args, rep *EpochReport, sc
 		m.scoreMigEff.Set(sc.MigrationEfficiency)
 		m.scoreOverhead.Set(sc.OverheadTax)
 	}
-	// Feed the broker's arbiter on a tenant runtime (see broker.go).
+	// Feed the broker's arbiter (see broker.go).
 	r.reportTenantSignal(&sc)
 	r.rec.End("epoch", name, end)
 }

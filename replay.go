@@ -331,7 +331,7 @@ func (r *Runtime) FinishPlan() (*CompiledPlan, error) {
 // budget cut asks them to; the first result reports whether they did.
 func (r *Runtime) applyPlanEpoch(ctx context.Context, epoch int) (bool, MigrationReport, error) {
 	// Serialize against co-tenants on a shared system, as the online
-	// placement does. No-op on a solo runtime.
+	// placement does.
 	r.lockPlacement()
 	defer r.unlockPlacement()
 	epochs := r.armedPlan.Epochs

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"atmem/internal/broker"
 	"atmem/internal/core"
 	"atmem/internal/faultinject"
 	"atmem/internal/governor"
@@ -18,8 +19,9 @@ import (
 	"atmem/internal/telemetry"
 )
 
-// Runtime is one ATMem session on one simulated HMS: it owns the memory
-// system, the data-object registry, the sampling profiler, and the
+// Runtime is one ATMem session on one simulated HMS: it places on its
+// broker's memory system (a private one unless WithTenant shares it)
+// and owns the data-object registry, the sampling profiler, and the
 // migration engine, and implements the paper's Listing-1 API
 // (atmem_malloc/atmem_free/atmem_profiling_start/atmem_profiling_stop/
 // atmem_optimize).
@@ -97,13 +99,16 @@ type Runtime struct {
 	scrubChargedNS uint64
 	debug          *debugServer
 
-	// Multi-tenant attachment (see broker.go). tenant is non-nil while
-	// the runtime is admitted to a broker: the memory system is the
-	// broker's shared one, Malloc adopts allocations into the tenant's
-	// memsim sub-ledger, the governed budget is capped by the granted
-	// share, and Close departs. breakerOpenA mirrors the breaker's
-	// open/half-open state atomically for the debug listener's /healthz
-	// (the breaker itself is single-threaded control-plane state).
+	// Broker attachment (see broker.go). Every runtime is a broker
+	// tenant: one built with WithTenant joins that tenant's broker, any
+	// other is the one guaranteed tenant of a private broker whose floor
+	// is the whole fast tier. The memory system is the broker's, Malloc
+	// adopts allocations into the tenant's memsim sub-ledger, the
+	// governed budget is capped by the granted share, and Close departs.
+	// tenant is set at construction and never cleared. breakerOpenA
+	// mirrors the breaker's open/half-open state atomically for the
+	// debug listener's /healthz (the breaker itself is single-threaded
+	// control-plane state).
 	tenant       *Tenant
 	breakerOpenA atomic.Bool
 
@@ -151,20 +156,32 @@ func newRuntime(tb Testbed, o Options) (*Runtime, error) {
 		return nil, err
 	}
 	tb.params = p
+	tn := o.Tenant
+	if tn == nil {
+		// A solo runtime is the one tenant of a private broker,
+		// guaranteed the whole fast tier, so it places under the same
+		// sub-ledger and placement lock as any co-tenant.
+		bk := broker.New(memsim.NewSystem(p), broker.Config{})
+		var err error
+		tn, err = bk.Admit(broker.TenantSpec{
+			Name:       "solo",
+			Class:      broker.ClassGuaranteed,
+			FloorBytes: p.Tiers[memsim.TierFast].CapacityBytes,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
 	r := &Runtime{
 		testbed: tb,
 		opts:    o,
 		policy:  o.Placement,
-		tenant:  o.Tenant,
+		sys:     tn.Broker().System(),
+		tenant:  tn,
 		reg:     core.NewRegistry(o.Analyzer),
 		objects: make(map[uint64]*Object),
 		govCfg:  gcfg,
 		breaker: governor.NewBreaker(gcfg),
-	}
-	if o.Tenant != nil {
-		r.sys = o.Tenant.Broker().System()
-	} else {
-		r.sys = memsim.NewSystem(p)
 	}
 	if o.Health.Enabled {
 		r.board = health.NewScoreboard(o.Health.Policy)
@@ -281,9 +298,8 @@ func (r *Runtime) allocTier(size uint64) memsim.Tier {
 
 // Malloc is atmem_malloc (Listing 1): it allocates size bytes of
 // simulated memory according to the placement policy and registers the
-// object with the profiler/analyzer under the given name. On a broker
-// tenant it holds the broker's placement lock, so it never lands in a
-// co-tenant's phase.
+// object with the profiler/analyzer under the given name. It holds the
+// broker's placement lock, so it never lands in a co-tenant's phase.
 func (r *Runtime) Malloc(name string, size uint64) (*Object, error) {
 	r.lockPlacement()
 	defer r.unlockPlacement()
@@ -320,17 +336,16 @@ func (r *Runtime) Malloc(name string, size uint64) (*Object, error) {
 		do:   do,
 	}
 	r.objects[base] = o
-	if r.tenant != nil {
-		// Adopt the range into the tenant's memsim sub-ledger so the
-		// broker can attribute fast-tier bytes and quarantine debits to
-		// this tenant. Free disowns automatically.
-		r.sys.AdoptRange(r.tenant.ID(), base, size)
-	}
+	// Adopt the mapped extent into the tenant's memsim sub-ledger so
+	// fast-tier pages and quarantine debits are charged to this runtime,
+	// whole pages included, as the tier's capacity counts them. Free
+	// disowns the same extent.
+	r.sys.AdoptRange(r.tenant.ID(), base, r.sys.Extent(base, size))
 	return o, nil
 }
 
-// Free is atmem_free (Listing 1). Like Malloc it holds a broker
-// tenant's placement lock.
+// Free is atmem_free (Listing 1). Like Malloc it holds the broker's
+// placement lock.
 func (r *Runtime) Free(o *Object) error {
 	r.lockPlacement()
 	defer r.unlockPlacement()
@@ -597,9 +612,9 @@ func (c *Ctx) Range(n int) (lo, hi int) {
 // returns the phase's simulated time and event statistics.
 //
 // No placement, health pass or allocation runs while a phase does, so
-// every access of the phase sees one mapping. On a broker tenant the
-// phase holds the broker's placement lock, which keeps co-tenants'
-// placements and allocations out of it.
+// every access of the phase sees one mapping. The phase holds the
+// broker's placement lock, which keeps co-tenants' placements and
+// allocations out of it.
 func (r *Runtime) RunPhase(name string, kernel func(c *Ctx)) PhaseResult {
 	r.lockPlacement()
 	defer r.unlockPlacement()

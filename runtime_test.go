@@ -75,6 +75,40 @@ func TestPreferFastSpills(t *testing.T) {
 	}
 }
 
+// A solo prefer-fast runtime charges its sub-ledger whole mapped pages,
+// the bytes the fast tier's capacity counts, and Close frees a spilled
+// object whose size is not a huge-page multiple, which maps only 4 KiB
+// pages past its huge-aligned base.
+func TestCloseFreesSpilledObject(t *testing.T) {
+	rt, err := New(govTestbed(4<<20), WithPlacementPolicy(PreferFastPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := rt.System()
+	if _, err := rt.Malloc("whole", 1<<20+100); err != nil {
+		t.Fatal(err)
+	}
+	spilled, err := rt.Malloc("spilled", 3<<20+100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spilled.FastBytes() == 0 || spilled.FastBytes() == spilled.Size() {
+		t.Fatalf("expected a split placement, fast=%d of %d", spilled.FastBytes(), spilled.Size())
+	}
+	if got, want := sys.TenantUsage(rt.tenant.ID()).FastBytes, sys.Used(memsim.TierFast); got != want {
+		t.Errorf("sub-ledger fast bytes = %d, want the tier's mapped %d", got, want)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := sys.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if f, s := sys.Used(memsim.TierFast), sys.Used(memsim.TierSlow); f != 0 || s != 0 {
+		t.Errorf("used after Close: fast %d, slow %d", f, s)
+	}
+}
+
 func TestArrayLoadStoreRoundTrip(t *testing.T) {
 	rt := newTestRuntime(t)
 	arr, err := NewArray[float64](rt, "vals", 1000)
